@@ -1,65 +1,103 @@
 """Hot inner loops: chain stepping, CUSUM traces, and run-length scans.
 
-Every kernel exists twice: a numba ``@njit`` version (default) and a pure
-numpy fallback. Setting the environment variable ``SCUSUM_DISABLE_NUMBA=1``
-before import selects the fallback; ``USING_NUMBA`` reports which path is
-live. ``benchmarks/bench_backends.py`` times the two side by side.
+All kernels are plain numpy and Python; there is one backend.
+
+Chain stepping iterates x <- x - alpha*x + shift*tanh(x) + sigma*z and is
+bitwise equal to stepping one state at a time. Stepping one 10-wide state
+per call is bound by ufunc overhead, so ``chain_steps`` cuts the stream into
+blocks of ``BLOCK`` steps and advances all blocks together as one (R, d)
+state: block 0 from ``x0``, every other block from a guess. One correction
+sweep then re-steps each block from the previous block's end. A block is
+resolved from the first step at which its corrected state equals the stored
+state bitwise, because the map is deterministic from there on; a block whose
+end did not change hands an exact end to the next block. Blocks that are
+still unresolved after the sweep (the paths of a bistable kernel need not
+merge) and the tail past the last full block are stepped one state at a
+time, so the worst case stays close to the plain loop.
 
 The CUSUM statistic follows the recursion
 
     W_n = phi(s_n) + max(0, W_{n-1}),      W_0 = 0,
 
-which equals max_{1<=k<=n} sum_{i=k}^n phi(s_i). The numpy fallback uses the
-algebraic identity W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running
-sum of phi(s); over very long streams the cumulative sums lose a few low
-bits relative to the sequential recursion, which is why parity tests compare
-at 1e-9 rather than bitwise.
+which equals max_{1<=k<=n} sum_{i=k}^n phi(s_i). The detect-and-reset scan
+``run_lengths`` runs this recursion as one scalar pass and is bitwise equal
+to ``detector.detector_update``. ``cusum_trace`` uses the algebraic identity
+W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running sum of phi(s); over
+very long streams the cumulative sums lose a few low bits relative to the
+recursion, so it matches the recursion to 1e-9 rather than bitwise.
 
 Truncation is encoded as a clip level ``m``; pass ``np.inf`` to disable it.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("SCUSUM_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+# steps per block of the lockstep chain stepper
+BLOCK = 1024
 
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via SCUSUM_DISABLE_NUMBA")
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+def _as_f64(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _bits(a):
+    return a.view(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # chain stepping: x <- x - alpha*x + shift*tanh(x) + sigma*z
 # ---------------------------------------------------------------------------
 
-def _chain_steps_numpy(x0, noise, alpha, shift, sigma):
-    n, d = noise.shape
-    out = np.empty((n, d), dtype=np.float64)
-    x = x0.astype(np.float64).copy()
-    for t in range(n):
+def _step_sequential(x, noise, out, alpha, shift, sigma):
+    for t in range(noise.shape[0]):
         x = x - alpha * x + shift * np.tanh(x) + sigma * noise[t]
         out[t] = x
-    return out
 
 
-def _chain_steps_impl(x0, noise, alpha, shift, sigma):
+def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarray:
+    """Iterate the transition map over pre-drawn noise rows; returns (n, d).
+
+    The result is bitwise equal to stepping one state at a time from ``x0``.
+    """
+    x0 = _as_f64(x0)
+    noise = _as_f64(noise)
     n, d = noise.shape
     out = np.empty((n, d), dtype=np.float64)
-    x = x0.copy()
-    for t in range(n):
-        for j in range(d):
-            xj = x[j]
-            x[j] = xj - alpha * xj + shift * math.tanh(xj) + sigma * noise[t, j]
-            out[t, j] = x[j]
+    R = n // BLOCK
+    if R < 2:
+        _step_sequential(x0, noise, out, alpha, shift, sigma)
+        return out
+
+    z = noise[: R * BLOCK].reshape(R, BLOCK, d)
+    blocks = out[: R * BLOCK].reshape(R, BLOCK, d)
+
+    # lockstep pass: block 0 from x0 (exact), the others from x0 as a guess
+    X = np.empty((R, d))
+    X[:] = x0
+    for t in range(BLOCK):
+        X = X - alpha * X + shift * np.tanh(X) + sigma * z[:, t]
+        blocks[:, t] = X
+    ends = X
+
+    # correction sweep: re-step blocks 1..R-1 from the stored end of the block
+    # before; stop early once every block has merged with its stored path
+    Y = ends[:-1]
+    exact = R
+    for t in range(BLOCK):
+        Y = Y - alpha * Y + shift * np.tanh(Y) + sigma * z[1:, t]
+        if np.array_equal(_bits(Y), _bits(blocks[1:, t])):
+            break
+        blocks[1:, t] = Y
+    else:
+        # the first block whose end changed is exact (its start was), but the
+        # blocks after it were corrected from a stale end
+        changed = np.flatnonzero(np.any(_bits(Y) != _bits(ends[1:]), axis=1))
+        if changed.size:
+            exact = int(changed[0]) + 2
+
+    start = exact * BLOCK
+    _step_sequential(out[start - 1], noise[start:], out[start:], alpha, shift, sigma)
     return out
 
 
@@ -67,174 +105,33 @@ def _chain_steps_impl(x0, noise, alpha, shift, sigma):
 # CUSUM trace (no resets)
 # ---------------------------------------------------------------------------
 
-def _cusum_trace_numpy(increments, m):
-    phi = np.clip(increments, -m, m)
+def cusum_trace(increments, m: float = np.inf) -> np.ndarray:
+    """Per-step CUSUM statistic W_n, no resets."""
+    phi = np.clip(_as_f64(increments), -m, m)
     s = np.cumsum(phi)
     prev_min = np.minimum.accumulate(np.concatenate(([0.0], s[:-1])))
     return s - prev_min
-
-
-def _cusum_trace_impl(increments, m):
-    n = increments.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    w = 0.0
-    for i in range(n):
-        s = increments[i]
-        if s > m:
-            s = m
-        elif s < -m:
-            s = -m
-        carry = w if w > 0.0 else 0.0
-        w = s + carry
-        out[i] = w
-    return out
-
-
-# ---------------------------------------------------------------------------
-# first alarm index (-1 when the statistic never reaches b)
-# ---------------------------------------------------------------------------
-
-def _first_alarm_numpy(increments, b, m):
-    n = increments.shape[0]
-    pos = 0
-    carry = 0.0
-    window = 1024
-    while pos < n:
-        end = min(n, pos + window)
-        w = _trace_with_carry_numpy(increments[pos:end], m, carry)
-        hits = np.nonzero(w >= b)[0]
-        if hits.size:
-            return pos + int(hits[0])
-        carry = max(0.0, float(w[-1]))
-        pos = end
-        window = min(window * 4, 1 << 20)
-    return -1
-
-
-def _first_alarm_impl(increments, b, m):
-    n = increments.shape[0]
-    w = 0.0
-    for i in range(n):
-        s = increments[i]
-        if s > m:
-            s = m
-        elif s < -m:
-            s = -m
-        carry = w if w > 0.0 else 0.0
-        w = s + carry
-        if w >= b:
-            return i
-    return -1
-
-
-def _trace_with_carry_numpy(increments, m, carry):
-    # carry = max(0, W_prev); prepending it as a virtual increment preserves
-    # the recursion because W_0' = carry + max(0, 0) = carry.
-    phi = np.clip(increments, -m, m)
-    s = np.cumsum(np.concatenate(([carry], phi)))
-    prev_min = np.minimum.accumulate(np.concatenate(([0.0], s[:-1])))
-    return (s - prev_min)[1:]
 
 
 # ---------------------------------------------------------------------------
 # detect-and-reset scan: alarm intervals over a whole stream
 # ---------------------------------------------------------------------------
 
-def _run_lengths_numpy(increments, b, m):
-    n = increments.shape[0]
-    intervals = []
-    pos = 0
-    start = 0
-    carry = 0.0
-    window = 1024
-    while pos < n:
-        end = min(n, pos + window)
-        w = _trace_with_carry_numpy(increments[pos:end], m, carry)
-        hits = np.nonzero(w >= b)[0]
-        if hits.size:
-            alarm = pos + int(hits[0])
-            intervals.append(alarm - start + 1)
-            start = alarm + 1
-            pos = alarm + 1
-            carry = 0.0
-            window = 1024
-        else:
-            carry = max(0.0, float(w[-1]))
-            pos = end
-            window = min(window * 4, 1 << 20)
-    residual = n - start
-    return np.asarray(intervals, dtype=np.int64), residual
-
-
-def _run_lengths_impl(increments, b, m):
-    n = increments.shape[0]
-    intervals = np.empty(n, dtype=np.int64)
-    count = 0
-    w = 0.0
-    start = 0
-    for i in range(n):
-        s = increments[i]
-        if s > m:
-            s = m
-        elif s < -m:
-            s = -m
-        carry = w if w > 0.0 else 0.0
-        w = s + carry
-        if w >= b:
-            intervals[count] = i - start + 1
-            count += 1
-            start = i + 1
-            w = 0.0
-    return intervals[:count].copy(), n - start
-
-
-if HAVE_NUMBA:
-    _chain_steps_numba = njit(cache=True)(_chain_steps_impl)
-    _cusum_trace_numba = njit(cache=True)(_cusum_trace_impl)
-    _first_alarm_numba = njit(cache=True)(_first_alarm_impl)
-    _run_lengths_numba = njit(cache=True)(_run_lengths_impl)
-
-USING_NUMBA = HAVE_NUMBA
-
-
-def backend() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def _as_f64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarray:
-    """Iterate the transition map over pre-drawn noise rows; returns (n, d)."""
-    x0 = _as_f64(x0)
-    noise = _as_f64(noise)
-    if USING_NUMBA:
-        return _chain_steps_numba(x0, noise, alpha, shift, sigma)
-    return _chain_steps_numpy(x0, noise, alpha, shift, sigma)
-
-
-def cusum_trace(increments, m: float = np.inf) -> np.ndarray:
-    """Per-step CUSUM statistic W_n, no resets."""
-    increments = _as_f64(increments)
-    if USING_NUMBA:
-        return _cusum_trace_numba(increments, m)
-    return _cusum_trace_numpy(increments, m)
-
-
-def first_alarm(increments, b: float, m: float = np.inf) -> int:
-    """0-based index of the first n with W_n >= b, or -1."""
-    increments = _as_f64(increments)
-    if USING_NUMBA:
-        return int(_first_alarm_numba(increments, b, m))
-    return int(_first_alarm_numpy(increments, b, m))
-
-
 def run_lengths(increments, b: float, m: float = np.inf):
     """Detect-and-reset scan; returns (intervals array, residual steps)."""
-    increments = _as_f64(increments)
-    if USING_NUMBA:
-        intervals, residual = _run_lengths_numba(increments, b, m)
-    else:
-        intervals, residual = _run_lengths_numpy(increments, b, m)
-    return intervals, int(residual)
+    clipped = np.clip(_as_f64(increments), -m, m)
+    intervals = []
+    w = 0.0
+    start = 0
+    for i, phi in enumerate(memoryview(clipped)):
+        # w = phi + max(0, w); dropping the "+ 0.0" only changes the sign of a
+        # zero w, which neither branch nor the alarm test can see
+        if w > 0.0:
+            w += phi
+        else:
+            w = phi
+        if w >= b:
+            intervals.append(i - start + 1)
+            start = i + 1
+            w = 0.0
+    return np.asarray(intervals, dtype=np.int64), clipped.shape[0] - start

@@ -3,8 +3,8 @@
 Subcommands: ``simulate``, ``train``, ``detect``, ``sweep``, ``bounds``,
 ``mocap``. Every command reads a strict JSON config (unknown keys are
 rejected), applies centralized defaults, and writes a ``manifest.json`` next
-to its outputs echoing the fully-resolved config, the command, the seed, and
-the kernel backend, so any run can be reproduced from its manifest alone.
+to its outputs echoing the fully-resolved config, the command and the seed,
+so any run can be reproduced from its manifest alone.
 
 Outputs are CSV series (trajectories, detector traces, sweeps, bound
 curves); plotting is left to external tooling.
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels, bounds, detector, markov, mocap, scorenet
+from . import __version__, bounds, detector, markov, mocap, scorenet
 from .exceptions import AmcError, NumericsError, TrainingError
 
 EXIT_OK = 0
@@ -99,7 +99,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str
     manifest = {
         "command": command,
         "package_version": __version__,
-        "kernel_backend": _kernels.backend(),
         "config": config,
         "outputs": outputs,
     }
@@ -710,3 +709,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

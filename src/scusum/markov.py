@@ -13,9 +13,10 @@ and for the exact likelihood-ratio CUSUM baseline.
 
 Randomness: trajectories draw from numpy's PCG64 bit generator
 (``np.random.default_rng(seed)``) using ``standard_normal`` (ziggurat), all
-noise drawn up front in one call. Given the same config and the same kernel
-backend, paths are bitwise reproducible; across the numba and numpy backends
-they agree to within a few ulps of tanh.
+noise drawn up front in one call. Given the same config, paths are bitwise
+reproducible, and bitwise equal to stepping the recursion one state at a
+time (``_kernels.chain_steps`` steps blocks in lockstep, then corrects them
+until their states match exactly).
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ class GaussianKernelSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and positive")
+        if not math.isfinite(self.shift):
+            raise ValueError("shift must be finite")
         if not 0 < self.alpha < 2:
             raise ValueError("alpha must lie in (0, 2) for the mean map to contract")
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +74,14 @@ class TestSimulate:
         payload = {"kernel": SMALL_KERNEL, "length": 10, "bogus": 1}
         code, _ = run(tmp_path, "simulate", payload)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("key, value", [("sigma", math.nan), ("sigma", math.inf), ("shift", math.nan)])
+    def test_non_finite_kernel_parameter_rejected(self, tmp_path, key, value):
+        # json.dumps writes NaN/Infinity, which Python's json accepts on load
+        payload = {"kernel": {**SMALL_KERNEL, key: value}, "length": 10}
+        code, out = run(tmp_path, "simulate", payload)
+        assert code == EXIT_USAGE
+        assert not (out / "trajectory.csv").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         payload = {"kernel": SMALL_KERNEL, "length": 20, "seed": 1}
@@ -296,3 +307,19 @@ class TestArgumentHandling:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_module_runs_as_script(self, tmp_path):
+        config = write_config(tmp_path, {"kernel": SMALL_KERNEL, "length": 5})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "scusum.cli", "simulate", "--config", config,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 6
+        bad = subprocess.run([sys.executable, "-m", "scusum.cli", "frobnicate"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert bad.returncode == EXIT_USAGE

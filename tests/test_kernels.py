@@ -1,15 +1,55 @@
-"""Backend parity and brute-force equivalence for the hot kernels."""
+"""The hot kernels against brute force and one-step reference loops."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scusum import _kernels
+from scusum.detector import DetectorConfig, DetectorState, TruncationSpec, detector_update, run_detector
+
+L = _kernels.BLOCK
 
 
 def brute_force_trace(increments, m):
     phi = np.clip(increments, -m, m)
     n = len(phi)
     return np.array([max(phi[k : i + 1].sum() for k in range(i + 1)) for i in range(n)])
+
+
+def one_step_chain(x0, noise, alpha, shift, sigma):
+    """The transition map applied one state at a time."""
+    out = np.empty_like(noise)
+    x = np.array(x0, dtype=np.float64)
+    for t in range(noise.shape[0]):
+        x = x - alpha * x + shift * np.tanh(x) + sigma * noise[t]
+        out[t] = x
+    return out
+
+
+def one_step_scan(increments, config):
+    """Detect-and-reset via ``detector_update``: (intervals, residual, statistics)."""
+    state = DetectorState()
+    intervals, stats, start = [], [], 0
+    for i, inc in enumerate(increments):
+        state = detector_update(state, float(inc), config)
+        stats.append(state.statistic)
+        if state.alarmed:
+            intervals.append(i - start + 1)
+            start = i + 1
+            state = DetectorState()
+    return intervals, len(increments) - start, np.array(stats)
+
+
+def _config(b, m):
+    return DetectorConfig(threshold=b, truncation=TruncationSpec(None if m == np.inf else m))
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("m", [np.inf, 0.5, 5.0])
@@ -20,39 +60,35 @@ def test_trace_matches_brute_force(m):
         s = rng.uniform(-10, 10, size=n)
         expected = brute_force_trace(s, m)
         assert np.max(np.abs(_kernels.cusum_trace(s, m) - expected)) <= 1e-9
-        assert np.max(np.abs(_kernels._cusum_trace_numpy(s, m) - expected)) <= 1e-9
 
 
 def test_trace_with_carry_matches_sequential():
     rng = np.random.default_rng(4)
     s = rng.uniform(-5, 5, size=500)
-    full = _kernels._cusum_trace_numpy(s, np.inf)
-    # split anywhere; carrying max(0, W) across the cut reproduces the tail
+    full = _kernels.cusum_trace(s, np.inf)
+    # split anywhere; prepending max(0, W) at the cut as a virtual increment
+    # reproduces the tail, because W_0' = carry + max(0, 0) = carry
     for cut in (1, 137, 250, 499):
         carry = max(0.0, full[cut - 1])
-        tail = _kernels._trace_with_carry_numpy(s[cut:], np.inf, carry)
+        tail = _kernels.cusum_trace(np.concatenate(([carry], s[cut:])), np.inf)[1:]
         assert np.allclose(tail, full[cut:], atol=1e-9)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend unavailable")
-class TestBackendParity:
+class TestReferenceParity:
     def test_chain_steps(self):
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(10)
         noise = rng.standard_normal((20000, 10))
-        a = _kernels._chain_steps_numpy(x0, noise, 0.3, 0.2, 0.3)
-        b = _kernels._chain_steps_numba(x0, noise, 0.3, 0.2, 0.3)
-        # backends may differ by ~1 ulp of tanh per step; the map contracts,
-        # so the gap stays at rounding level
-        assert np.allclose(a, b, rtol=0, atol=1e-12)
+        assert_bitwise(
+            _kernels.chain_steps(x0, noise, 0.3, 0.2, 0.3), one_step_chain(x0, noise, 0.3, 0.2, 0.3)
+        )
 
     def test_cusum_trace(self):
         rng = np.random.default_rng(1)
         s = rng.uniform(-10, 10, size=5000)
         for m in (np.inf, 2.5):
-            assert np.allclose(
-                _kernels._cusum_trace_numpy(s, m), _kernels._cusum_trace_numba(s, m), atol=1e-9
-            )
+            _, _, stats = one_step_scan(s, _config(math.inf, m))
+            assert np.allclose(_kernels.cusum_trace(s, m), stats, rtol=0, atol=1e-9)
 
     def test_run_lengths(self):
         rng = np.random.default_rng(2)
@@ -60,18 +96,19 @@ class TestBackendParity:
             s = rng.uniform(-3, 5, size=int(rng.integers(10, 20000)))
             b = float(rng.uniform(0.5, 50))
             m = float(rng.choice([np.inf, 1.0, 4.0]))
-            i_nb, r_nb = _kernels._run_lengths_numba(s, b, m)
-            i_np, r_np = _kernels._run_lengths_numpy(s, b, m)
-            assert np.array_equal(i_nb, i_np)
-            assert r_nb == r_np
+            intervals, residual = _kernels.run_lengths(s, b, m)
+            ref_intervals, ref_residual, _ = one_step_scan(s, _config(b, m))
+            assert intervals.tolist() == ref_intervals
+            assert residual == ref_residual
 
     def test_first_alarm(self):
         rng = np.random.default_rng(5)
         s = rng.uniform(-2, 2, size=10000)
         for b in (0.5, 10.0, 1e9):
-            assert _kernels._first_alarm_numba(s, b, np.inf) == _kernels._first_alarm_numpy(
-                s, b, np.inf
-            )
+            config = _config(b, np.inf)
+            ref_intervals, _, _ = one_step_scan(s, config)
+            expected = ref_intervals[0] if ref_intervals else None
+            assert run_detector(s, config) == expected
 
 
 def test_run_lengths_against_reference():
@@ -101,3 +138,51 @@ def test_chain_steps_zero_noise_fixed_point():
     noise = np.zeros((4, 2))
     out = _kernels.chain_steps(x0, noise, 1.0, 0.0, 1.0)
     assert np.allclose(out, 0.0)
+
+
+def test_chain_steps_leaves_inputs_untouched():
+    rng = np.random.default_rng(7)
+    x0 = rng.standard_normal(3)
+    noise = rng.standard_normal((3 * L + 5, 3))
+    x0_copy, noise_copy = x0.copy(), noise.copy()
+    _kernels.chain_steps(x0, noise, 0.3, 0.2, 0.3)
+    assert_bitwise(x0, x0_copy)
+    assert_bitwise(noise, noise_copy)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(
+    length=st.sampled_from([0, 1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, 5 * L + 17]),
+    dim=st.integers(1, 6),
+    alpha=st.floats(0.01, 1.99),
+    shift=st.floats(-4.0, 4.0),
+    sigma=st.floats(0.01, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=5 * L + 17, dim=3, alpha=0.05, shift=3.0, sigma=1.0, seed=0)  # bistable
+@example(length=5 * L + 17, dim=2, alpha=0.01, shift=0.0, sigma=1.0, seed=1)  # slow merging
+def test_chain_steps_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, sigma, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(dim) * 3.0
+    noise = rng.standard_normal((length, dim))
+    assert_bitwise(
+        _kernels.chain_steps(x0, noise, alpha, shift, sigma),
+        one_step_chain(x0, noise, alpha, shift, sigma),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.lists(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)), max_size=300),
+    b=st.floats(1e-3, 1e4),
+    m=st.one_of(st.just(np.inf), st.floats(1e-3, 1e4)),
+)
+def test_run_lengths_equal_detector_update_loop(stream, b, m):
+    intervals, residual = _kernels.run_lengths(np.array(stream, dtype=np.float64), b, m)
+    ref_intervals, ref_residual, _ = one_step_scan(stream, _config(b, m))
+    assert intervals.tolist() == ref_intervals
+    assert residual == ref_residual

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scusum import _kernels
 from scusum.fields import PairBatch, TransitionPair, check_divergence_consistency
@@ -139,6 +141,33 @@ class TestSimulatePath:
             TrajectoryConfig(pre=PRE, post=GaussianKernelSpec(dim=2, alpha=0.5, sigma=1.0))
         with pytest.raises(ValueError, match="alpha"):
             GaussianKernelSpec(dim=2, alpha=2.5, sigma=1.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"sigma": math.nan}, {"sigma": math.inf}, {"sigma": -1.0},
+        {"shift": math.nan}, {"shift": math.inf}, {"shift": -math.inf},
+        {"alpha": math.nan}, {"alpha": math.inf},
+    ])
+    def test_spec_rejects_non_finite_parameters(self, bad):
+        params = {"dim": 2, "alpha": 0.5, "sigma": 1.0, "shift": 0.1, **bad}
+        with pytest.raises(ValueError):
+            GaussianKernelSpec(**params)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.99),
+        shift=st.floats(-4.0, 4.0),
+        sigma=st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefix_before_change_is_the_unchanged_path(self, alpha, shift, sigma, seed):
+        pre = GaussianKernelSpec(dim=3, alpha=alpha, sigma=sigma, shift=shift)
+        post = GaussianKernelSpec(dim=3, alpha=alpha, sigma=2 * sigma, shift=shift)
+        plain = simulate_path(TrajectoryConfig(pre=pre, length=6000, seed=seed, burn_in=100))
+        changed = simulate_path(
+            TrajectoryConfig(pre=pre, post=post, change_point=3001, length=6000, seed=seed, burn_in=100)
+        )
+        assert np.array_equal(changed[:3000].view(np.int64), plain[:3000].view(np.int64))
+        assert not np.array_equal(changed[3000:], plain[3000:])
 
 
 class TestClosedFormScore:
