@@ -250,7 +250,15 @@ def cmd_train(config: dict, out_dir: Path) -> int:
         eps=tc["eps"],
         shuffle=tc["shuffle"],
     )
-    params, history = scorenet.train(arch, pairs, train_config, standardize=config["standardize"])
+    epochs = []
+
+    def record_epoch(epoch, loss, seconds):
+        epochs.append({"epoch": epoch, "loss": loss, "wall_s": seconds,
+                       "pairs_per_s": len(pairs) / seconds})
+
+    params, history = scorenet.train(
+        arch, pairs, train_config, standardize=config["standardize"], on_epoch=record_epoch
+    )
 
     model_path = out_dir / "model.bin"
     scorenet.save_model(params, model_path)
@@ -262,13 +270,24 @@ def cmd_train(config: dict, out_dir: Path) -> int:
             writer.writerow([i, repr(loss)])
 
     print(f"trained {len(history)} epochs; final loss {history[-1]:.6g}")
+    metrics = {"pairs": len(pairs), "epochs": epochs}
     if oracle is not None:
         report = scorenet.evaluate_accuracy(params, oracle, pairs)
         print(
-            f"accuracy vs closed-form score: mse={report.mse:.6g} "
+            f"accuracy vs closed-form score (in-sample): mse={report.mse:.6g} "
             f"var_scale={report.var_scale:.6g} rel_error={report.rel_error:.6g}"
         )
-    _write_manifest(out_dir, "train", config, [model_path.name, curve_path.name])
+        metrics["accuracy"] = {
+            "sample": "in-sample: the training pairs",
+            "mse": report.mse,
+            "var_scale": report.var_scale,
+            "rel_error": report.rel_error,
+        }
+    metrics_path = out_dir / "metrics.json"
+    with open(metrics_path, "w") as fh:
+        json.dump(metrics, fh, indent=2)
+        fh.write("\n")
+    _write_manifest(out_dir, "train", config, [model_path.name, curve_path.name, metrics_path.name])
     print(f"wrote {model_path}")
     return EXIT_OK
 

@@ -17,6 +17,13 @@ Everything here is plain numpy in double precision:
   everywhere this package is used, so exactness is affordable);
 * parameter gradients are exact as well, backpropagating through both the
   primal pass and the tangent passes;
+* the hot path evaluates one sigmoid per hidden layer and derives silu,
+  silu' and silu'' from it; keeps the two pair-independent tangent
+  quantities (the layer-0 tangent and the output cotangent) as (d, h)
+  arrays that broadcast; reads only the diagonal of the output tangent, as
+  one GEMV; and writes the (B, d, h) tangent stacks into buffers that one
+  ``train`` or ``divergence_batch`` call reuses for all its minibatches or
+  chunks and drops when it returns;
 * optimization is deterministic given the config seed (init and shuffling
   use separate PCG64 streams spawned from it).
 
@@ -37,6 +44,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +179,13 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and nonnegative")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -212,74 +226,129 @@ def init_params(arch: MlpArchitecture, seed) -> MlpParameters:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 0.5 * (1 + tanh(z / 2)) in place on one new array; finite for every z
+    g = np.multiply(z, 0.5)
+    np.tanh(g, out=g)
+    g += 1.0
+    g *= 0.5
+    return g
 
 
 def silu(z):
     return z * _sigmoid(z)
 
 
-def _silu_d1_d2(z):
-    # silu' = g + z g(1-g), silu'' = 2g(1-g) + z g(1-g)(1-2g), g = sigmoid(z)
+def _silu_parts(z, want_d2: bool):
+    """silu, silu' and (optionally) silu'' of z, all from one sigmoid g.
+
+    silu = z g, silu' = g + z g(1-g), silu'' = g(1-g) (2 + z (1-2g)).
+    """
     g = _sigmoid(z)
-    gp = g * (1.0 - g)
-    return g + z * gp, 2.0 * gp + z * gp * (1.0 - 2.0 * g)
+    gp = 1.0 - g
+    gp *= g
+    d1 = z * gp
+    d1 += g
+    d2 = None
+    if want_d2:
+        d2 = g * -2.0
+        d2 += 1.0
+        d2 *= z
+        d2 += 2.0
+        d2 *= gp
+    g *= z
+    return g, d1, d2
 
 
 # ---------------------------------------------------------------------------
-# fused primal + tangent forward pass
+# fused primal + tangent pass and its exact backward pass
 #
-# A0:    (B, 2d) network inputs (already standardized when applicable)
+# a0:    (B, 2d) network inputs (already standardized when applicable)
 # inv_s: (d,) output/tangent scaling (ones when not standardized)
 #
-# Tangents track d directional derivatives at once; the direction-i input
-# tangent is inv_s[i] * e_i on the y half, so summing inv_s[i] * T_out[b,i,i]
-# yields the divergence of the raw-coordinate model.
+# Direction i of the d tangent passes is seeded with inv_s[i] * e_i on the y
+# half of the input. Hidden layer l maps the tangent t_{l-1} to
+# p_l = t_{l-1} @ W_l and t_l = p_l * silu'(z_l), all (B, d, h_l) stacks, and
+# the divergence of the raw-coordinate model only needs the diagonal of the
+# output tangent:
+#
+#     sum_i inv_s[i] (t_last @ W_out)[b, i, i]
+#         = t_last[b].ravel() @ (W_out.T * inv_s[:, None]).ravel(),
+#
+# one GEMV over the batch. Two tangent quantities do not depend on the pair
+# and stay (d, h) arrays that broadcast: p_0 = inv_s[:, None] * W_0[:d], and
+# the cotangent of t_last, W_out.T * inv_s[:, None] / B.
 # ---------------------------------------------------------------------------
 
-def _bmm(t, w):
-    # (B, d, m) @ (m, h) as a single GEMM
-    b_, d_, m_ = t.shape
-    return (t.reshape(b_ * d_, m_) @ w).reshape(b_, d_, w.shape[1])
+class _TangentStacks:
+    """Float64 (B, d, width) buffers for the tangent passes of one call.
+
+    One ``train``, ``divergence_batch`` or loss call makes them and reuses
+    them for each of its minibatches or chunks; a slot's buffer is allocated
+    on first use, and a batch of B <= rows pairs uses its leading part. They
+    are dropped with the call: at d=62, 2048 rows and width 128 one stack is
+    130 MB.
+
+    With L hidden layers and ``memory`` (gradients wanted), slot l holds
+    t_l, slot L+l-1 holds p_l (l >= 1) and slot 2L-1 is backward scratch.
+    Without it p_l and t_l share slot l % 2, so at most two stacks exist.
+    """
+
+    def __init__(self, arch: MlpArchitecture, rows: int, memory: bool):
+        self.memory = memory
+        self._d = arch.output_dim
+        self._size = rows * arch.output_dim * max(arch.hidden_widths, default=0)
+        self._flat = {}
+
+    def __call__(self, slot: int, batch: int, width: int) -> np.ndarray:
+        if slot not in self._flat:
+            self._flat[slot] = np.empty(self._size)
+        return self._flat[slot][: batch * self._d * width].reshape(batch, self._d, width)
 
 
-def _forward_tangent(params: MlpParameters, a0, inv_s, need_memory: bool):
+def _tangent_pass(params: MlpParameters, a0, inv_s, stacks: _TangentStacks):
+    """Primal pass plus the d tangent passes over one batch.
+
+    Returns psi, the tangent of the output layer's input (the shared (d, 2d)
+    input tangent when there is no hidden layer) and, with
+    ``stacks.memory``, the per-layer arrays the backward pass reads.
+    """
+    B = a0.shape[0]
     d = params.arch.output_dim
     n_hidden = len(params.arch.hidden_widths)
-    t0 = np.zeros((d, params.arch.input_dim))
-    t0[np.arange(d), np.arange(d)] = inv_s
-
+    keep = stacks.memory
+    acts, d1s, d2s, pres, tangents = [a0], [], [], [], []
     a = a0
-    t = None  # (B, d, h) once batch-dependent; layer 0 tangent is shared
-    acts, zs, d1s, d2s, pres, tangents = [a0], [], [], [], [], [t0]
+    t = None
     for l in range(n_hidden):
-        w, b = params.weights[l], params.biases[l]
-        z = a @ w + b
-        d1, d2 = _silu_d1_d2(z)
+        w = params.weights[l]
+        h = w.shape[1]
+        z = a @ w
+        z += params.biases[l]
+        a, d1, d2 = _silu_parts(z, want_d2=keep)
         if t is None:
-            p = (t0 @ w)[None, :, :] * np.ones((a0.shape[0], 1, 1))
+            p = inv_s[:, None] * w[:d]
         else:
-            p = _bmm(t, w)
-        t = p * d1[:, None, :]
-        a = silu(z)
-        if need_memory:
-            zs.append(z)
+            p = stacks(n_hidden + l - 1 if keep else l % 2, B, h)
+            np.matmul(t.reshape(B * d, -1), w, out=p.reshape(B * d, h))
+        t = np.multiply(p, d1[:, None, :], out=stacks(l if keep else l % 2, B, h))
+        if keep:
+            acts.append(a)
             d1s.append(d1)
             d2s.append(d2)
             pres.append(p)
-            acts.append(a)
             tangents.append(t)
-    w, b = params.weights[-1], params.biases[-1]
-    psi = a @ w + b
-    t_out = (t0 @ w)[None, :, :] * np.ones((a0.shape[0], 1, 1)) if t is None else _bmm(t, w)
-    if need_memory:
-        return psi, t_out, (acts, zs, d1s, d2s, pres, tangents)
-    return psi, t_out, None
+    psi = a @ params.weights[-1]
+    psi += params.biases[-1]
+    if t is None:
+        t = np.zeros((d, params.arch.input_dim))
+        t[np.arange(d), np.arange(d)] = inv_s
+    return psi, t, (acts, d1s, d2s, pres, tangents)
+
+
+def _divergence(params: MlpParameters, t, inv_s):
+    # (B,) from a (B, d, h) tangent stack, a scalar from a shared (d, h) one
+    v = (params.weights[-1].T * inv_s[:, None]).ravel()
+    return t.reshape(*t.shape[:-2], -1) @ v
 
 
 def _net_inputs(params: MlpParameters, Y, X):
@@ -316,7 +385,10 @@ def forward(params: MlpParameters, y, x) -> np.ndarray:
     return forward_batch(params, as_state(y, d)[None, :], as_state(x, d)[None, :])[0]
 
 
-_DIVERGENCE_CHUNK = 2048  # keeps the (chunk, d, width) tangent stacks in cache
+# Pairs per tangent pass of divergence_batch. One (chunk, d, width) stack is
+# chunk * d * width * 8 bytes: 2048 x 62 x 128 x 8 B = 130 MB at the mocap
+# dimension (2.6 MB at d=10, width 128), and a chunk holds two stacks.
+_DIVERGENCE_CHUNK = 2048
 
 
 def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
@@ -325,11 +397,13 @@ def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     a0 = _net_inputs(params, Y, X)
     inv_s = _inv_s(params)
-    out = np.empty(a0.shape[0])
-    for start in range(0, a0.shape[0], _DIVERGENCE_CHUNK):
+    n = a0.shape[0]
+    stacks = _TangentStacks(params.arch, min(n, _DIVERGENCE_CHUNK), memory=False)
+    out = np.empty(n)
+    for start in range(0, n, _DIVERGENCE_CHUNK):
         block = a0[start : start + _DIVERGENCE_CHUNK]
-        _, t_out, _ = _forward_tangent(params, block, inv_s, need_memory=False)
-        out[start : start + _DIVERGENCE_CHUNK] = np.einsum("i,bii->b", inv_s, t_out)
+        _, t, _ = _tangent_pass(params, block, inv_s, stacks)
+        out[start : start + _DIVERGENCE_CHUNK] = _divergence(params, t, inv_s)
     return out
 
 
@@ -362,20 +436,23 @@ def loss_gradient(model: MlpParameters, pairs) -> MlpGradients:
     return grads
 
 
-def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool):
+def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks=None):
     """Surrogate loss and (optionally) its exact parameter gradient.
 
     Backpropagates through the primal pass and through all d tangent passes;
     see the layer-local rules inline. Gradients are averaged over the batch.
+    ``stacks`` lets ``train`` reuse one set of tangent buffers for all its
+    minibatches; without it the call makes its own.
     """
     B = Y.shape[0]
     a0 = _net_inputs(params, Y, X)
     inv_s = _inv_s(params)
-    psi, t_out, memory = _forward_tangent(params, a0, inv_s, need_memory=want_grads)
+    if stacks is None:
+        stacks = _TangentStacks(params.arch, B, memory=want_grads)
+    psi, t, (acts, d1s, d2s, pres, tangents) = _tangent_pass(params, a0, inv_s, stacks)
 
     psi_scaled = psi * inv_s
-    div = np.einsum("i,bii->b", inv_s, t_out)
-    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + div
+    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + _divergence(params, t, inv_s)
     loss = float(np.mean(loss_terms))
 
     if not want_grads:
@@ -383,51 +460,43 @@ def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool):
             raise NumericsError("non-finite surrogate loss")
         return loss, None
 
-    acts, zs, d1s, d2s, pres, tangents = memory
     n_hidden = len(params.arch.hidden_widths)
     d = params.arch.output_dim
-
     g_w = [None] * (n_hidden + 1)
     g_b = [None] * (n_hidden + 1)
 
-    # output layer: psi = a @ W + b, t_out = t @ W
-    d_psi = psi_scaled * inv_s / B                      # (B, d)
-    d_tout = np.zeros((B, d, d))
-    idx = np.arange(d)
-    d_tout[:, idx, idx] = inv_s / B
-
-    a_prev = acts[-1]
-    t_prev = tangents[-1]
-    w_last = params.weights[-1]
-    if n_hidden == 0:
-        g_w[-1] = a_prev.T @ d_psi + t_prev.T @ d_tout.sum(axis=0)
-    else:
-        g_w[-1] = a_prev.T @ d_psi + (
-            t_prev.reshape(B * d, -1).T @ d_tout.reshape(B * d, -1)
-        )
+    # output layer: psi = a @ W + b; the divergence reads t @ W, whose
+    # cotangent is the same (d, h) for every pair
+    w_out = params.weights[-1]
+    d_psi = psi_scaled * inv_s / B
+    d_t = w_out.T * inv_s[:, None] / B
+    t_mean = t.mean(axis=0) if t.ndim == 3 else t
+    g_w[-1] = acts[-1].T @ d_psi + (t_mean * inv_s[:, None]).T
     g_b[-1] = d_psi.sum(axis=0)
-    d_a = d_psi @ w_last.T
-    d_t = _bmm(d_tout, w_last.T)
+    d_a = d_psi @ w_out.T
 
     # hidden layers, last to first:
     #   z = a_prev @ W + b; a = silu(z); p = t_prev @ W; t = p * silu'(z)
     for l in range(n_hidden - 1, -1, -1):
-        d1, d2, p, t_prev = d1s[l], d2s[l], pres[l], tangents[l]
-        a_prev = acts[l]
-        w = params.weights[l]
-        d_p = d_t * d1[:, None, :]
-        d_act_deriv = np.einsum("bih,bih->bh", d_t, p)
-        d_z = d_a * d1 + d_act_deriv * d2
-        if l == 0:
-            g_w[l] = a_prev.T @ d_z + t_prev.T @ d_p.sum(axis=0)
-        else:
-            g_w[l] = a_prev.T @ d_z + (
-                t_prev.reshape(B * d, -1).T @ d_p.reshape(B * d, -1)
-            )
+        w, d1, d2, p = params.weights[l], d1s[l], d2s[l], pres[l]
+        h = w.shape[1]
+        d_z = d_a * d1
+        d_z += np.einsum("...ih,...ih->...h", d_t, p) * d2
         g_b[l] = d_z.sum(axis=0)
-        if l > 0:
+        g_w[l] = acts[l].T @ d_z
+        if l == 0:
+            # t_prev is the input tangent, inv_s[i] on input i < d and 0
+            # elsewhere, so only the batch sum of d_p = d_t * d1 is needed
+            d_t = np.broadcast_to(d_t, (B, d, h))
+            g_w[0][:d] += inv_s[:, None] * np.einsum("bih,bh->ih", d_t, d1)
+        else:
+            d_p = np.multiply(d_t, d1[:, None, :], out=stacks(2 * n_hidden - 1, B, h))
+            t_prev = tangents[l - 1]
+            g_w[l] += t_prev.reshape(B * d, -1).T @ d_p.reshape(B * d, h)
             d_a = d_z @ w.T
-            d_t = _bmm(d_p, w.T)
+            # t_prev is read no more; its buffer takes its cotangent
+            np.matmul(d_p.reshape(B * d, h), w.T, out=t_prev.reshape(B * d, -1))
+            d_t = t_prev
 
     for k, (gw, gb) in enumerate(zip(g_w, g_b)):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
@@ -452,12 +521,14 @@ def train(
     dataset,
     config: TrainConfig,
     standardize: bool = False,
+    on_epoch=None,
 ) -> tuple[MlpParameters, list[float]]:
     """Minibatch optimization of the surrogate loss.
 
     Returns the final parameters and the per-epoch mean training loss.
     Reproducible from ``config.seed``; raises TrainingError (with the epoch
-    index) if the loss stops being finite.
+    index) if the loss stops being finite. ``on_epoch(epoch, loss, seconds)``,
+    if given, is called after each epoch with its mean loss and wall time.
     """
     batch = PairBatch.coerce(dataset)
     n = len(batch)
@@ -483,14 +554,16 @@ def train(
         v_b = [np.zeros_like(b) for b in params.biases]
         step_count = 0
 
+    stacks = _TangentStacks(arch, config.batch_size, memory=True)
     history = []
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             sel = order[start : start + config.batch_size]
             try:
-                loss, grads = _loss_and_grads(params, Y[sel], X[sel], want_grads=True)
+                loss, grads = _loss_and_grads(params, Y[sel], X[sel], want_grads=True, stacks=stacks)
             except NumericsError as err:
                 raise TrainingError(f"loss diverged at epoch {epoch}: {err}", epoch=epoch) from err
             if not np.isfinite(loss):
@@ -520,6 +593,8 @@ def train(
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
         history.append(epoch_loss)
+        if on_epoch is not None:
+            on_epoch(epoch, epoch_loss, time.perf_counter() - started)
 
     if standardize:
         params = MlpParameters(arch, params.weights, params.biases, mean, scale)

@@ -121,6 +121,51 @@ class TestTrain:
         assert code == EXIT_OK
         assert (out / "model.bin").read_bytes() == (out2 / "model.bin").read_bytes()
 
+    def test_metrics_record_epochs_and_in_sample_accuracy(self, trained_model_dir):
+        _, payload, out = trained_model_dir
+        metrics = json.loads((out / "metrics.json").read_text())
+        curve = [float(line.split(",")[1])
+                 for line in (out / "loss_curve.csv").read_text().strip().splitlines()[1:]]
+        assert [e["epoch"] for e in metrics["epochs"]] == [0, 1, 2, 3]
+        assert [e["loss"] for e in metrics["epochs"]] == curve
+        for e in metrics["epochs"]:
+            assert e["wall_s"] > 0
+            assert e["pairs_per_s"] == pytest.approx(payload["data"]["pairs"] / e["wall_s"])
+        accuracy = metrics["accuracy"]
+        assert accuracy["sample"].startswith("in-sample")
+        assert accuracy["rel_error"] == pytest.approx(accuracy["mse"] / accuracy["var_scale"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "metrics.json" in manifest["outputs"]
+
+    def test_metrics_without_kernel_have_no_accuracy(self, tmp_path):
+        code, sim = run(tmp_path, "simulate", {"kernel": SMALL_KERNEL, "length": 200, "seed": 3},
+                        out="sim")
+        assert code == EXIT_OK
+        payload = {
+            "data": {"csv": str(sim / "trajectory.csv")},
+            "architecture": {"hidden_widths": [4]},
+            "training": {"epochs": 2, "batch_size": 64},
+        }
+        code, out = run(tmp_path, "train", payload)
+        assert code == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert len(metrics["epochs"]) == 2 and "accuracy" not in metrics
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps", -1.0), ("eps", 0.0), ("eps", math.inf), ("eps", math.nan),
+        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.5), ("beta2", math.nan),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ])
+    def test_meaningless_optimiser_setting_rejected(self, tmp_path, key, value):
+        payload = {
+            "data": {"kernel": SMALL_KERNEL, "pairs": 256, "seed": 5, "burn_in": 100},
+            "architecture": {"hidden_widths": [4]},
+            "training": {"epochs": 1, "batch_size": 64, key: value},
+        }
+        code, out = run(tmp_path, "train", payload)
+        assert code == EXIT_USAGE
+        assert not (out / "model.bin").exists()
+
     def test_missing_dataset_path_fails_distinctly(self, tmp_path):
         payload = {"data": {"csv": str(tmp_path / "missing.csv")}}
         code, _ = run(tmp_path, "train", payload)

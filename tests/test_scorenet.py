@@ -1,6 +1,7 @@
 """Score network: forward/divergence exactness, gradients, training, I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def tiny_arch(d=2, widths=(4,)):
 
 def random_batch(rng, d, n):
     return PairBatch(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+
+
+def standardized(params, rng):
+    """The same weights with a random per-dimension standardization."""
+    d = params.arch.output_dim
+    return MlpParameters(
+        params.arch, params.weights, params.biases,
+        rng.standard_normal(d), rng.uniform(0.3, 3.0, size=d),
+    )
 
 
 def finite_diff_loss_grad(params, batch, h=1e-5):
@@ -97,6 +107,13 @@ class TestForward:
         assert silu(np.array([0.0]))[0] == 0.0
         assert silu(np.array([1.0]))[0] == pytest.approx(0.731058, abs=1e-6)
 
+    def test_silu_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = silu(np.array([-800.0, 800.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0 and out[1] == 800.0
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
         params = init_params(tiny_arch(3, (6, 5)), 1)
@@ -133,6 +150,21 @@ class TestDivergence:
         field = as_score_field(params)
         probes = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(10)]
         assert check_divergence_consistency(field, probes) <= 1e-6
+
+    @pytest.mark.parametrize("widths", [(5,), (6, 5, 4)])
+    def test_standardized_matches_finite_differences(self, widths):
+        rng = np.random.default_rng(8)
+        params = standardized(init_params(tiny_arch(3, widths), 4), rng)
+        probes = [(params.state_mean + params.state_scale * rng.standard_normal(3),
+                   params.state_mean + params.state_scale * rng.standard_normal(3))
+                  for _ in range(10)]
+        assert check_divergence_consistency(as_score_field(params), probes) <= 1e-6
+
+    def test_three_hidden_layers_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        params = init_params(tiny_arch(4, (7, 6, 5)), 5)
+        probes = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(10)]
+        assert check_divergence_consistency(as_score_field(params), probes) <= 1e-6
 
 
 class TestSurrogateLoss:
@@ -178,6 +210,35 @@ class TestLossGradient:
             fd_w, fd_b = finite_diff_loss_grad(params, batch)
             for g, f in zip(grads.weights + grads.biases, fd_w + fd_b):
                 assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-6)) <= 1e-4
+
+    @pytest.mark.parametrize("widths", [(), (5,), (6, 5, 4)])
+    def test_standardized_matches_finite_differences(self, widths):
+        rng = np.random.default_rng(17)
+        params = standardized(init_params(tiny_arch(3, widths), 6), rng)
+        raw = random_batch(rng, 3, 6)
+        batch = PairBatch(raw.x_prev * params.state_scale + params.state_mean,
+                          raw.x_next * params.state_scale + params.state_mean)
+        grads = loss_gradient(params, batch)
+        fd_w, fd_b = finite_diff_loss_grad(params, batch)
+        for g, f in zip(grads.weights + grads.biases, fd_w + fd_b):
+            assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-6)) <= 1e-4
+
+    def test_three_hidden_layers_match_finite_differences(self):
+        rng = np.random.default_rng(18)
+        params = init_params(tiny_arch(3, (6, 5, 4)), 7)
+        batch = random_batch(rng, 3, 7)
+        grads = loss_gradient(params, batch)
+        fd_w, fd_b = finite_diff_loss_grad(params, batch)
+        for g, f in zip(grads.weights + grads.biases, fd_w + fd_b):
+            assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-6)) <= 1e-4
+
+    def test_result_does_not_alias_buffers_of_later_calls(self):
+        rng = np.random.default_rng(19)
+        params = init_params(tiny_arch(3, (6, 5, 4)), 8)
+        first = loss_gradient(params, random_batch(rng, 3, 9))
+        kept = [a.copy() for a in first.weights + first.biases]
+        loss_gradient(params, random_batch(rng, 3, 9))
+        assert all(np.array_equal(a, b) for a, b in zip(first.weights + first.biases, kept))
 
     def test_zero_network_gradient_comes_from_divergence_term(self):
         # with psi == 0 the squared term contributes nothing; finite
@@ -244,6 +305,41 @@ class TestTrain:
         with pytest.raises(TrainingError) as err:
             train(tiny_arch(2, (4,)), pairs, config)
         assert err.value.epoch == 0
+
+    @pytest.mark.parametrize("standardize, expected", [
+        (False, [0.010682288442058424, -0.01298465345403361,
+                 -0.040545401044425305, -0.08180528943600701]),
+        (True, [0.011932792592210667, -0.010460868628225874,
+                -0.03451153993402093, -0.07080106323817971]),
+    ])
+    def test_reproduces_recorded_losses(self, standardize, expected):
+        # 300 pairs in batches of 128: the last minibatch of each epoch has
+        # 44 pairs and reuses the leading part of the tangent buffers.
+        # Reference losses recorded from the straightforward implementation
+        # (one sigmoid evaluation per use, fresh (B, d, h) stacks per step).
+        spec = GaussianKernelSpec(dim=3, alpha=0.3, sigma=0.5, shift=0.2)
+        pairs = stationary_pairs(spec, 300, seed=77)
+        config = TrainConfig(learning_rate=1e-2, batch_size=128, epochs=4, seed=13)
+        _, history = train(tiny_arch(3, (8, 8, 8)), pairs, config, standardize=standardize)
+        assert history == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_on_epoch_reports_each_epoch(self):
+        pairs = random_batch(np.random.default_rng(13), 2, 96)
+        seen = []
+        _, history = train(tiny_arch(2, (4,)), pairs, TrainConfig(batch_size=32, epochs=3, seed=1),
+                           on_epoch=lambda *args: seen.append(args))
+        assert [e for e, _, _ in seen] == [0, 1, 2]
+        assert [loss for _, loss, _ in seen] == history
+        assert all(seconds > 0 for _, _, seconds in seen)
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -1e-3),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.5),
+        ("eps", 0.0), ("eps", -1.0), ("eps", math.inf), ("eps", math.nan),
+    ])
+    def test_config_rejects_meaningless_optimiser_settings(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
 
     def test_dataset_smaller_than_batch_rejected(self):
         pairs = random_batch(np.random.default_rng(1), 2, 8)
