@@ -7,7 +7,8 @@ to its outputs echoing the fully-resolved config, the command and the seed,
 so any run can be reproduced from its manifest alone.
 
 Outputs are CSV series (trajectories, detector traces, sweeps, bound
-curves); plotting is left to external tooling.
+curves); plotting is left to external tooling. ``train``, ``detect`` and
+``mocap`` also write a ``metrics.json`` with the wall time of each stage.
 
 Exit codes: 0 success, 2 usage/config errors, 3 data parse/structure
 errors, 4 numeric/training errors, 5 I/O errors.
@@ -20,11 +21,13 @@ import csv
 import json
 import math
 import sys
+import time
+from itertools import chain, islice, pairwise
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, detector, markov, mocap, scorenet
+from . import __version__, _textio, bounds, detector, markov, mocap, scorenet
 from .exceptions import AmcError, NumericsError, TrainingError
 
 EXIT_OK = 0
@@ -107,6 +110,21 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str
         fh.write("\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _stage(seconds: float, **counts) -> dict:
+    """One stage's wall seconds, plus each item count and its rate."""
+    out = {"wall_s": seconds}
+    for name, count in counts.items():
+        out[name] = count
+        out[f"{name}_per_s"] = count / seconds if seconds > 0 else None
+    return out
+
+
 def _kernel_spec(section: dict) -> markov.GaussianKernelSpec:
     return markov.GaussianKernelSpec(
         dim=section["dim"],
@@ -167,6 +185,12 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 
 
 def _read_states_csv(path) -> np.ndarray:
+    """States of a trajectory CSV, every cell but the regime column read as ``float()`` does.
+
+    Rows are converted a chunk at a time. Any row whose field count differs
+    from the header's, or with a malformed or non-finite value, is rejected
+    with its ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -174,15 +198,38 @@ def _read_states_csv(path) -> np.ndarray:
         except StopIteration:
             raise AmcError(f"{path}: empty trajectory CSV") from None
         cols = [i for i, name in enumerate(header) if name != "regime"]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(row[i]) for i in cols])
-            except (ValueError, IndexError):
-                raise AmcError(f"{path}:{lineno}: malformed trajectory row") from None
-    if not rows:
+        blocks = []
+        line = 2
+        while rows := list(islice(reader, _textio.CHUNK_ROWS)):
+            blocks.append(_state_columns(path, header, cols, rows, line))
+            line += len(rows)
+    if not blocks:
         raise ValueError(f"{path}: trajectory has no rows")
-    return np.asarray(rows)
+    return np.concatenate(blocks, axis=1).T.copy()
+
+
+def _state_columns(path, header, cols, rows, first_line) -> np.ndarray:
+    """The (len(cols), len(rows)) values of one chunk of trajectory rows."""
+    if set(map(len, rows)) == {len(header)}:
+        columns = list(zip(*rows))
+        try:
+            # numpy converts each str cell with float()'s own parser
+            values = np.array([columns[i] for i in cols], dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(len(cols), len(rows))
+    # a row is bad: rescan to name the first one
+    for line, row in enumerate(rows, start=first_line):
+        if len(row) != len(header):
+            raise AmcError(f"{path}:{line}: row has {len(row)} fields, the header {len(header)}")
+        try:
+            values = [float(row[i]) for i in cols]
+        except ValueError:
+            raise AmcError(f"{path}:{line}: malformed trajectory row") from None
+        if not all(map(math.isfinite, values)):
+            raise AmcError(f"{path}:{line}: non-finite value in trajectory row")
+    raise AssertionError("rescan found no bad row")
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +331,7 @@ def cmd_train(config: dict, out_dir: Path) -> int:
             "rel_error": report.rel_error,
         }
     metrics_path = out_dir / "metrics.json"
-    with open(metrics_path, "w") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
+    _write_json(metrics_path, metrics)
     _write_manifest(out_dir, "train", config, [model_path.name, curve_path.name, metrics_path.name])
     print(f"wrote {model_path}")
     return EXIT_OK
@@ -347,6 +392,7 @@ def cmd_detect(config: dict, out_dir: Path) -> int:
 
     declared_cp = _change_point(config["change_point"])
     data = config["data"]
+    started = time.perf_counter()
     if data["csv"] is not None:
         states = _read_states_csv(data["csv"])
     elif data["simulate"] is not None:
@@ -371,17 +417,20 @@ def cmd_detect(config: dict, out_dir: Path) -> int:
         raise ValueError(
             f"data dimension {states.shape[1]} does not match model dimension {field_pre.dim}"
         )
+    read = time.perf_counter()
 
     increments = detector.score_increments(field_pre, field_post, states)
+    scored = time.perf_counter()
+
     trunc = detector.TruncationSpec(config["detector"]["truncation"])
     dconf = detector.DetectorConfig(threshold=config["detector"]["threshold"], truncation=trunc)
-
     trace = detector.statistic_trace(increments, trunc)
+    report = detector.measure_false_alarms(increments, dconf)
+    scanned = time.perf_counter()
+
     trace_path = out_dir / "trace.csv"
     # increment i covers the pair (state_{i+1}, state_{i+2}), so times start at 2
     detector.write_trace_csv(trace_path, increments, trace, first_time=2)
-
-    report = detector.measure_false_alarms(increments, dconf)
     alarm_times = [int(v) + 1 for v in np.cumsum(report.intervals)]
     summary = {
         "threshold": dconf.threshold,
@@ -393,9 +442,20 @@ def cmd_detect(config: dict, out_dir: Path) -> int:
         summary["false_alarm_times"] = [t for t in alarm_times if t < declared_cp]
         summary["delays"] = [t - int(declared_cp) for t in alarm_times if t >= declared_cp]
     summary_path = out_dir / "alarms.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, summary)
+    written = time.perf_counter()
+
+    metrics_path = out_dir / "metrics.json"
+    _write_json(metrics_path, {
+        "stages": {
+            "read": _stage(read - started, states=int(states.shape[0])),
+            "score": _stage(scored - read, increments=len(increments)),
+            "scan": _stage(scanned - scored, increments=len(increments)),
+            "write": _stage(written - scanned, rows=len(increments)),
+        },
+        "clipped_fraction": float(np.mean(np.abs(increments) > trunc.clip)),
+        "peak_statistic": float(trace.max()),
+    })
 
     if alarm_times:
         print(f"alarms at {alarm_times}")
@@ -403,7 +463,8 @@ def cmd_detect(config: dict, out_dir: Path) -> int:
             print(f"first delay after change: {summary['delays'][0]}")
     else:
         print("no alarm")
-    _write_manifest(out_dir, "detect", config, [trace_path.name, summary_path.name])
+    _write_manifest(out_dir, "detect", config,
+                    [trace_path.name, summary_path.name, metrics_path.name])
     return EXIT_OK
 
 
@@ -596,16 +657,24 @@ _MOCAP_SCHEMA = {
 
 
 def _parse_amc_file(path):
+    """The parsed clip and the file's line count."""
     with open(path) as fh:
         try:
-            return mocap.parse_amc(fh)
+            clip = mocap.parse_amc(fh)
         except AmcError as err:
             raise AmcError(f"{path}: {err}") from err
+        fh.seek(0)
+        return clip, sum(1 for _ in fh)
 
 
 def cmd_mocap(config: dict, out_dir: Path) -> int:
-    pre_clip = _parse_amc_file(config["pre"])
-    post_clip = _parse_amc_file(config["post"]) if config["post"] is not None else None
+    started = time.perf_counter()
+    pre_clip, lines = _parse_amc_file(config["pre"])
+    post_clip = None
+    if config["post"] is not None:
+        post_clip, post_lines = _parse_amc_file(config["post"])
+        lines += post_lines
+    parsed = time.perf_counter()
     spec = mocap.ScenarioSpec(
         pre_clip=pre_clip,
         post_clip=post_clip,
@@ -614,16 +683,24 @@ def cmd_mocap(config: dict, out_dir: Path) -> int:
         standardize=config["standardize"],
     )
     result = mocap.build_scenario(spec)
+    built = time.perf_counter()
 
+    # each state row is formatted once; pair row i is state rows i and i+1
     states_path = out_dir / "states.csv"
-    markov.write_trajectory_csv(states_path, result.states)
     pairs_path = out_dir / "pairs.csv"
     d = result.pairs.dim
-    with open(pairs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"prev_x{i}" for i in range(d)] + [f"next_x{i}" for i in range(d)])
-        for prev, nxt in zip(result.pairs.x_prev, result.pairs.x_next):
-            writer.writerow([repr(float(v)) for v in prev] + [repr(float(v)) for v in nxt])
+    names = [f"x{i}" for i in range(d)]
+    with open(states_path, "w", newline="") as states_fh, \
+            open(pairs_path, "w", newline="") as pairs_fh:
+        _textio.write_rows(states_fh, [",".join(names)])
+        pair_names = [f"prev_{x}" for x in names] + [f"next_{x}" for x in names]
+        _textio.write_rows(pairs_fh, [",".join(pair_names)])
+        last = []
+        for _, rows in _textio.row_chunks(result.states):
+            _textio.write_rows(states_fh, rows)
+            _textio.write_rows(pairs_fh, [a + "," + b for a, b in pairwise(chain(last, rows))])
+            last = rows[-1:]
+    written = time.perf_counter()
 
     scenario = {
         "dimension": d,
@@ -636,15 +713,22 @@ def cmd_mocap(config: dict, out_dir: Path) -> int:
         scenario["state_mean"] = result.state_mean.tolist()
         scenario["state_scale"] = result.state_scale.tolist()
     scenario_path = out_dir / "scenario.json"
-    with open(scenario_path, "w") as fh:
-        json.dump(scenario, fh, indent=2)
-        fh.write("\n")
+    _write_json(scenario_path, scenario)
+    metrics_path = out_dir / "metrics.json"
+    _write_json(metrics_path, {
+        "stages": {
+            "parse": _stage(parsed - started, lines=lines),
+            "build": _stage(built - parsed, frames=scenario["n_frames"]),
+            "write": _stage(written - built, rows=scenario["n_frames"] + scenario["n_pairs"]),
+        },
+    })
 
     print(
         f"scenario: {scenario['n_frames']} frames, dimension {d}, "
         f"change index {scenario['change_index']}"
     )
-    _write_manifest(out_dir, "mocap", config, [states_path.name, pairs_path.name, scenario_path.name])
+    _write_manifest(out_dir, "mocap", config,
+                    [states_path.name, pairs_path.name, scenario_path.name, metrics_path.name])
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _textio
 from .exceptions import NumericsError
 from .fields import PairBatch, ScoreField, score_differences
 
@@ -216,10 +216,10 @@ def write_trace_csv(path, increments, trace, first_time: int = 1) -> None:
     if increments.shape != trace.shape:
         raise ValueError("increments and trace must have equal length")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "score_diff", "cusum_stat"])
-        for i, (s, w) in enumerate(zip(increments, trace), start=first_time):
-            writer.writerow([i, repr(float(s)), repr(float(w))])
+        _textio.write_rows(fh, ["n,score_diff,cusum_stat"])
+        for start, rows in _textio.row_chunks(np.column_stack((increments, trace))):
+            times = range(first_time + start, first_time + start + len(rows))
+            _textio.write_rows(fh, [f"{n},{row}" for n, row in zip(times, rows)])
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:

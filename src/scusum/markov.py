@@ -21,13 +21,12 @@ until their states match exactly).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _textio
 from .fields import GaussianScoreField, PairBatch, TransitionPair, as_state
 
 __all__ = [
@@ -219,11 +218,12 @@ def write_trajectory_csv(path, states: np.ndarray, regime: list[str] | None = No
         if len(regime) != states.shape[0]:
             raise ValueError("regime labels must match the number of rows")
         header.append("regime")
+        cells = {label: _textio.csv_cell(label) for label in set(regime)}
+        regime = list(map(cells.__getitem__, regime))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(states):
-            out = [repr(float(v)) for v in row]
+        _textio.write_rows(fh, [",".join(header)])
+        for start, rows in _textio.row_chunks(states):
             if regime is not None:
-                out.append(regime[i])
-            writer.writerow(out)
+                labels = regime[start : start + len(rows)]
+                rows = [row + "," + cell for row, cell in zip(rows, labels)]
+            _textio.write_rows(fh, rows)

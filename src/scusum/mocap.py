@@ -60,95 +60,119 @@ class AmcClip:
     def dimension(self) -> int:
         return int(sum(self.channel_counts))
 
-    def frame_groups(self, i: int) -> list[tuple[str, np.ndarray]]:
-        """Per-bone value groups of frame i, in bone order."""
-        out, off = [], 0
-        for name, count in zip(self.bone_order, self.channel_counts):
-            out.append((name, self.values[i, off : off + count]))
-            off += count
-        return out
-
 
 def _is_frame_index(tokens: list[str]) -> bool:
     if len(tokens) != 1:
         return False
     tok = tokens[0]
-    return tok.isdigit() or (tok.startswith("-") and tok[1:].isdigit())
+    return tok.isdecimal() or (tok.startswith("-") and tok[1:].isdecimal())
+
+
+# Value tokens converted per numpy call: as str objects they take about 60 B
+# each, so this bounds them to about half a megabyte.
+_CONVERT_CELLS = 8192
 
 
 def parse_amc(source) -> AmcClip:
-    """Parse AMC text (a string, an open file, or an iterable of lines)."""
+    """Parse AMC text (a string, an open file, or an iterable of lines).
+
+    One pass splits each line once and collects the channel value tokens of
+    the bone lines; one numpy call per ``_CONVERT_CELLS`` tokens converts
+    them with ``float()``'s parser. Only if that fails, or a value is not
+    finite, are those lines rescanned to name the first bad one.
+    """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = [line.rstrip("\n") for line in source]
 
-    frames: list[tuple[int, list[tuple[str, list[float]]]]] = []
-    current_bones: list[tuple[str, list[float]]] | None = None
-    current_index = None
+    cells: list[str] = []  # value tokens of the bone lines not yet converted
+    blocks: list[np.ndarray] = []  # converted values, in line order
+    names: list[str] = []  # per bone line
+    counts: list[int] = []
+    linenos: list[int] = []
+    indices: list[int] = []  # per frame
+    starts: list[int] = []  # first bone line of each frame
+    first = 0  # first bone line whose tokens are in cells
 
-    def close_frame():
-        if current_index is not None:
-            frames.append((current_index, current_bones))
+    def convert() -> None:
+        # an earlier bad value wins over any later error, as in a line-by-line parse
+        nonlocal first
+        try:
+            values = np.array(cells, dtype=np.float64)
+            if np.isfinite(values).all():
+                blocks.append(values)
+                cells.clear()
+                first = len(names)
+                return
+        except ValueError:
+            pass
+        off = 0
+        for name, count, lineno in zip(names[first:], counts[first:], linenos[first:]):
+            floats = []
+            for tok in cells[off : off + count]:
+                try:
+                    floats.append(float(tok))
+                except ValueError:
+                    raise AmcParseError(
+                        f"non-numeric channel value '{tok}' for bone '{name}'", lineno
+                    ) from None
+            if not all(map(math.isfinite, floats)):
+                raise AmcParseError(f"non-finite channel value for bone '{name}'", lineno)
+            off += count
+        raise AssertionError("rescan found no bad value")
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(":"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] in "#:":
             continue
-        tokens = line.split()
-        if _is_frame_index(tokens):
-            close_frame()
-            current_index = int(tokens[0])
-            current_bones = []
+        if len(tokens) == 1 and _is_frame_index(tokens):
+            indices.append(int(tokens[0]))
+            starts.append(len(names))
             continue
-        if current_index is None:
+        if not indices:
             raise AmcStructureError(f"line {lineno}: bone data before the first frame index")
         if len(tokens) < 2:
+            convert()
             raise AmcParseError(f"bone line for '{tokens[0]}' has no channel values", lineno)
-        name = tokens[0]
-        values = []
-        for tok in tokens[1:]:
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise AmcParseError(
-                    f"non-numeric channel value '{tok}' for bone '{name}'", lineno
-                ) from None
-        if not all(math.isfinite(v) for v in values):
-            raise AmcParseError(f"non-finite channel value for bone '{name}'", lineno)
-        current_bones.append((name, values))
-    close_frame()
+        names.append(tokens[0])
+        counts.append(len(tokens) - 1)
+        linenos.append(lineno)
+        cells += tokens[1:]
+        if len(cells) >= _CONVERT_CELLS:
+            convert()
+    convert()
+    values = np.concatenate(blocks)
 
-    if not frames:
+    if not indices:
         return AmcClip(bone_order=(), channel_counts=(), values=np.empty((0, 0)), frame_indices=())
 
-    first_index, first_bones = frames[0]
-    bone_order = tuple(name for name, _ in first_bones)
+    starts.append(len(names))
+    bone_order = tuple(names[: starts[1]])
     if len(set(bone_order)) != len(bone_order):
         raise AmcStructureError("duplicate bone name in the first frame")
-    channel_counts = tuple(len(vals) for _, vals in first_bones)
+    channel_counts = tuple(counts[: starts[1]])
+    if not bone_order:
+        raise AmcStructureError(f"frame {indices[0]} has no bone data")
 
-    indices = []
-    rows = np.empty((len(frames), sum(channel_counts)))
-    expected = first_index
-    for row, (index, bones) in enumerate(frames):
+    expected = indices[0]
+    for f, index in enumerate(indices):
         if index != expected:
             raise AmcStructureError(
                 f"frame index {index} follows {expected - 1}; indices must increase by 1"
             )
         expected += 1
-        names = tuple(name for name, _ in bones)
-        counts = tuple(len(vals) for _, vals in bones)
-        if names != bone_order or counts != channel_counts:
+        lo, hi = starts[f], starts[f + 1]
+        frame_names, frame_counts = tuple(names[lo:hi]), tuple(counts[lo:hi])
+        if frame_names != bone_order or frame_counts != channel_counts:
             raise AmcStructureError(
-                f"frame {index} bone layout {names}/{counts} does not match the first frame"
+                f"frame {index} bone layout {frame_names}/{frame_counts} "
+                "does not match the first frame"
             )
-        rows[row] = np.concatenate([vals for _, vals in bones])
-        indices.append(index)
     return AmcClip(
         bone_order=bone_order,
         channel_counts=channel_counts,
-        values=rows,
+        values=values.reshape(len(indices), sum(channel_counts)),
         frame_indices=tuple(indices),
     )
 
@@ -158,11 +182,15 @@ def serialize_amc(clip: AmcClip) -> str:
 
     Values are printed with ``repr`` so float round-tripping is exact.
     """
+    spans, off = [], 0
+    for name, count in zip(clip.bone_order, clip.channel_counts):
+        spans.append((name + " ", off, off + count))
+        off += count
     lines = ["#!Exported joint-angle clip", ":FULLY-SPECIFIED", ":DEGREES"]
-    for i, index in enumerate(clip.frame_indices):
+    rows = np.asarray(clip.values, dtype=np.float64).tolist()
+    for index, row in zip(clip.frame_indices, rows):
         lines.append(str(index))
-        for name, vals in clip.frame_groups(i):
-            lines.append(name + " " + " ".join(repr(float(v)) for v in vals))
+        lines.extend(prefix + " ".join(map(repr, row[lo:hi])) for prefix, lo, hi in spans)
     return "\n".join(lines) + "\n"
 
 

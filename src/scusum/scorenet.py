@@ -385,9 +385,11 @@ def forward(params: MlpParameters, y, x) -> np.ndarray:
     return forward_batch(params, as_state(y, d)[None, :], as_state(x, d)[None, :])[0]
 
 
-# Pairs per tangent pass of divergence_batch. One (chunk, d, width) stack is
-# chunk * d * width * 8 bytes: 2048 x 62 x 128 x 8 B = 130 MB at the mocap
-# dimension (2.6 MB at d=10, width 128), and a chunk holds two stacks.
+# Pairs per tangent pass of divergence_batch, surrogate_loss and loss_gradient.
+# One (chunk, d, width) stack is chunk * d * width * 8 bytes: 2048 x 62 x 128
+# x 8 B = 130 MB at the mocap dimension (21 MB at d=10, width 128). A
+# divergence or loss chunk holds two stacks, a gradient chunk 2L for L hidden
+# layers.
 _DIVERGENCE_CHUNK = 2048
 
 
@@ -423,7 +425,7 @@ def surrogate_loss(model, pairs) -> float:
         raise ValueError("empty batch")
     if isinstance(model, ScoreField):
         return float(np.mean(hyvarinen_scores(model, batch)))
-    loss, _ = _loss_and_grads(model, batch.x_next, batch.x_prev, want_grads=False)
+    loss, _ = _chunked_loss_and_grads(model, batch, want_grads=False)
     return loss
 
 
@@ -432,23 +434,48 @@ def loss_gradient(model: MlpParameters, pairs) -> MlpGradients:
     batch = PairBatch.coerce(pairs)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    _, grads = _loss_and_grads(model, batch.x_next, batch.x_prev, want_grads=True)
+    _, grads = _chunked_loss_and_grads(model, batch, want_grads=True)
     return grads
 
 
-def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks=None):
+def _chunked_loss_and_grads(params: MlpParameters, batch: PairBatch, want_grads: bool):
+    """``_loss_and_grads`` over chunks of ``_DIVERGENCE_CHUNK`` pairs, weighted by size.
+
+    The chunks share one set of tangent stacks, so memory stays that of one
+    chunk however many pairs there are.
+    """
+    n = len(batch)
+    stacks = _TangentStacks(params.arch, min(n, _DIVERGENCE_CHUNK), memory=want_grads)
+    loss, grads = 0.0, None
+    for start in range(0, n, _DIVERGENCE_CHUNK):
+        stop = min(start + _DIVERGENCE_CHUNK, n)
+        part_loss, part = _loss_and_grads(
+            params, batch.x_next[start:stop], batch.x_prev[start:stop], want_grads, stacks
+        )
+        weight = (stop - start) / n
+        loss += weight * part_loss
+        if part is None:
+            continue
+        if grads is None:
+            grads = MlpGradients([weight * g for g in part.weights],
+                                 [weight * g for g in part.biases])
+        else:
+            for acc, g in zip(grads.weights + grads.biases, part.weights + part.biases):
+                acc += weight * g
+    return loss, grads
+
+
+def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _TangentStacks):
     """Surrogate loss and (optionally) its exact parameter gradient.
 
     Backpropagates through the primal pass and through all d tangent passes;
     see the layer-local rules inline. Gradients are averaged over the batch.
-    ``stacks`` lets ``train`` reuse one set of tangent buffers for all its
-    minibatches; without it the call makes its own.
+    ``stacks`` holds the tangent buffers, which the caller reuses for all
+    its minibatches or chunks.
     """
     B = Y.shape[0]
     a0 = _net_inputs(params, Y, X)
     inv_s = _inv_s(params)
-    if stacks is None:
-        stacks = _TangentStacks(params.arch, B, memory=want_grads)
     psi, t, (acts, d1s, d2s, pres, tangents) = _tangent_pass(params, a0, inv_s, stacks)
 
     psi_scaled = psi * inv_s

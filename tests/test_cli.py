@@ -205,6 +205,25 @@ class TestDetect:
         assert summary["false_alarm_times"] == []
         assert summary["delays"] and summary["delays"][0] >= 0
 
+    def test_metrics_record_stages_clipping_and_peak(self, tmp_path):
+        payload = {
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "data": {"simulate": {"length": 400, "change_point": 120, "seed": 6}},
+            "detector": {"threshold": 300.0, "truncation": 10.0},
+        }
+        code, out = run(tmp_path, "detect", payload)
+        assert code == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert "metrics.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+        stages = metrics["stages"]
+        assert list(stages) == ["read", "score", "scan", "write"]
+        assert all(stage["wall_s"] >= 0 for stage in stages.values())
+        assert stages["read"]["states"] == 400
+        assert stages["score"]["increments"] == stages["write"]["rows"] == 399
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert metrics["clipped_fraction"] == np.mean(np.abs(rows[:, 1]) > 10.0) > 0
+        assert metrics["peak_statistic"] == rows[:, 2].max()
+
     def test_model_file_and_closed_form_mix(self, tmp_path, trained_model_dir):
         _, _, model_out = trained_model_dir
         payload = {
@@ -312,6 +331,25 @@ class TestMocap:
         pair_lines = (out / "pairs.csv").read_text().strip().splitlines()
         assert len(pair_lines) == 14
         assert pair_lines[0].startswith("prev_x0")
+
+    def test_metrics_record_stages_and_rates(self, tmp_path):
+        payload = {
+            "pre": str(FIXTURES / "walk_ten_frames.amc"),
+            "post": str(FIXTURES / "jump_eight_frames.amc"),
+            "splice_index": 6,
+        }
+        code, out = run(tmp_path, "mocap", payload)
+        assert code == EXIT_OK
+        assert "metrics.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+        stages = json.loads((out / "metrics.json").read_text())["stages"]
+        assert list(stages) == ["parse", "build", "write"]
+        lines = sum(len((FIXTURES / name).read_text().splitlines())
+                    for name in ("walk_ten_frames.amc", "jump_eight_frames.amc"))
+        assert stages["parse"]["lines"] == lines
+        assert stages["parse"]["lines_per_s"] == pytest.approx(lines / stages["parse"]["wall_s"])
+        assert stages["build"]["frames"] == 14
+        assert stages["write"]["rows"] == 14 + 13
+        assert stages["write"]["rows_per_s"] > 0
 
     def test_stride_halves_even_fixture(self, tmp_path):
         payload = {

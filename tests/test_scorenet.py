@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scusum import scorenet
 from scusum.exceptions import TrainingError
 from scusum.fields import PairBatch, check_divergence_consistency, hyvarinen_score, TransitionPair
 from scusum.markov import GaussianKernelSpec, closed_form_score, stationary_pairs
@@ -239,6 +240,22 @@ class TestLossGradient:
         kept = [a.copy() for a in first.weights + first.biases]
         loss_gradient(params, random_batch(rng, 3, 9))
         assert all(np.array_equal(a, b) for a, b in zip(first.weights + first.biases, kept))
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_chunks_agree_with_one_pass(self, monkeypatch, n):
+        # chunks of 64 pairs (200 = 64 + 64 + 64 + 8) against one tangent pass
+        # over all pairs
+        rng = np.random.default_rng(23)
+        params = standardized(init_params(tiny_arch(3, (6, 5, 4)), 9), rng)
+        batch = random_batch(rng, 3, n)
+        stacks = scorenet._TangentStacks(params.arch, n, memory=True)
+        one_loss, one = scorenet._loss_and_grads(params, batch.x_next, batch.x_prev, True, stacks)
+        monkeypatch.setattr(scorenet, "_DIVERGENCE_CHUNK", 64)
+        loss = surrogate_loss(params, batch)
+        grads = loss_gradient(params, batch)
+        assert loss == pytest.approx(one_loss, rel=1e-12, abs=0)
+        for g, ref in zip(grads.weights + grads.biases, one.weights + one.biases):
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_network_gradient_comes_from_divergence_term(self):
         # with psi == 0 the squared term contributes nothing; finite
