@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from itertools import chain, islice, pairwise
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +185,10 @@ def cmd_simulate(config: dict, out_dir: Path) -> int:
 
 
 def _read_states_csv(path) -> np.ndarray:
-    """States of a trajectory CSV, every cell but the regime column read as ``float()`` does.
+    """States of a trajectory CSV, every cell but the regime column read with ``float()``.
 
-    Rows are converted a chunk at a time. Any row whose field count differs
-    from the header's, or with a malformed or non-finite value, is rejected
-    with its ``path:line``.
+    A row whose field count differs from the header's, or with a malformed or
+    non-finite value, is rejected with its ``path:line``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -198,38 +197,20 @@ def _read_states_csv(path) -> np.ndarray:
         except StopIteration:
             raise AmcError(f"{path}: empty trajectory CSV") from None
         cols = [i for i, name in enumerate(header) if name != "regime"]
-        blocks = []
-        line = 2
-        while rows := list(islice(reader, _textio.CHUNK_ROWS)):
-            blocks.append(_state_columns(path, header, cols, rows, line))
-            line += len(rows)
-    if not blocks:
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise AmcError(f"{path}:{lineno}: row has {len(row)} fields, the header {len(header)}")
+            try:
+                values = [float(row[i]) for i in cols]
+            except ValueError:
+                raise AmcError(f"{path}:{lineno}: malformed trajectory row") from None
+            if not all(map(math.isfinite, values)):
+                raise AmcError(f"{path}:{lineno}: non-finite value in trajectory row")
+            rows.append(values)
+    if not rows:
         raise ValueError(f"{path}: trajectory has no rows")
-    return np.concatenate(blocks, axis=1).T.copy()
-
-
-def _state_columns(path, header, cols, rows, first_line) -> np.ndarray:
-    """The (len(cols), len(rows)) values of one chunk of trajectory rows."""
-    if set(map(len, rows)) == {len(header)}:
-        columns = list(zip(*rows))
-        try:
-            # numpy converts each str cell with float()'s own parser
-            values = np.array([columns[i] for i in cols], dtype=np.float64)
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values.reshape(len(cols), len(rows))
-    # a row is bad: rescan to name the first one
-    for line, row in enumerate(rows, start=first_line):
-        if len(row) != len(header):
-            raise AmcError(f"{path}:{line}: row has {len(row)} fields, the header {len(header)}")
-        try:
-            values = [float(row[i]) for i in cols]
-        except ValueError:
-            raise AmcError(f"{path}:{line}: malformed trajectory row") from None
-        if not all(map(math.isfinite, values)):
-            raise AmcError(f"{path}:{line}: non-finite value in trajectory row")
-    raise AssertionError("rescan found no bad row")
+    return np.asarray(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +640,8 @@ _MOCAP_SCHEMA = {
 def _parse_amc_file(path):
     """The parsed clip and the file's line count."""
     with open(path) as fh:
+        # parse_amc gets the open file: perfbench's tracer counts the lines of
+        # the file it names, and reads 0 lines/s for a list of lines
         try:
             clip = mocap.parse_amc(fh)
         except AmcError as err:
@@ -689,14 +672,16 @@ def cmd_mocap(config: dict, out_dir: Path) -> int:
     states_path = out_dir / "states.csv"
     pairs_path = out_dir / "pairs.csv"
     d = result.pairs.dim
-    names = [f"x{i}" for i in range(d)]
+    state_lines = markov.trajectory_csv_lines(result.states)
+    header = next(state_lines)
+    names = header[0].split(",")
+    pair_header = ",".join([f"prev_{x}" for x in names] + [f"next_{x}" for x in names])
     with open(states_path, "w", newline="") as states_fh, \
             open(pairs_path, "w", newline="") as pairs_fh:
-        _textio.write_rows(states_fh, [",".join(names)])
-        pair_names = [f"prev_{x}" for x in names] + [f"next_{x}" for x in names]
-        _textio.write_rows(pairs_fh, [",".join(pair_names)])
+        _textio.write_rows(states_fh, header)
+        _textio.write_rows(pairs_fh, [pair_header])
         last = []
-        for _, rows in _textio.row_chunks(result.states):
+        for rows in state_lines:
             _textio.write_rows(states_fh, rows)
             _textio.write_rows(pairs_fh, [a + "," + b for a, b in pairwise(chain(last, rows))])
             last = rows[-1:]

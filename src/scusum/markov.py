@@ -208,8 +208,12 @@ def log_likelihood_ratios(
     return out
 
 
-def write_trajectory_csv(path, states: np.ndarray, regime: list[str] | None = None) -> None:
-    """One row per step, columns x0..x{d-1}, optional trailing regime column."""
+def trajectory_csv_lines(states: np.ndarray, regime: list[str] | None = None):
+    """Yield the lines of a trajectory CSV, without terminators, a list at a time.
+
+    The first list holds the header (columns x0..x{d-1}, then ``regime`` if
+    labels are given); each later one holds a chunk of formatted rows.
+    """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2:
         raise ValueError("states must be a (n, d) array")
@@ -220,10 +224,19 @@ def write_trajectory_csv(path, states: np.ndarray, regime: list[str] | None = No
         header.append("regime")
         cells = {label: _textio.csv_cell(label) for label in set(regime)}
         regime = list(map(cells.__getitem__, regime))
+    yield [",".join(header)]
+    for start, rows in _textio.row_chunks(states):
+        if regime is not None:
+            labels = regime[start : start + len(rows)]
+            rows = [row + "," + cell for row, cell in zip(rows, labels)]
+        yield rows
+
+
+def write_trajectory_csv(path, states: np.ndarray, regime: list[str] | None = None) -> None:
+    """One row per step, columns x0..x{d-1}, optional trailing regime column."""
+    lines = trajectory_csv_lines(states, regime)
+    header = next(lines)  # checks the arguments before the file is opened
     with open(path, "w", newline="") as fh:
-        _textio.write_rows(fh, [",".join(header)])
-        for start, rows in _textio.row_chunks(states):
-            if regime is not None:
-                labels = regime[start : start + len(rows)]
-                rows = [row + "," + cell for row, cell in zip(rows, labels)]
+        _textio.write_rows(fh, header)
+        for rows in lines:
             _textio.write_rows(fh, rows)

@@ -139,6 +139,14 @@ def test_regime_labels_are_quoted_as_csv_writer_quotes(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
 
 
+def test_bad_trajectory_arguments_leave_no_file(tmp_path):
+    with pytest.raises(ValueError, match="regime labels"):
+        markov.write_trajectory_csv(tmp_path / "t.csv", SPECIAL, regime=["pre"])
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        markov.write_trajectory_csv(tmp_path / "t.csv", SPECIAL[0])
+    assert not (tmp_path / "t.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # exact round trips
 # ---------------------------------------------------------------------------
@@ -267,10 +275,7 @@ GOOD_ROWS = "x0,x1,regime\r\n0.1,0.2,pre\r\n0.3,0.4,pre\r\n0.5,0.6,post\r\n"
     ("0.1,0.2,pre\r\n\r\n0.3,0.4,pre\r\n", "t.csv:3: row has 0 fields, the header 3"),
     ("0.1,oops,pre\r\n0.3,nan,pre\r\n", "t.csv:2: malformed trajectory row"),
 ])
-@pytest.mark.parametrize("chunk_rows", [None, 1, 2])
-def test_bad_trajectory_rows_name_their_line(tmp_path, monkeypatch, body, message, chunk_rows):
-    if chunk_rows is not None:
-        monkeypatch.setattr(_textio, "CHUNK_ROWS", chunk_rows)
+def test_bad_trajectory_rows_name_their_line(tmp_path, body, message):
     path = tmp_path / "t.csv"
     path.write_text("x0,x1,regime\r\n" + body, newline="")
     with pytest.raises(AmcError, match=message):
