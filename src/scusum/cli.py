@@ -1,17 +1,27 @@
 """Command-line entry point.
 
 Subcommands: ``simulate``, ``train``, ``detect``, ``sweep``, ``bounds``,
-``mocap``. Every command reads a strict JSON config (unknown keys are
-rejected), applies centralized defaults, and writes a ``manifest.json`` next
-to its outputs echoing the fully-resolved config, the command and the seed,
-so any run can be reproduced from its manifest alone.
+``mocap``. Each reads its JSON config into the frozen dataclasses of
+``scusum.config`` (with ``markov.GaussianKernelSpec`` for every kernel and
+``scorenet.TrainConfig`` for ``training``), whose fields are the schema and
+whose defaults are the only defaults. Every value is checked before any work
+starts, and a bad one is rejected with its dotted key: unknown and missing
+keys; integers that are not JSON integers (``2.0`` is not one); numbers that
+are ``true``/``false``, ``NaN`` or ``Infinity`` (Python's ``json`` accepts
+the last two); lists (``thresholds``, ``hidden_widths``) with a bad element;
+strings outside their sets. The string sentinels are ``"infinity"`` (a
+change point that never comes), ``"closed_form"`` (a kernel's exact score)
+and ``"empirical"`` (a drift estimated from the stream).
 
-Outputs are CSV series (trajectories, detector traces, sweeps, bound
-curves); plotting is left to external tooling. ``train``, ``detect`` and
-``mocap`` also write a ``metrics.json`` with the wall time of each stage.
+Each command writes its outputs (CSV series; plotting is left to external
+tooling) and a ``manifest.json`` echoing the config as read, with every
+default filled in and no value rewritten, so any run can be reproduced from
+its manifest alone. ``train``, ``detect`` and ``mocap`` also write a
+``metrics.json`` with the wall time of each stage.
 
-Exit codes: 0 success, 2 usage/config errors, 3 data parse/structure
-errors, 4 numeric/training errors, 5 I/O errors.
+Exit codes: 0 success, 2 usage/config errors, 3 data errors (trajectory
+CSVs, AMC files, ``model.bin`` files), 4 numeric/training errors, 5 I/O
+errors or out of memory.
 """
 
 from __future__ import annotations
@@ -24,11 +34,16 @@ import sys
 import time
 from itertools import chain, pairwise
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, _textio, bounds, detector, markov, mocap, scorenet
-from .exceptions import AmcError, NumericsError, TrainingError
+from .exceptions import AmcError, ModelFileError, NumericsError, TrainingError
+
+if TYPE_CHECKING:
+    from .config import (BoundsConfig, DetectConfig, KernelsConfig, MocapConfig, ModelsConfig,
+                         SimulateConfig, SweepConfig, TrainCommandConfig)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,65 +52,12 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-# ---------------------------------------------------------------------------
-# strict config handling
-# ---------------------------------------------------------------------------
-
-def _merge_strict(defaults, user, path=""):
-    """Fill defaults into ``user``, rejecting keys the schema does not know."""
-    if not isinstance(user, dict):
-        raise ValueError(f"config section '{path or '<root>'}' must be an object")
-    merged = {}
-    for key, default in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if key in user:
-            value = user[key]
-            if isinstance(default, dict) and default.get("__section__"):
-                spec = {k: v for k, v in default.items() if k != "__section__"}
-                merged[key] = None if value is None else _merge_strict(spec, value, here)
-            else:
-                merged[key] = value
-        else:
-            if isinstance(default, dict) and default.get("__section__"):
-                spec = {k: v for k, v in default.items() if k != "__section__"}
-                if default.get("__optional__"):
-                    merged[key] = None
-                else:
-                    merged[key] = _merge_strict(spec, {}, here)
-            elif default is _REQUIRED:
-                raise ValueError(f"missing required config key '{here}'")
-            else:
-                merged[key] = default
-    for key in user:
-        if key not in defaults:
-            here = f"{path}.{key}" if path else key
-            raise ValueError(f"unknown config key '{here}'")
-    merged.pop("__optional__", None)
-    return merged
-
-
-class _Required:
-    def __repr__(self):
-        return "<required>"
-
-
-_REQUIRED = _Required()
-
-
-def _load_config(path) -> dict:
+def _read_config(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise ValueError(f"config {path} is not valid JSON: {err}") from err
-
-
-def _override_seeds(config, seed: int):
-    if isinstance(config, dict):
-        return {k: (seed if k == "seed" else _override_seeds(v, seed)) for k, v in config.items()}
-    if isinstance(config, list):
-        return [_override_seeds(v, seed) for v in config]
-    return config
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
@@ -125,63 +87,23 @@ def _stage(seconds: float, **counts) -> dict:
     return out
 
 
-def _kernel_spec(section: dict) -> markov.GaussianKernelSpec:
-    return markov.GaussianKernelSpec(
-        dim=section["dim"],
-        alpha=section["alpha"],
-        sigma=section["sigma"],
-        shift=section["shift"],
-    )
-
-
-_KERNEL_SCHEMA = {
-    "__section__": True,
-    "dim": _REQUIRED,
-    "alpha": _REQUIRED,
-    "sigma": _REQUIRED,
-    "shift": 0.0,
-}
-
-
 def _change_point(value) -> float:
-    if value in ("infinity", "inf", None):
-        return math.inf
-    return value
+    """A config's ``change_point`` as a time: ``"infinity"`` and ``null`` are ``math.inf``."""
+    return math.inf if value in ("infinity", None) else value
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIMULATE_SCHEMA = {
-    "kernel": _KERNEL_SCHEMA,
-    "post_kernel": {**_KERNEL_SCHEMA, "__optional__": True},
-    "change_point": "infinity",
-    "length": _REQUIRED,
-    "seed": 0,
-    "burn_in": 1000,
-}
-
-
-def cmd_simulate(config: dict, out_dir: Path) -> int:
-    pre = _kernel_spec(config["kernel"])
-    post = _kernel_spec(config["post_kernel"]) if config["post_kernel"] else None
-    cp = _change_point(config["change_point"])
-    traj = markov.TrajectoryConfig(
-        pre=pre,
-        post=post,
-        change_point=cp,
-        length=config["length"],
-        seed=config["seed"],
-        burn_in=config["burn_in"],
-    )
-    states = markov.simulate_path(traj)
-    regime = ["pre" if n < cp else "post" for n in range(1, config["length"] + 1)]
+def cmd_simulate(config: SimulateConfig, out_dir: Path) -> list[str]:
+    cp = _change_point(config.change_point)
+    states = markov.simulate_path(config.trajectory(config.kernel, config.post_kernel, cp))
+    regime = ["pre" if n < cp else "post" for n in range(1, config.length + 1)]
     path = out_dir / "trajectory.csv"
     markov.write_trajectory_csv(path, states, regime=regime)
-    _write_manifest(out_dir, "simulate", config, [path.name])
-    print(f"wrote {path} ({states.shape[0]} steps, dim {pre.dim})")
-    return EXIT_OK
+    print(f"wrote {path} ({states.shape[0]} steps, dim {config.kernel.dim})")
+    return [path.name]
 
 
 def _read_states_csv(path) -> np.ndarray:
@@ -217,66 +139,21 @@ def _read_states_csv(path) -> np.ndarray:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_SCHEMA = {
-    "data": {
-        "__section__": True,
-        "kernel": {**_KERNEL_SCHEMA, "__optional__": True},
-        "pairs": 50000,
-        "seed": 1,
-        "burn_in": 1000,
-        "csv": None,
-    },
-    "architecture": {
-        "__section__": True,
-        "hidden_widths": [128, 128, 128],
-    },
-    "training": {
-        "__section__": True,
-        "learning_rate": 1e-3,
-        "batch_size": 128,
-        "epochs": 20,
-        "seed": 0,
-        "optimizer": "adam",
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "shuffle": True,
-    },
-    "standardize": False,
-}
-
-
-def cmd_train(config: dict, out_dir: Path) -> int:
-    data = config["data"]
+def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
+    data = config.data
     oracle = None
-    if data["csv"] is not None:
-        states = _read_states_csv(data["csv"])
-        pairs = markov.PairBatch.from_states(states)
-        dim = pairs.dim
-    elif data["kernel"] is not None:
-        spec = _kernel_spec(data["kernel"])
-        pairs = markov.stationary_pairs(spec, data["pairs"], seed=data["seed"], burn_in=data["burn_in"])
-        oracle = markov.closed_form_score(spec)
-        dim = spec.dim
+    if data.csv is not None:
+        pairs = markov.PairBatch.from_states(_read_states_csv(data.csv))
+    elif data.kernel is not None:
+        pairs = markov.stationary_pairs(data.kernel, data.pairs, seed=data.seed, burn_in=data.burn_in)
+        oracle = markov.closed_form_score(data.kernel)
     else:
         raise ValueError("train needs data.kernel or data.csv")
 
     arch = scorenet.MlpArchitecture(
-        input_dim=2 * dim,
-        hidden_widths=tuple(config["architecture"]["hidden_widths"]),
-        output_dim=dim,
-    )
-    tc = config["training"]
-    train_config = scorenet.TrainConfig(
-        learning_rate=tc["learning_rate"],
-        batch_size=tc["batch_size"],
-        epochs=tc["epochs"],
-        seed=tc["seed"],
-        optimizer=tc["optimizer"],
-        beta1=tc["beta1"],
-        beta2=tc["beta2"],
-        eps=tc["eps"],
-        shuffle=tc["shuffle"],
+        input_dim=2 * pairs.dim,
+        hidden_widths=config.architecture.hidden_widths,
+        output_dim=pairs.dim,
     )
     epochs = []
 
@@ -285,7 +162,7 @@ def cmd_train(config: dict, out_dir: Path) -> int:
                        "pairs_per_s": len(pairs) / seconds})
 
     params, history = scorenet.train(
-        arch, pairs, train_config, standardize=config["standardize"], on_epoch=record_epoch
+        arch, pairs, config.training, standardize=config.standardize, on_epoch=record_epoch
     )
 
     model_path = out_dir / "model.bin"
@@ -313,83 +190,44 @@ def cmd_train(config: dict, out_dir: Path) -> int:
         }
     metrics_path = out_dir / "metrics.json"
     _write_json(metrics_path, metrics)
-    _write_manifest(out_dir, "train", config, [model_path.name, curve_path.name, metrics_path.name])
     print(f"wrote {model_path}")
-    return EXIT_OK
+    return [model_path.name, curve_path.name, metrics_path.name]
 
 
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
 
-_DETECT_SCHEMA = {
-    "models": {
-        "__section__": True,
-        "pre": "closed_form",
-        "post": "closed_form",
-    },
-    "kernels": {
-        "__section__": True,
-        "pre": {**_KERNEL_SCHEMA, "__optional__": True},
-        "post": {**_KERNEL_SCHEMA, "__optional__": True},
-    },
-    "data": {
-        "__section__": True,
-        "simulate": {
-            "__section__": True,
-            "__optional__": True,
-            "change_point": "infinity",
-            "length": _REQUIRED,
-            "seed": 0,
-            "burn_in": 1000,
-        },
-        "csv": None,
-    },
-    "detector": {
-        "__section__": True,
-        "threshold": _REQUIRED,
-        "truncation": None,
-    },
-    "change_point": None,
-}
-
-
-def _resolve_field(which: str, model_ref, kernel_section):
+def _resolve_field(which: str, model_ref: str, kernel):
     if model_ref == "closed_form":
-        if kernel_section is None:
+        if kernel is None:
             raise ValueError(f"models.{which} = closed_form requires kernels.{which}")
-        return markov.closed_form_score(_kernel_spec(kernel_section))
-    params = scorenet.load_model(model_ref)
-    return scorenet.as_score_field(params)
+        return markov.closed_form_score(kernel)
+    return scorenet.as_score_field(scorenet.load_model(model_ref))
 
 
-def cmd_detect(config: dict, out_dir: Path) -> int:
-    field_pre = _resolve_field("pre", config["models"]["pre"], config["kernels"]["pre"])
-    field_post = _resolve_field("post", config["models"]["post"], config["kernels"]["post"])
+def _resolve_fields(models: ModelsConfig, kernels: KernelsConfig):
+    """The pre- and post-change score fields, checked to share a dimension."""
+    field_pre = _resolve_field("pre", models.pre, kernels.pre)
+    field_post = _resolve_field("post", models.post, kernels.post)
     if field_pre.dim != field_post.dim:
-        raise ValueError(
-            f"model dimensions differ: pre {field_pre.dim} vs post {field_post.dim}"
-        )
+        raise ValueError(f"model dimensions differ: pre {field_pre.dim} vs post {field_post.dim}")
+    return field_pre, field_post
 
-    declared_cp = _change_point(config["change_point"])
-    data = config["data"]
+
+def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
+    field_pre, field_post = _resolve_fields(config.models, config.kernels)
+    declared_cp = _change_point(config.change_point)
+    data = config.data
     started = time.perf_counter()
-    if data["csv"] is not None:
-        states = _read_states_csv(data["csv"])
-    elif data["simulate"] is not None:
-        sim = data["simulate"]
-        cp = _change_point(sim["change_point"])
-        if config["kernels"]["pre"] is None:
+    if data.csv is not None:
+        states = _read_states_csv(data.csv)
+    elif data.simulate is not None:
+        cp = _change_point(data.simulate.change_point)
+        if config.kernels.pre is None:
             raise ValueError("data.simulate requires kernels.pre")
-        traj = markov.TrajectoryConfig(
-            pre=_kernel_spec(config["kernels"]["pre"]),
-            post=_kernel_spec(config["kernels"]["post"]) if config["kernels"]["post"] else None,
-            change_point=cp,
-            length=sim["length"],
-            seed=sim["seed"],
-            burn_in=sim["burn_in"],
-        )
-        states = markov.simulate_path(traj)
+        states = markov.simulate_path(
+            data.simulate.trajectory(config.kernels.pre, config.kernels.post, cp))
         if declared_cp == math.inf:
             declared_cp = cp
     else:
@@ -403,8 +241,8 @@ def cmd_detect(config: dict, out_dir: Path) -> int:
     increments = detector.score_increments(field_pre, field_post, states)
     scored = time.perf_counter()
 
-    trunc = detector.TruncationSpec(config["detector"]["truncation"])
-    dconf = detector.DetectorConfig(threshold=config["detector"]["threshold"], truncation=trunc)
+    trunc = detector.TruncationSpec(config.detector.truncation)
+    dconf = detector.DetectorConfig(threshold=config.detector.threshold, truncation=trunc)
     trace = detector.statistic_trace(increments, trunc)
     report = detector.measure_false_alarms(increments, dconf)
     scanned = time.perf_counter()
@@ -444,116 +282,62 @@ def cmd_detect(config: dict, out_dir: Path) -> int:
             print(f"first delay after change: {summary['delays'][0]}")
     else:
         print("no alarm")
-    _write_manifest(out_dir, "detect", config,
-                    [trace_path.name, summary_path.name, metrics_path.name])
-    return EXIT_OK
+    return [trace_path.name, summary_path.name, metrics_path.name]
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_SCHEMA = {
-    "models": {
-        "__section__": True,
-        "pre": "closed_form",
-        "post": "closed_form",
-    },
-    "kernels": {
-        "__section__": True,
-        "pre": _KERNEL_SCHEMA,
-        "post": {**_KERNEL_SCHEMA, "__optional__": True},
-    },
-    "stream": {
-        "__section__": True,
-        "law": "pre",
-        "length": _REQUIRED,
-        "seed": 0,
-        "burn_in": 1000,
-    },
-    "thresholds": _REQUIRED,
-    "truncation": None,
-    "compare_untruncated": False,
-    "bounds": {
-        "__section__": True,
-        "__optional__": True,
-        "mu": _REQUIRED,
-        "delta": "empirical",
-        "post_drift": "empirical",
-    },
-}
-
-
-def _resolve_mu(mu_section, truncation_level):
+def _resolve_mu(mu, truncation_level):
     """Returns (mu value, provenance label)."""
-    if isinstance(mu_section, (int, float)):
-        return float(mu_section), "explicit"
-    if isinstance(mu_section, dict) and "heuristic" in mu_section:
-        h = dict(mu_section["heuristic"])
-        level = h.pop("truncation_level", truncation_level)
-        factor = h.pop("factor", bounds.HEURISTIC_MU_FACTOR)
-        if h:
-            raise ValueError(f"unknown keys in bounds.mu.heuristic: {sorted(h)}")
-        if level is None:
-            raise ValueError("heuristic mu needs a truncation level")
-        return bounds.heuristic_mu(level, factor), f"heuristic ({factor} * truncation level)"
-    if isinstance(mu_section, dict) and "doeblin" in mu_section:
-        d = dict(mu_section["doeblin"])
-        try:
-            constants = bounds.DoeblinConstants(l=d.pop("l"), lam=d.pop("lam"))
-            norm_phi = d.pop("norm_phi")
-        except KeyError as err:
-            raise ValueError(f"bounds.mu.doeblin needs key {err}") from None
-        if d:
-            raise ValueError(f"unknown keys in bounds.mu.doeblin: {sorted(d)}")
-        return bounds.concentration_mu(norm_phi, constants), "doeblin constants"
-    raise ValueError("bounds.mu must be a number, {'heuristic': ...} or {'doeblin': ...}")
+    if isinstance(mu, (int, float)):
+        return float(mu), "explicit"
+    if mu.doeblin is not None:
+        return bounds.concentration_mu(mu.doeblin.norm_phi, mu.doeblin), "doeblin constants"
+    level = mu.heuristic.truncation_level
+    if level is None:
+        level = truncation_level
+    if level is None:
+        raise ValueError("heuristic mu needs a truncation level")
+    factor = mu.heuristic.factor
+    return bounds.heuristic_mu(level, factor), f"heuristic ({factor} * truncation level)"
 
 
-def cmd_sweep(config: dict, out_dir: Path) -> int:
-    field_pre = _resolve_field("pre", config["models"]["pre"], config["kernels"]["pre"])
-    post_kernel = config["kernels"]["post"]
-    field_post = _resolve_field("post", config["models"]["post"], post_kernel)
+def _drift(given, estimate: float):
+    """(drift, provenance label): the config's number, or ``estimate`` for "empirical"."""
+    if given == "empirical":
+        return estimate, "empirical mean of truncated increments"
+    return float(given), "explicit"
 
-    stream_cfg = config["stream"]
-    law = stream_cfg["law"]
-    if law not in ("pre", "post"):
-        raise ValueError("stream.law must be 'pre' or 'post'")
-    if law == "pre":
-        spec = _kernel_spec(config["kernels"]["pre"])
-    else:
-        if post_kernel is None:
-            raise ValueError("stream.law = post requires kernels.post")
-        spec = _kernel_spec(post_kernel)
-    traj = markov.TrajectoryConfig(
-        pre=spec, length=stream_cfg["length"], seed=stream_cfg["seed"], burn_in=stream_cfg["burn_in"]
-    )
-    states = markov.simulate_path(traj)
+
+def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
+    field_pre, field_post = _resolve_fields(config.models, config.kernels)
+    law = config.stream.law
+    spec = config.kernels.pre if law == "pre" else config.kernels.post
+    if spec is None:
+        raise ValueError(f"stream.law = {law} requires kernels.{law}")
+    states = markov.simulate_path(config.stream.trajectory(spec))
     increments = detector.score_increments(field_pre, field_post, states)
 
-    thresholds = [float(b) for b in config["thresholds"]]
-    trunc = detector.TruncationSpec(config["truncation"])
+    thresholds = [float(b) for b in config.thresholds]
+    trunc = detector.TruncationSpec(config.truncation)
     rows = detector.threshold_sweep(increments, thresholds, trunc)
     sweep_path = out_dir / "sweep.csv"
     detector.write_sweep_csv(sweep_path, rows)
     outputs = [sweep_path.name]
 
-    if config["compare_untruncated"] and trunc.level is not None:
+    if config.compare_untruncated and trunc.level is not None:
         rows_plain = detector.threshold_sweep(increments, thresholds, detector.TruncationSpec.none())
         plain_path = out_dir / "sweep_untruncated.csv"
         detector.write_sweep_csv(plain_path, rows_plain)
         outputs.append(plain_path.name)
 
-    if config["bounds"] is not None:
-        mu, mu_label = _resolve_mu(config["bounds"]["mu"], trunc.level)
+    if config.bounds is not None:
+        mu, mu_label = _resolve_mu(config.bounds.mu, trunc.level)
         phi = np.clip(increments, -trunc.clip, trunc.clip)
         if law == "pre":
-            delta_cfg = config["bounds"]["delta"]
-            if delta_cfg == "empirical":
-                delta = -float(np.mean(phi))
-                delta_label = "empirical mean of truncated increments"
-            else:
-                delta, delta_label = float(delta_cfg), "explicit"
+            delta, delta_label = _drift(config.bounds.delta, -float(np.mean(phi)))
             if delta <= 0:
                 raise NumericsError(
                     "estimated pre-change drift is not negative; cannot evaluate the false-alarm bound"
@@ -567,12 +351,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
             if any(b <= mu for b in thresholds):
                 print(f"note: bound undefined (NaN) for thresholds <= mu = {mu:g}")
         else:
-            drift_cfg = config["bounds"]["post_drift"]
-            if drift_cfg == "empirical":
-                drift = float(np.mean(phi))
-                drift_label = "empirical mean of truncated increments"
-            else:
-                drift, drift_label = float(drift_cfg), "explicit"
+            drift, drift_label = _drift(config.bounds.post_drift, float(np.mean(phi)))
             if drift <= 0:
                 raise NumericsError(
                     "estimated post-change drift is not positive; cannot evaluate the delay bound"
@@ -586,56 +365,36 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
 
     for row in rows:
         print(f"b={row.threshold:g} mean_run_length={row.mean_run_length:g} count={row.count}")
-    _write_manifest(out_dir, "sweep", config, outputs)
-    return EXIT_OK
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
-_BOUNDS_SCHEMA = {
-    "delta": _REQUIRED,
-    "mu": _REQUIRED,
-    "threshold": _REQUIRED,
-    "post_drift": None,
-    "thresholds": None,
-}
-
-
-def cmd_bounds(config: dict, out_dir: Path) -> int:
-    mu, mu_label = _resolve_mu(config["mu"], None)
-    delta = float(config["delta"])
-    b = float(config["threshold"])
+def cmd_bounds(config: BoundsConfig, out_dir: Path) -> list[str]:
+    mu, mu_label = _resolve_mu(config.mu, None)
+    delta = float(config.delta)
+    b = float(config.threshold)
     print(f"mu = {mu:.6g} ({mu_label})")
     lower = bounds.false_alarm_lower_bound(delta, mu, b)
     print(f"false-alarm lower bound at b={b:g}: {lower:.6g}")
     outputs = []
-    if config["post_drift"] is not None:
-        n0, delay = bounds.delay_upper_bound(b, mu, float(config["post_drift"]))
+    if config.post_drift is not None:
+        n0, delay = bounds.delay_upper_bound(b, mu, float(config.post_drift))
         print(f"delay bound at b={b:g}: n0 = {n0}, 1 + n0 = {delay:g} (asymptotic)")
-    if config["thresholds"]:
-        curve = bounds.bound_curve(delta, mu, [float(t) for t in config["thresholds"]])
+    if config.thresholds:
+        curve = bounds.bound_curve(delta, mu, [float(t) for t in config.thresholds])
         path = out_dir / "bounds.csv"
         bounds.write_bound_csv(path, curve)
         outputs.append(path.name)
         print(f"wrote {path}")
-    _write_manifest(out_dir, "bounds", config, outputs)
-    return EXIT_OK
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # mocap
 # ---------------------------------------------------------------------------
-
-_MOCAP_SCHEMA = {
-    "pre": _REQUIRED,
-    "post": None,
-    "splice_index": _REQUIRED,
-    "stride": 1,
-    "standardize": True,
-}
-
 
 def _parse_amc_file(path):
     """The parsed clip and the file's line count."""
@@ -650,22 +409,16 @@ def _parse_amc_file(path):
         return clip, sum(1 for _ in fh)
 
 
-def cmd_mocap(config: dict, out_dir: Path) -> int:
+def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
     started = time.perf_counter()
-    pre_clip, lines = _parse_amc_file(config["pre"])
+    pre_clip, lines = _parse_amc_file(config.pre)
     post_clip = None
-    if config["post"] is not None:
-        post_clip, post_lines = _parse_amc_file(config["post"])
+    if config.post is not None:
+        post_clip, post_lines = _parse_amc_file(config.post)
         lines += post_lines
     parsed = time.perf_counter()
-    spec = mocap.ScenarioSpec(
-        pre_clip=pre_clip,
-        post_clip=post_clip,
-        splice_index=config["splice_index"],
-        stride=config["stride"],
-        standardize=config["standardize"],
-    )
-    result = mocap.build_scenario(spec)
+    result = mocap.build_scenario(mocap.ScenarioSpec(
+        pre_clip, post_clip, config.splice_index, config.stride, config.standardize))
     built = time.perf_counter()
 
     # each state row is formatted once; pair row i is state rows i and i+1
@@ -712,23 +465,12 @@ def cmd_mocap(config: dict, out_dir: Path) -> int:
         f"scenario: {scenario['n_frames']} frames, dimension {d}, "
         f"change index {scenario['change_index']}"
     )
-    _write_manifest(out_dir, "mocap", config,
-                    [states_path.name, pairs_path.name, scenario_path.name, metrics_path.name])
-    return EXIT_OK
+    return [states_path.name, pairs_path.name, scenario_path.name, metrics_path.name]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-_SCHEMAS = {
-    "simulate": _SIMULATE_SCHEMA,
-    "train": _TRAIN_SCHEMA,
-    "detect": _DETECT_SCHEMA,
-    "sweep": _SWEEP_SCHEMA,
-    "bounds": _BOUNDS_SCHEMA,
-    "mocap": _MOCAP_SCHEMA,
-}
 
 _COMMANDS = {
     "simulate": cmd_simulate,
@@ -774,14 +516,15 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
-        raw = _load_config(args.config)
-        config = _merge_strict(_SCHEMAS[args.command], raw)
-        if args.seed is not None:
-            config = _override_seeds(config, args.seed)
+        from .config import load_config  # the schema is built on first use, not at import
+
+        config, resolved = load_config(args.command, _read_config(args.config), args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir)
-    except AmcError as err:
+        outputs = _COMMANDS[args.command](config, out_dir)
+        _write_manifest(out_dir, args.command, resolved, outputs)
+        return EXIT_OK
+    except (AmcError, ModelFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (NumericsError, TrainingError) as err:
@@ -792,6 +535,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -35,3 +35,11 @@ class AmcParseError(AmcError):
 
 class AmcStructureError(AmcError):
     """Frames are inconsistent (index gaps, bone mismatches, ...)."""
+
+
+class ModelFileError(ValueError):
+    """A ``model.bin`` file is corrupt or truncated; carries the file's path."""
+
+    def __init__(self, path, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path

@@ -154,7 +154,7 @@ def simulate_path(config: TrajectoryConfig) -> np.ndarray:
 
 
 def stationary_pairs(
-    spec: GaussianKernelSpec, n_pairs: int, seed: int, burn_in: int = 1000
+    spec: GaussianKernelSpec, n_pairs: int, seed: int, burn_in: int = TrajectoryConfig.burn_in
 ) -> PairBatch:
     """Consecutive transition pairs from an (approximately) stationary path."""
     if n_pairs < 1:

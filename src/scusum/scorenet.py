@@ -45,12 +45,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericsError, TrainingError
+from .exceptions import ModelFileError, NumericsError, TrainingError
 from .fields import PairBatch, ScoreField, as_state, hyvarinen_scores
 
 __all__ = [
@@ -92,7 +93,10 @@ class MlpArchitecture:
     activation: str = "silu"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        widths = tuple(self.hidden_widths)
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) for w in widths):
+            raise ValueError(f"hidden widths must be integers, got {list(widths)}")
+        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in widths))
         if self.output_dim < 1:
             raise ValueError("output_dim must be >= 1")
         if self.input_dim != 2 * self.output_dim:
@@ -700,36 +704,55 @@ def save_model(params: MlpParameters, path) -> None:
         fh.write(buf.getvalue())
 
 
+# the header keys save_model writes, each with its JSON type
+_HEADER_KEYS = {"format": str, "input_dim": int, "hidden_widths": list, "output_dim": int,
+                "activation": str, "standardized": bool}
+
+
 def load_model(path) -> MlpParameters:
+    """The parameters saved in ``path``; a corrupt or truncated file raises ``ModelFileError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a score-network model file")
-    off = len(_MAGIC)
-    version = int(np.frombuffer(data, "<u4", count=1, offset=off)[0])
+        raise ModelFileError(path, "not a score-network model file")
+    off = len(_MAGIC) + 8  # past the format version and the header length
+    if len(data) < off:
+        raise ModelFileError(path, "file ends inside the header")
+    version, hlen = (int(v) for v in np.frombuffer(data, "<u4", count=2, offset=len(_MAGIC)))
     if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version}")
-    off += 4
-    hlen = int(np.frombuffer(data, "<u4", count=1, offset=off)[0])
-    off += 4
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
+        raise ModelFileError(path, f"unsupported model format version {version}")
+    if off + hlen > len(data):
+        raise ModelFileError(path, f"header length {hlen} runs past the end of the file")
+    try:
+        header = json.loads(data[off : off + hlen].decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError or JSONDecodeError
+        raise ModelFileError(path, f"header is not UTF-8 JSON: {err}") from None
+    if not (isinstance(header, dict) and header.keys() == _HEADER_KEYS.keys()
+            and all(type(header[k]) is t for k, t in _HEADER_KEYS.items())):
+        raise ModelFileError(path, f"header does not hold the keys {sorted(_HEADER_KEYS)} "
+                                   "with their types")
     off += hlen
-    arch = MlpArchitecture(
-        input_dim=header["input_dim"],
-        hidden_widths=tuple(header["hidden_widths"]),
-        output_dim=header["output_dim"],
-        activation=header.get("activation", "silu"),
-    )
+    try:
+        arch = MlpArchitecture(
+            input_dim=header["input_dim"],
+            hidden_widths=tuple(header["hidden_widths"]),
+            output_dim=header["output_dim"],
+            activation=header["activation"],
+        )
+    except ValueError as err:
+        raise ModelFileError(path, f"header: {err}") from None
 
     def take(shape):
         nonlocal off
-        count = int(np.prod(shape))
+        count = math.prod(shape)
+        if off + 8 * count > len(data):
+            raise ModelFileError(path, "file ends inside the parameters")
         arr = np.frombuffer(data, "<f8", count=count, offset=off).reshape(shape).copy()
         off += count * 8
         return arr
 
     mean = scale = None
-    if header.get("standardized"):
+    if header["standardized"]:
         mean = take((arch.output_dim,))
         scale = take((arch.output_dim,))
     weights, biases = [], []
@@ -737,5 +760,8 @@ def load_model(path) -> MlpParameters:
         weights.append(take((fin, fout)))
         biases.append(take((fout,)))
     if off != len(data):
-        raise ValueError(f"{path}: trailing bytes after parameters")
-    return MlpParameters(arch, weights, biases, mean, scale)
+        raise ModelFileError(path, "trailing bytes after parameters")
+    try:
+        return MlpParameters(arch, weights, biases, mean, scale)
+    except ValueError as err:  # non-finite parameters or scales
+        raise ModelFileError(path, str(err)) from None
