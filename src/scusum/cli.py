@@ -19,9 +19,10 @@ default filled in and no value rewritten, so any run can be reproduced from
 its manifest alone. ``train``, ``detect`` and ``mocap`` also write a
 ``metrics.json`` with the wall time of each stage.
 
-Exit codes: 0 success, 2 usage/config errors, 3 data errors (trajectory
-CSVs, AMC files, ``model.bin`` files), 4 numeric/training errors, 5 I/O
-errors or out of memory.
+Exit codes: 0 success, 1 internal errors (a fault in a command, not in its
+input), 2 usage/config errors, 3 data errors (trajectory CSVs, AMC files,
+``model.bin`` files), 4 numeric/training errors, 5 I/O errors or out of
+memory.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ if TYPE_CHECKING:
                          SimulateConfig, SweepConfig, TrainCommandConfig)
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -397,25 +399,20 @@ def cmd_bounds(config: BoundsConfig, out_dir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _parse_amc_file(path):
-    """The parsed clip and the file's line count."""
     with open(path) as fh:
         # parse_amc gets the open file: perfbench's tracer counts the lines of
         # the file it names, and reads 0 lines/s for a list of lines
         try:
-            clip = mocap.parse_amc(fh)
+            return mocap.parse_amc(fh)
         except AmcError as err:
             raise AmcError(f"{path}: {err}") from err
-        fh.seek(0)
-        return clip, sum(1 for _ in fh)
 
 
 def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
     started = time.perf_counter()
-    pre_clip, lines = _parse_amc_file(config.pre)
-    post_clip = None
-    if config.post is not None:
-        post_clip, post_lines = _parse_amc_file(config.post)
-        lines += post_lines
+    pre_clip = _parse_amc_file(config.pre)
+    post_clip = None if config.post is None else _parse_amc_file(config.post)
+    lines = sum(clip.n_lines for clip in (pre_clip, post_clip) if clip is not None)
     parsed = time.perf_counter()
     result = mocap.build_scenario(mocap.ScenarioSpec(
         pre_clip, post_clip, config.splice_index, config.stride, config.standardize))
@@ -530,7 +527,7 @@ def main(argv=None) -> int:
     except (NumericsError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TypeError, KeyError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:
@@ -539,6 +536,9 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_IO
+    except Exception as err:  # a fault in a command, not in its input
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

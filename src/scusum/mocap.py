@@ -44,13 +44,16 @@ class AmcClip:
     """One parsed motion clip.
 
     ``values`` holds one row per frame, channels concatenated in bone order;
-    ``channel_counts[i]`` channels belong to ``bone_order[i]``.
+    ``channel_counts[i]`` channels belong to ``bone_order[i]``. ``n_lines``
+    is the number of lines ``parse_amc`` read, blank and comment lines
+    included (0 for a clip built in memory).
     """
 
     bone_order: tuple[str, ...]
     channel_counts: tuple[int, ...]
     values: np.ndarray
     frame_indices: tuple[int, ...]
+    n_lines: int = 0
 
     @property
     def n_frames(self) -> int:
@@ -145,7 +148,8 @@ def parse_amc(source) -> AmcClip:
     values = np.concatenate(blocks)
 
     if not indices:
-        return AmcClip(bone_order=(), channel_counts=(), values=np.empty((0, 0)), frame_indices=())
+        return AmcClip(bone_order=(), channel_counts=(), values=np.empty((0, 0)), frame_indices=(),
+                       n_lines=len(lines))
 
     starts.append(len(names))
     bone_order = tuple(names[: starts[1]])
@@ -174,6 +178,7 @@ def parse_amc(source) -> AmcClip:
         channel_counts=channel_counts,
         values=values.reshape(len(indices), sum(channel_counts)),
         frame_indices=tuple(indices),
+        n_lines=len(lines),
     )
 
 

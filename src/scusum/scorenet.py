@@ -289,8 +289,9 @@ class _TangentStacks:
     One ``train``, ``divergence_batch`` or loss call makes them and reuses
     them for each of its minibatches or chunks; a slot's buffer is allocated
     on first use, and a batch of B <= rows pairs uses its leading part. They
-    are dropped with the call: at d=62, 2048 rows and width 128 one stack is
-    130 MB.
+    are dropped with the call. ``for_pairs`` sizes them for the chunks of an
+    n-pair call: at most ``_STACK_BYTES`` per stack, 66 rows at d=62 and
+    width 128.
 
     With L hidden layers and ``memory`` (gradients wanted), slot l holds
     t_l, slot L+l-1 holds p_l (l >= 1) and slot 2L-1 is backward scratch.
@@ -299,9 +300,16 @@ class _TangentStacks:
 
     def __init__(self, arch: MlpArchitecture, rows: int, memory: bool):
         self.memory = memory
+        self.rows = rows
         self._d = arch.output_dim
         self._size = rows * arch.output_dim * max(arch.hidden_widths, default=0)
         self._flat = {}
+
+    @classmethod
+    def for_pairs(cls, arch: MlpArchitecture, n: int, memory: bool) -> "_TangentStacks":
+        """Stacks for an n-pair call taken ``rows`` pairs at a time."""
+        row_bytes = arch.output_dim * max(arch.hidden_widths, default=1) * 8
+        return cls(arch, min(n, max(1, _STACK_BYTES // row_bytes)), memory)
 
     def __call__(self, slot: int, batch: int, width: int) -> np.ndarray:
         if slot not in self._flat:
@@ -389,12 +397,23 @@ def forward(params: MlpParameters, y, x) -> np.ndarray:
     return forward_batch(params, as_state(y, d)[None, :], as_state(x, d)[None, :])[0]
 
 
-# Pairs per tangent pass of divergence_batch, surrogate_loss and loss_gradient.
-# One (chunk, d, width) stack is chunk * d * width * 8 bytes: 2048 x 62 x 128
-# x 8 B = 130 MB at the mocap dimension (21 MB at d=10, width 128). A
-# divergence or loss chunk holds two stacks, a gradient chunk 2L for L hidden
-# layers.
-_DIVERGENCE_CHUNK = 2048
+# Bytes in one (rows, d, width) float64 tangent stack of divergence_batch,
+# surrogate_loss and loss_gradient: they take their pairs
+# rows = max(1, _STACK_BYTES // (d * max width * 8)) at a time, so a stack
+# stays in cache (L2 is 2 MiB per core where this was measured) while the d
+# tangent passes stream it, and memory does not grow with the pairs. A
+# divergence or loss chunk holds two stacks, a gradient chunk 2L for L
+# hidden layers. One divergence_batch call, 128x3 network, median of 7, on
+# 2 vCPUs with numpy 2.4.6 and OpenBLAS:
+#
+#     d    pairs   rows   ms at 2048 rows -> at these rows   max RSS, MB
+#     10   20000    409    679 -> 552                          122 -> 58
+#     31    4096    132    381 -> 256                          199 -> 53
+#     62    4096     66    658 -> 475                          327 -> 57
+#
+# The rows move results in the last bits only (the GEMV treats tail rows
+# differently): chunkings agree to 1e-12 relative, not bit for bit.
+_STACK_BYTES = 4 << 20
 
 
 def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
@@ -404,12 +423,12 @@ def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     a0 = _net_inputs(params, Y, X)
     inv_s = _inv_s(params)
     n = a0.shape[0]
-    stacks = _TangentStacks(params.arch, min(n, _DIVERGENCE_CHUNK), memory=False)
+    stacks = _TangentStacks.for_pairs(params.arch, n, memory=False)
     out = np.empty(n)
-    for start in range(0, n, _DIVERGENCE_CHUNK):
-        block = a0[start : start + _DIVERGENCE_CHUNK]
-        _, t, _ = _tangent_pass(params, block, inv_s, stacks)
-        out[start : start + _DIVERGENCE_CHUNK] = _divergence(params, t, inv_s)
+    for start in range(0, n, stacks.rows):
+        block = slice(start, start + stacks.rows)
+        _, t, _ = _tangent_pass(params, a0[block], inv_s, stacks)
+        out[block] = _divergence(params, t, inv_s)
     return out
 
 
@@ -443,16 +462,16 @@ def loss_gradient(model: MlpParameters, pairs) -> MlpGradients:
 
 
 def _chunked_loss_and_grads(params: MlpParameters, batch: PairBatch, want_grads: bool):
-    """``_loss_and_grads`` over chunks of ``_DIVERGENCE_CHUNK`` pairs, weighted by size.
+    """``_loss_and_grads`` over chunks sized by ``_TangentStacks.for_pairs``, weighted by size.
 
     The chunks share one set of tangent stacks, so memory stays that of one
     chunk however many pairs there are.
     """
     n = len(batch)
-    stacks = _TangentStacks(params.arch, min(n, _DIVERGENCE_CHUNK), memory=want_grads)
+    stacks = _TangentStacks.for_pairs(params.arch, n, memory=want_grads)
     loss, grads = 0.0, None
-    for start in range(0, n, _DIVERGENCE_CHUNK):
-        stop = min(start + _DIVERGENCE_CHUNK, n)
+    for start in range(0, n, stacks.rows):
+        stop = min(start + stacks.rows, n)
         part_loss, part = _loss_and_grads(
             params, batch.x_next[start:stop], batch.x_prev[start:stop], want_grads, stacks
         )

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scusum.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from scusum import cli
+from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -390,6 +391,18 @@ class TestArgumentHandling:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("fault", [TypeError("unsupported operand"), KeyError("kernel"),
+                                       ZeroDivisionError("division by zero")])
+    def test_fault_in_a_command_is_an_internal_error(self, tmp_path, monkeypatch, capsys, fault):
+        # only the loader's ValueErrors are config errors (exit 2)
+        def broken(config, out_dir):
+            raise fault
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+        code, _ = run(tmp_path, "simulate", {"kernel": SMALL_KERNEL, "length": 5})
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err == f"error: internal error: {type(fault).__name__}: {fault}\n"
 
     def test_module_runs_as_script(self, tmp_path):
         config = write_config(tmp_path, {"kernel": SMALL_KERNEL, "length": 5})

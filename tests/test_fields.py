@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scusum import scorenet
 from scusum.exceptions import NumericsError
 from scusum.fields import (
     GaussianScoreField,
@@ -177,7 +178,33 @@ class TestDrift:
             assert abs(drift.mean + fisher.mean) <= max(tol, 1e-9)
 
 
+def scalar_divergence_consistency(field, probes, h=1e-4):
+    """Reference for check_divergence_consistency: 2d + 1 one-pair calls per probe."""
+    worst = 0.0
+    for y, x in probes:
+        fd = 0.0
+        for i in range(field.dim):
+            e = np.zeros(field.dim)
+            e[i] = h
+            fd += (field.score(y + e, x)[i] - field.score(y - e, x)[i]) / (2 * h)
+        exact = field.divergence(y, x)
+        worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
+    return worst
+
+
 class TestDivergenceConsistency:
+    def test_batched_check_matches_scalar_reference(self):
+        rng = np.random.default_rng(12)
+        d = 4
+        params = scorenet.init_params(
+            scorenet.MlpArchitecture(input_dim=2 * d, hidden_widths=(16, 8), output_dim=d), 3)
+        for field in [scorenet.as_score_field(params),
+                      GaussianScoreField(np.tanh, sigma=0.4, dim=d)]:
+            probes = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(10)]
+            batched = check_divergence_consistency(field, probes)
+            assert batched == pytest.approx(scalar_divergence_consistency(field, probes),
+                                            rel=0, abs=1e-9)
+
     def test_gaussian_fields(self):
         rng = np.random.default_rng(8)
         for field in [

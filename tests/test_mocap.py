@@ -65,6 +65,18 @@ class TestParseAmc:
             clip = parse_amc(fh)
         assert clip.n_frames == 10
 
+    @pytest.mark.parametrize("tail", ["\n", "", "\n\n  \n"],
+                             ids=["trailing_newline", "no_trailing_newline", "blank_trailing_lines"])
+    def test_counts_the_lines_it_read(self, tmp_path, tail):
+        path = tmp_path / "clip.amc"
+        path.write_text((FIXTURES / "walk_two_frames.amc").read_text().rstrip("\n") + tail)
+        with open(path) as fh:
+            clip = parse_amc(fh)
+        with open(path) as fh:
+            assert clip.n_lines == sum(1 for _ in fh)
+        assert clip.n_frames == 2
+        assert parse_amc(path.read_text()).n_lines == clip.n_lines
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -2,13 +2,18 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scusum import scorenet
 from scusum.exceptions import TrainingError
-from scusum.fields import PairBatch, check_divergence_consistency, hyvarinen_score, TransitionPair
+from scusum.fields import (
+    PairBatch, TransitionPair, check_divergence_consistency, hyvarinen_score, hyvarinen_scores,
+)
 from scusum.markov import GaussianKernelSpec, closed_form_score, stationary_pairs
 from scusum.scorenet import (
     MlpArchitecture,
@@ -250,7 +255,7 @@ class TestLossGradient:
         batch = random_batch(rng, 3, n)
         stacks = scorenet._TangentStacks(params.arch, n, memory=True)
         one_loss, one = scorenet._loss_and_grads(params, batch.x_next, batch.x_prev, True, stacks)
-        monkeypatch.setattr(scorenet, "_DIVERGENCE_CHUNK", 64)
+        monkeypatch.setattr(scorenet, "_STACK_BYTES", 64 * 3 * 6 * 8)  # 64 rows of d=3, width 6
         loss = surrogate_loss(params, batch)
         grads = loss_gradient(params, batch)
         assert loss == pytest.approx(one_loss, rel=1e-12, abs=0)
@@ -275,6 +280,68 @@ class TestLossGradient:
         # the output-layer weight gradient is zero only in its psi^2 part;
         # the bias of the output layer has no divergence contribution at all
         assert np.allclose(grads.biases[-1], 0.0)
+
+
+class TestChunking:
+    """divergence_batch, surrogate_loss and loss_gradient take their pairs in
+    chunks sized from ``_STACK_BYTES``; the chunk rows move only last bits."""
+
+    @staticmethod
+    def _chunked(params, batch, rows):
+        # rows per chunk set through the byte budget, d * max width * 8 B a
+        # row; None keeps the module's budget
+        arch = params.arch
+        row_bytes = arch.output_dim * max(arch.hidden_widths, default=1) * 8
+        budget = scorenet._STACK_BYTES if rows is None else rows * row_bytes
+        with mock.patch.object(scorenet, "_STACK_BYTES", budget):
+            return (scorenet.divergence_batch(params, batch.x_next, batch.x_prev),
+                    surrogate_loss(params, batch), loss_gradient(params, batch))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 10]),
+        widths=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+        n=st.integers(1, 40),
+        rows=st.sampled_from(["1", "7", "budget", "n", "n+1"]),
+        standardize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_results_agree_with_one_chunk(self, d, widths, n, rows, standardize, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(tiny_arch(d, widths), seed)
+        if standardize:
+            params = standardized(params, rng)
+        batch = random_batch(rng, d, n)
+        ref_div, ref_loss, ref = self._chunked(params, batch, n)
+        rows = {"1": 1, "7": 7, "budget": None, "n": n, "n+1": n + 1}[rows]
+        div, loss, grads = self._chunked(params, batch, rows)
+        assert np.max(np.abs(div - ref_div)) <= 1e-12 * np.max(np.abs(ref_div))
+        # the loss is a mean of terms of either sign: relative to their size
+        terms = hyvarinen_scores(as_score_field(params), batch)
+        assert abs(loss - ref_loss) <= 1e-12 * np.mean(np.abs(terms))
+        for g, r in zip(grads.weights + grads.biases, ref.weights + ref.biases):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    def test_stacks_stay_within_the_byte_budget_at_the_mocap_dimension(self, monkeypatch):
+        stacks = []
+
+        class Recorded(scorenet._TangentStacks):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stacks.append(self)
+
+        monkeypatch.setattr(scorenet, "_TangentStacks", Recorded)
+        rng = np.random.default_rng(29)
+        params = init_params(tiny_arch(62, (128, 8)), 10)
+        batch = random_batch(rng, 62, 5000)
+        scorenet.divergence_batch(params, batch.x_next, batch.x_prev)
+        surrogate_loss(params, batch)
+        loss_gradient(params, batch)
+        assert len(stacks) == 3
+        for made, count in zip(stacks, (2, 2, 4)):  # two stacks, or 2L with gradients
+            assert 1 < made.rows < 5000
+            assert len(made._flat) == count
+            assert all(buf.nbytes <= scorenet._STACK_BYTES for buf in made._flat.values())
 
 
 class TestTrain:
