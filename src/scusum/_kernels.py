@@ -26,10 +26,32 @@ W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running sum of phi(s); over
 very long streams the cumulative sums lose a few low bits relative to the
 recursion, so it matches the recursion to 1e-9 rather than bitwise.
 
+``sweep_run_lengths`` gives the detect-and-reset scans of many thresholds
+from one pass of the no-reset recursion. It rests on two facts about the
+IEEE operations the scan performs:
+
+* Monotonicity. Round-to-nearest addition is monotone, so a lane that resets
+  at its alarms carries max(0, w) <= max(0, W) at every step, where W is the
+  no-reset statistic: the reset carries 0, and otherwise both add the same
+  phi to ordered carries.
+* Regeneration. At a step where W <= 0 every lane carries 0, so every lane
+  starts the next step from the same phi. Between two such steps a lane
+  whose threshold lies above the peak of W never alarms, hence performs
+  exactly the operations of W and ends that stretch equal to it.
+
+So the stream splits into excursions of W, each running from the step after
+W <= 0 up to and including the next step at which W <= 0. The pass records
+every excursion whose peak reaches the smallest threshold; each threshold's
+reset recursion then runs over the recorded excursions that reach it only,
+carrying its interval start across them, and is bitwise equal to a full
+scan at that threshold.
+
 Truncation is encoded as a clip level ``m``; pass ``np.inf`` to disable it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -117,13 +139,15 @@ def cusum_trace(increments, m: float = np.inf) -> np.ndarray:
 # detect-and-reset scan: alarm intervals over a whole stream
 # ---------------------------------------------------------------------------
 
-def run_lengths(increments, b: float, m: float = np.inf):
-    """Detect-and-reset scan; returns (intervals array, residual steps)."""
-    clipped = np.clip(_as_f64(increments), -m, m)
-    intervals = []
+def _reset_scan(values, b: float, first: int, last: int, intervals: list) -> int:
+    """Detect-and-reset recursion over ``values``, entered with a zero carry.
+
+    ``values`` are clipped increments whose first one is step ``first`` of the
+    stream, and ``last`` is the step the open interval started at. Appends
+    each alarm's interval to ``intervals`` and returns the open interval's start.
+    """
     w = 0.0
-    start = 0
-    for i, phi in enumerate(memoryview(clipped)):
+    for i, phi in enumerate(values, first):
         # w = phi + max(0, w); dropping the "+ 0.0" only changes the sign of a
         # zero w, which neither branch nor the alarm test can see
         if w > 0.0:
@@ -131,7 +155,70 @@ def run_lengths(increments, b: float, m: float = np.inf):
         else:
             w = phi
         if w >= b:
-            intervals.append(i - start + 1)
-            start = i + 1
+            intervals.append(i - last + 1)
+            last = i + 1
             w = 0.0
-    return np.asarray(intervals, dtype=np.int64), clipped.shape[0] - start
+    return last
+
+
+def run_lengths(increments, b: float, m: float = np.inf):
+    """Detect-and-reset scan; returns (intervals array, residual steps)."""
+    clipped = np.clip(_as_f64(increments), -m, m)
+    intervals = []
+    last = _reset_scan(memoryview(clipped), b, 0, 0, intervals)
+    return np.asarray(intervals, dtype=np.int64), clipped.shape[0] - last
+
+
+def _excursions(values, floor: float):
+    """The excursions of the no-reset statistic W that an alarm at ``floor`` needs.
+
+    Returns (excursions, peak). ``excursions`` lists (start, stop, top) for
+    every excursion whose top (the largest W in it) reaches ``floor``, and for
+    each one that reached the running maximum of W; ``peak`` is max W_n, or
+    -inf for an empty stream.
+    """
+    found = []
+    w = 0.0
+    start = 0
+    top = math.nan  # no excursion open yet; NaN passes no comparison
+    peak = bar = -math.inf  # bar = min(floor, peak)
+    for i, phi in enumerate(values):
+        if w > 0.0:
+            w += phi
+            if w > top:
+                top = w
+        else:
+            # W was <= 0 at step i - 1, which closed the excursion [start, i)
+            if top >= bar:
+                found.append((start, i, top))
+                if top > peak:
+                    peak = top
+                    bar = min(floor, peak)
+            start = i
+            w = top = phi
+    if top >= bar:
+        found.append((start, len(values), top))
+        peak = max(peak, top)
+    return found, peak
+
+
+def sweep_run_lengths(increments, thresholds, m: float = np.inf):
+    """Detect-and-reset scans at every threshold from one no-reset pass.
+
+    Returns (runs, peak): ``runs[k]`` is the (intervals array, residual steps)
+    of ``run_lengths(increments, thresholds[k], m)``, bitwise, and ``peak`` is
+    the largest no-reset statistic max W_n (-inf for an empty stream).
+    """
+    clipped = np.clip(_as_f64(increments), -m, m)
+    values = memoryview(clipped)
+    thresholds = [float(b) for b in thresholds]
+    excursions, peak = _excursions(values, min(thresholds, default=math.inf))
+    runs = []
+    for b in thresholds:
+        intervals = []
+        last = 0
+        for start, stop, top in excursions:
+            if top >= b:
+                last = _reset_scan(values[start:stop], b, start, last, intervals)
+        runs.append((np.asarray(intervals, dtype=np.int64), clipped.shape[0] - last))
+    return runs, peak

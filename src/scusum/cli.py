@@ -16,8 +16,8 @@ and ``"empirical"`` (a drift estimated from the stream).
 Each command writes its outputs (CSV series; plotting is left to external
 tooling) and a ``manifest.json`` echoing the config as read, with every
 default filled in and no value rewritten, so any run can be reproduced from
-its manifest alone. ``train``, ``detect`` and ``mocap`` also write a
-``metrics.json`` with the wall time of each stage.
+its manifest alone. ``train``, ``detect``, ``sweep`` and ``mocap`` also
+write a ``metrics.json`` with the wall time of each stage.
 
 Exit codes: 0 success, 1 internal errors (a fault in a command, not in its
 input), 2 usage/config errors, 3 data errors (trajectory CSVs, AMC files,
@@ -33,6 +33,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain, pairwise
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import __version__, _textio, bounds, detector, markov, mocap, scorenet
 from .exceptions import AmcError, ModelFileError, NumericsError, TrainingError
+from .fields import MonteCarloEstimate
 
 if TYPE_CHECKING:
     from .config import (BoundsConfig, DetectConfig, KernelsConfig, MocapConfig, ModelsConfig,
@@ -200,40 +202,44 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
 # detect
 # ---------------------------------------------------------------------------
 
-def _resolve_field(which: str, model_ref: str, kernel):
+def _resolve_field(model_ref: str, kernel):
     if model_ref == "closed_form":
-        if kernel is None:
-            raise ValueError(f"models.{which} = closed_form requires kernels.{which}")
         return markov.closed_form_score(kernel)
     return scorenet.as_score_field(scorenet.load_model(model_ref))
 
 
 def _resolve_fields(models: ModelsConfig, kernels: KernelsConfig):
     """The pre- and post-change score fields, checked to share a dimension."""
-    field_pre = _resolve_field("pre", models.pre, kernels.pre)
-    field_post = _resolve_field("post", models.post, kernels.post)
+    for which in ("pre", "post"):  # before either model file is read
+        if getattr(models, which) == "closed_form" and getattr(kernels, which) is None:
+            raise ValueError(f"models.{which} = closed_form requires kernels.{which}")
+    field_pre = _resolve_field(models.pre, kernels.pre)
+    field_post = _resolve_field(models.post, kernels.post)
     if field_pre.dim != field_post.dim:
         raise ValueError(f"model dimensions differ: pre {field_pre.dim} vs post {field_post.dim}")
     return field_pre, field_post
 
 
 def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
-    field_pre, field_post = _resolve_fields(config.models, config.kernels)
-    declared_cp = _change_point(config.change_point)
     data = config.data
-    started = time.perf_counter()
-    if data.csv is not None:
-        states = _read_states_csv(data.csv)
-    elif data.simulate is not None:
-        cp = _change_point(data.simulate.change_point)
+    trajectory = None
+    if data.csv is None:
+        if data.simulate is None:
+            raise ValueError("detect needs data.simulate or data.csv")
         if config.kernels.pre is None:
             raise ValueError("data.simulate requires kernels.pre")
-        states = markov.simulate_path(
-            data.simulate.trajectory(config.kernels.pre, config.kernels.post, cp))
-        if declared_cp == math.inf:
-            declared_cp = cp
+        # checks change_point <= length, like the rules above, before any model file is read
+        trajectory = data.simulate.trajectory(config.kernels.pre, config.kernels.post,
+                                              _change_point(data.simulate.change_point))
+    field_pre, field_post = _resolve_fields(config.models, config.kernels)
+    declared_cp = _change_point(config.change_point)
+    started = time.perf_counter()
+    if trajectory is None:
+        states = _read_states_csv(data.csv)
     else:
-        raise ValueError("detect needs data.simulate or data.csv")
+        states = markov.simulate_path(trajectory)
+        if declared_cp == math.inf:
+            declared_cp = trajectory.change_point
     if states.shape[1] != field_pre.dim:
         raise ValueError(
             f"data dimension {states.shape[1]} does not match model dimension {field_pre.dim}"
@@ -313,59 +319,97 @@ def _drift(given, estimate: float):
     return float(given), "explicit"
 
 
+def _sweep_bounds(config: SweepConfig, thresholds, truncation_level, drift_estimate):
+    """The bound curve over ``thresholds`` and the inputs it used, with provenance labels."""
+    mu, mu_label = _resolve_mu(config.bounds.mu, truncation_level)
+    inputs = {"mu": {"value": mu, "provenance": mu_label}}
+    if config.stream.law == "pre":
+        delta, delta_label = _drift(config.bounds.delta, -drift_estimate)
+        if delta <= 0:
+            raise NumericsError(
+                "estimated pre-change drift is not negative; cannot evaluate the false-alarm bound"
+            )
+        # the bound is defined only above mu; keep the grid aligned with NaN rows
+        curve = [
+            (b, bounds.false_alarm_lower_bound(delta, mu, b) if b > mu else float("nan"))
+            for b in thresholds
+        ]
+        inputs["delta"] = {"value": delta, "provenance": delta_label}
+        print(f"mu = {mu:.6g} ({mu_label}); delta = {delta:.6g} ({delta_label})")
+        if any(b <= mu for b in thresholds):
+            print(f"note: bound undefined (NaN) for thresholds <= mu = {mu:g}")
+    else:
+        drift, drift_label = _drift(config.bounds.post_drift, drift_estimate)
+        if drift <= 0:
+            raise NumericsError(
+                "estimated post-change drift is not positive; cannot evaluate the delay bound"
+            )
+        curve = [(b, bounds.delay_upper_bound(b, mu, drift)[1]) for b in thresholds]
+        inputs["post_drift"] = {"value": drift, "provenance": drift_label}
+        print(f"mu = {mu:.6g} ({mu_label}); post drift = {drift:.6g} ({drift_label})")
+        print("delay bound is asymptotic (leading order in n0)")
+    return curve, inputs
+
+
 def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
-    field_pre, field_post = _resolve_fields(config.models, config.kernels)
     law = config.stream.law
     spec = config.kernels.pre if law == "pre" else config.kernels.post
     if spec is None:
         raise ValueError(f"stream.law = {law} requires kernels.{law}")
+    field_pre, field_post = _resolve_fields(config.models, config.kernels)
+    started = time.perf_counter()
     states = markov.simulate_path(config.stream.trajectory(spec))
+    simulated = time.perf_counter()
     increments = detector.score_increments(field_pre, field_post, states)
+    scored = time.perf_counter()
 
     thresholds = [float(b) for b in config.thresholds]
     trunc = detector.TruncationSpec(config.truncation)
-    rows = detector.threshold_sweep(increments, thresholds, trunc)
-    sweep_path = out_dir / "sweep.csv"
-    detector.write_sweep_csv(sweep_path, rows)
-    outputs = [sweep_path.name]
-
+    levels = {"sweep.csv": trunc}
     if config.compare_untruncated and trunc.level is not None:
-        rows_plain = detector.threshold_sweep(increments, thresholds, detector.TruncationSpec.none())
-        plain_path = out_dir / "sweep_untruncated.csv"
-        detector.write_sweep_csv(plain_path, rows_plain)
-        outputs.append(plain_path.name)
-
+        levels["sweep_untruncated.csv"] = detector.TruncationSpec.none()
+    sweeps = {}
+    level_metrics = []
+    for name, level in levels.items():
+        sweeps[name] = detector.threshold_sweep(increments, thresholds, level)
+        drift = MonteCarloEstimate.from_values(np.clip(increments, -level.clip, level.clip))
+        level_metrics.append({
+            "output": name,
+            "truncation": level.level,
+            "clipped_fraction": float(np.mean(np.abs(increments) > level.clip)),
+            "peak_statistic": sweeps[name].peak_statistic,
+            "drift": asdict(drift),
+        })
     if config.bounds is not None:
-        mu, mu_label = _resolve_mu(config.bounds.mu, trunc.level)
-        phi = np.clip(increments, -trunc.clip, trunc.clip)
-        if law == "pre":
-            delta, delta_label = _drift(config.bounds.delta, -float(np.mean(phi)))
-            if delta <= 0:
-                raise NumericsError(
-                    "estimated pre-change drift is not negative; cannot evaluate the false-alarm bound"
-                )
-            # the bound is defined only above mu; keep the grid aligned with NaN rows
-            curve = [
-                (b, bounds.false_alarm_lower_bound(delta, mu, b) if b > mu else float("nan"))
-                for b in thresholds
-            ]
-            print(f"mu = {mu:.6g} ({mu_label}); delta = {delta:.6g} ({delta_label})")
-            if any(b <= mu for b in thresholds):
-                print(f"note: bound undefined (NaN) for thresholds <= mu = {mu:g}")
-        else:
-            drift, drift_label = _drift(config.bounds.post_drift, float(np.mean(phi)))
-            if drift <= 0:
-                raise NumericsError(
-                    "estimated post-change drift is not positive; cannot evaluate the delay bound"
-                )
-            curve = [(b, bounds.delay_upper_bound(b, mu, drift)[1]) for b in thresholds]
-            print(f"mu = {mu:.6g} ({mu_label}); post drift = {drift:.6g} ({drift_label})")
-            print("delay bound is asymptotic (leading order in n0)")
+        curve, bound_inputs = _sweep_bounds(config, thresholds, trunc.level,
+                                            level_metrics[0]["drift"]["mean"])
+    scanned = time.perf_counter()
+
+    for name, report in sweeps.items():
+        detector.write_sweep_csv(out_dir / name, report)
+    outputs = list(sweeps)
+    if config.bounds is not None:
         bounds_path = out_dir / "bounds.csv"
         bounds.write_bound_csv(bounds_path, curve)
         outputs.append(bounds_path.name)
+    written = time.perf_counter()
 
-    for row in rows:
+    metrics = {
+        "stages": {
+            "simulate": _stage(simulated - started, states=int(states.shape[0])),
+            "score": _stage(scored - simulated, increments=len(increments)),
+            "scan": _stage(scanned - scored, increments=len(increments)),
+            "write": _stage(written - scanned, rows=len(thresholds) * len(outputs)),
+        },
+        "truncation_levels": level_metrics,
+    }
+    if config.bounds is not None:
+        metrics["bounds"] = bound_inputs
+    metrics_path = out_dir / "metrics.json"
+    _write_json(metrics_path, metrics)
+    outputs.append(metrics_path.name)
+
+    for row in sweeps["sweep.csv"]:
         print(f"b={row.threshold:g} mean_run_length={row.mean_run_length:g} count={row.count}")
     return outputs
 

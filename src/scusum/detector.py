@@ -16,12 +16,22 @@ Long scans run through the numpy kernels in ``_kernels``. ``detector_update``
 is the one-step reference implementation they are property-tested against:
 the detect-and-reset scan behind ``run_detector`` and the run-length
 harnesses is bitwise equal to it, and ``statistic_trace`` agrees to 1e-9.
+
+``threshold_sweep`` serves a whole threshold grid from one pass over the
+stream. Wherever the no-reset statistic W is <= 0, every detect-and-reset
+statistic, whatever its threshold, is <= 0 as well (rounding is monotone,
+and a reset only lowers the carry), so all of them restart together from the
+next increment. Between two such steps a threshold above the peak of W sees
+exactly W and no alarm. Each threshold's scan therefore runs only over the
+excursions of W that reach it, and its intervals and residual are bitwise
+those of ``measure_false_alarms`` at that threshold.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +46,7 @@ __all__ = [
     "DetectorState",
     "RunLengthReport",
     "SweepRow",
+    "SweepReport",
     "truncate",
     "detector_update",
     "run_detector",
@@ -108,21 +119,22 @@ def detector_update(state: DetectorState, increment: float, config: DetectorConf
     return DetectorState(statistic=w, time=state.time + 1, alarmed=w >= config.threshold)
 
 
-def run_detector(increments, config: DetectorConfig) -> int | None:
-    """Smallest n (1-based) with W_n >= threshold, or None if never reached."""
+def _finite(increments) -> np.ndarray:
     increments = np.asarray(increments, dtype=np.float64)
     if not np.all(np.isfinite(increments)):
         raise NumericsError("non-finite detector increment")
-    intervals, _ = _kernels.run_lengths(increments, config.threshold, config.truncation.clip)
+    return increments
+
+
+def run_detector(increments, config: DetectorConfig) -> int | None:
+    """Smallest n (1-based) with W_n >= threshold, or None if never reached."""
+    intervals, _ = _kernels.run_lengths(_finite(increments), config.threshold, config.truncation.clip)
     return int(intervals[0]) if intervals.size else None
 
 
 def statistic_trace(increments, truncation: TruncationSpec = TruncationSpec.none()) -> np.ndarray:
     """Full W_n series without resets (for traces and threshold calibration)."""
-    increments = np.asarray(increments, dtype=np.float64)
-    if not np.all(np.isfinite(increments)):
-        raise NumericsError("non-finite detector increment")
-    return _kernels.cusum_trace(increments, truncation.clip)
+    return _kernels.cusum_trace(_finite(increments), truncation.clip)
 
 
 @dataclass(frozen=True)
@@ -147,11 +159,8 @@ class RunLengthReport:
 
 
 def _scan_run_lengths(increments, config: DetectorConfig) -> RunLengthReport:
-    increments = np.asarray(increments, dtype=np.float64)
-    if not np.all(np.isfinite(increments)):
-        raise NumericsError("non-finite detector increment")
     intervals, residual = _kernels.run_lengths(
-        increments, config.threshold, config.truncation.clip
+        _finite(increments), config.threshold, config.truncation.clip
     )
     return RunLengthReport.from_intervals(intervals, residual)
 
@@ -182,21 +191,41 @@ class SweepRow:
     count: int
 
 
-def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationSpec.none()) -> list[SweepRow]:
-    """Run the detect-and-reset harness once per threshold over one stream.
+@dataclass(frozen=True)
+class SweepReport(Sequence):
+    """The rows of a threshold sweep, one per threshold in increasing order.
 
-    ``stream`` is an increment array or a zero-argument callable producing
-    one (so sweeps can share a replayed buffer or draw fresh data).
+    ``peak_statistic`` is the largest value of the no-reset statistic over the
+    stream (-inf for an empty stream): a threshold above it raises no alarm.
+    """
+
+    rows: tuple[SweepRow, ...]
+    peak_statistic: float
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationSpec.none()) -> SweepReport:
+    """The detect-and-reset harness at every threshold of a grid, over one stream.
+
+    ``stream`` is an increment array; one pass over it serves every
+    threshold, and each row equals ``measure_false_alarms`` at its threshold.
     """
     thresholds = [float(b) for b in thresholds]
     if any(b2 <= b1 for b1, b2 in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
-    rows = []
     for b in thresholds:
-        increments = stream() if callable(stream) else stream
-        report = _scan_run_lengths(increments, DetectorConfig(threshold=b, truncation=truncation))
+        DetectorConfig(threshold=b, truncation=truncation)  # rejects b <= 0
+    runs, peak = _kernels.sweep_run_lengths(_finite(stream), thresholds, truncation.clip)
+    rows = []
+    for b, (intervals, residual) in zip(thresholds, runs):
+        report = RunLengthReport.from_intervals(intervals, residual)
         rows.append(SweepRow(threshold=b, mean_run_length=report.mean, count=report.count))
-    return rows
+    return SweepReport(rows=tuple(rows), peak_statistic=peak)
 
 
 def score_increments(field_p: ScoreField, field_q: ScoreField, states) -> np.ndarray:
@@ -222,7 +251,7 @@ def write_trace_csv(path, increments, trace, first_time: int = 1) -> None:
             _textio.write_rows(fh, [f"{n},{row}" for n, row in zip(times, rows)])
 
 
-def write_sweep_csv(path, rows: list[SweepRow]) -> None:
+def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
     """Sweep summary: columns threshold, mean_run_length, count."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -184,6 +184,13 @@ class MonteCarloEstimate:
     std_error: float
     count: int
 
+    @classmethod
+    def from_values(cls, values) -> "MonteCarloEstimate":
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return cls(mean=float(np.mean(values)), std_error=se, count=n)
+
     def __float__(self) -> float:
         return self.mean
 
@@ -232,12 +239,6 @@ def score_differences(field_p: ScoreField, field_q: ScoreField, pairs) -> np.nda
     return hyvarinen_scores(field_p, pairs) - hyvarinen_scores(field_q, pairs)
 
 
-def _mc_estimate(values: np.ndarray) -> MonteCarloEstimate:
-    n = values.size
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return MonteCarloEstimate(mean=float(np.mean(values)), std_error=se, count=n)
-
-
 def estimate_fisher_divergence(field_p: ScoreField, field_q: ScoreField, samples) -> MonteCarloEstimate:
     """Monte-Carlo D_F = 0.5 * E||score_p - score_q||^2 over given pairs.
 
@@ -251,7 +252,7 @@ def estimate_fisher_divergence(field_p: ScoreField, field_q: ScoreField, samples
         batch.x_next, batch.x_prev
     )
     values = 0.5 * np.einsum("ij,ij->i", diff, diff)
-    return _mc_estimate(values)
+    return MonteCarloEstimate.from_values(values)
 
 
 def estimate_drift(field_p: ScoreField, field_q: ScoreField, pairs) -> MonteCarloEstimate:
@@ -263,7 +264,7 @@ def estimate_drift(field_p: ScoreField, field_q: ScoreField, pairs) -> MonteCarl
     batch = PairBatch.coerce(pairs)
     if len(batch) == 0:
         raise ValueError("empty pair stream")
-    return _mc_estimate(score_differences(field_p, field_q, batch))
+    return MonteCarloEstimate.from_values(score_differences(field_p, field_q, batch))
 
 
 def check_divergence_consistency(

@@ -12,6 +12,8 @@ import pytest
 
 from scusum import cli
 from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from scusum.detector import TruncationSpec, score_increments, statistic_trace
+from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -247,6 +249,40 @@ class TestDetect:
         code, _ = run(tmp_path, "detect", payload)
         assert code == EXIT_USAGE
 
+    def test_missing_kernel_rejected_before_models_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_model.bin")
+        payload = {
+            "models": {"pre": missing, "post": missing},
+            "kernels": {"post": SMALL_POST},
+            "data": {"simulate": {"length": 50, "seed": 0}},
+            "detector": {"threshold": 10.0},
+        }
+        code, _ = run(tmp_path, "detect", payload)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: data.simulate requires kernels.pre"
+
+    def test_change_point_checked_before_models_are_read(self, tmp_path, capsys):
+        payload = {
+            "models": {"pre": str(tmp_path / "no_such_model.bin"), "post": "closed_form"},
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "data": {"simulate": {"length": 50, "change_point": 80}},
+            "detector": {"threshold": 10.0},
+        }
+        code, _ = run(tmp_path, "detect", payload)
+        assert code == EXIT_USAGE
+        assert "change_point must be <= length" in capsys.readouterr().err
+
+    def test_closed_form_kernel_checked_before_models_are_read(self, tmp_path, capsys):
+        payload = {
+            "models": {"pre": str(tmp_path / "no_such_model.bin"), "post": "closed_form"},
+            "kernels": {"pre": SMALL_KERNEL},
+            "data": {"simulate": {"length": 50, "seed": 0}},
+            "detector": {"threshold": 10.0},
+        }
+        code, _ = run(tmp_path, "detect", payload)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: models.post = closed_form requires kernels.post"
+
 
 class TestSweep:
     def test_single_threshold_row(self, tmp_path):
@@ -291,6 +327,75 @@ class TestSweep:
         code, out = run(tmp_path, "sweep", payload)
         assert code == EXIT_OK
         assert (out / "bounds.csv").exists()
+
+    def test_metrics_record_stages_levels_and_bound_inputs(self, tmp_path, capsys):
+        payload = {
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "stream": {"law": "pre", "length": 5000, "seed": 9, "burn_in": 100},
+            "thresholds": [20.0, 40.0, 80.0],
+            "truncation": 20.0,
+            "compare_untruncated": True,
+            "bounds": {"mu": {"heuristic": {"factor": 2.05}}, "delta": "empirical"},
+        }
+        code, out = run(tmp_path, "sweep", payload)
+        assert code == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "sweep.csv", "sweep_untruncated.csv", "bounds.csv", "metrics.json"]
+        metrics = json.loads((out / "metrics.json").read_text())
+        stages = metrics["stages"]
+        assert list(stages) == ["simulate", "score", "scan", "write"]
+        assert all(stage["wall_s"] >= 0 for stage in stages.values())
+        assert stages["simulate"]["states"] == 5000
+        assert stages["score"]["increments"] == stages["scan"]["increments"] == 4999
+        assert stages["write"]["rows"] == 9  # three thresholds in each of three CSVs
+
+        spec_pre, spec_post = GaussianKernelSpec(**SMALL_KERNEL), GaussianKernelSpec(**SMALL_POST)
+        states = simulate_path(TrajectoryConfig(pre=spec_pre, length=5000, seed=9, burn_in=100))
+        increments = score_increments(closed_form_score(spec_pre), closed_form_score(spec_post), states)
+        levels = metrics["truncation_levels"]
+        assert [(lv["output"], lv["truncation"]) for lv in levels] == [
+            ("sweep.csv", 20.0), ("sweep_untruncated.csv", None)]
+        for lv, m in zip(levels, (20.0, math.inf)):
+            phi = np.clip(increments, -m, m)
+            assert lv["clipped_fraction"] == np.mean(np.abs(increments) > m)
+            assert lv["drift"] == {"mean": float(np.mean(phi)), "count": 4999,
+                                   "std_error": float(np.std(phi, ddof=1) / np.sqrt(4999))}
+            trace = statistic_trace(increments, TruncationSpec(None if m == math.inf else m))
+            assert lv["peak_statistic"] == pytest.approx(trace.max(), rel=1e-12)
+        assert levels[0]["clipped_fraction"] > 0 == levels[1]["clipped_fraction"]
+
+        assert metrics["bounds"] == {
+            "mu": {"value": 41.0, "provenance": "heuristic (2.05 * truncation level)"},
+            "delta": {"value": -levels[0]["drift"]["mean"],
+                      "provenance": "empirical mean of truncated increments"},
+        }
+        assert "empirical mean of truncated increments" in capsys.readouterr().out
+
+    def test_delay_law_records_post_drift(self, tmp_path):
+        payload = {
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "stream": {"law": "post", "length": 2000, "seed": 10, "burn_in": 100},
+            "thresholds": [100.0],
+            "bounds": {"mu": 1230.0, "post_drift": 3.5},
+        }
+        code, out = run(tmp_path, "sweep", payload)
+        assert code == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["bounds"] == {"mu": {"value": 1230.0, "provenance": "explicit"},
+                                     "post_drift": {"value": 3.5, "provenance": "explicit"}}
+        assert [lv["truncation"] for lv in metrics["truncation_levels"]] == [None]
+
+    def test_missing_kernel_rejected_before_models_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_model.bin")
+        payload = {
+            "models": {"pre": missing, "post": missing},
+            "kernels": {"pre": SMALL_KERNEL},
+            "stream": {"law": "post", "length": 100},
+            "thresholds": [10.0],
+        }
+        code, _ = run(tmp_path, "sweep", payload)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == "error: stream.law = post requires kernels.post"
 
 
 class TestBounds:

@@ -190,19 +190,43 @@ class TestThresholdSweep:
         assert rows[0].mean_run_length == direct.mean
         assert rows[0].count == direct.count
 
+    def test_rows_match_harness_at_every_threshold(self):
+        rng = np.random.default_rng(18)
+        s = rng.uniform(-1, 1.2, size=20_000)
+        trunc = TruncationSpec(0.8)
+        thresholds = [2.0, 5.0, 9.0, 20.0, 1e6]
+        report = threshold_sweep(s, thresholds, trunc)
+        assert len(report) == len(thresholds)
+        for row, b in zip(report, thresholds):
+            direct = measure_false_alarms(s, DetectorConfig(threshold=b, truncation=trunc))
+            assert (row.threshold, row.count) == (b, direct.count)
+            assert row.mean_run_length == direct.mean or direct.count == 0
+        assert report[-1].count == 0 and math.isnan(report[-1].mean_run_length)
+        assert report.peak_statistic == pytest.approx(statistic_trace(s, trunc).max(), rel=1e-12)
+
+    def test_rejects_non_positive_threshold_and_non_finite_increments(self):
+        with pytest.raises(ValueError, match="positive"):
+            threshold_sweep(np.ones(5), [0.0, 1.0])
+        with pytest.raises(NumericsError):
+            threshold_sweep(np.array([1.0, np.nan]), [1.0])
+
     def test_requires_increasing_thresholds(self):
         with pytest.raises(ValueError, match="increasing"):
             threshold_sweep(np.ones(10), [2.0, 1.0])
 
     def test_callable_stream_provider(self):
+        # one pass serves every threshold, so the stream is an increment array;
+        # a provider is rejected without being called
         calls = []
 
         def provider():
             calls.append(1)
             return np.ones(50)
 
-        rows = threshold_sweep(provider, [5.0, 10.0])
-        assert len(calls) == 2
+        with pytest.raises(TypeError):
+            threshold_sweep(provider, [5.0, 10.0])
+        assert calls == []
+        rows = threshold_sweep(provider(), [5.0, 10.0])
         assert [r.count for r in rows] == [10, 5]
 
 

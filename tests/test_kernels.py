@@ -186,3 +186,95 @@ def test_run_lengths_equal_detector_update_loop(stream, b, m):
     ref_intervals, ref_residual, _ = one_step_scan(stream, _config(b, m))
     assert intervals.tolist() == ref_intervals
     assert residual == ref_residual
+
+
+# ---------------------------------------------------------------------------
+# one pass for a threshold grid
+# ---------------------------------------------------------------------------
+
+def assert_sweep_equals_one_step_scans(stream, thresholds, m):
+    runs, peak = _kernels.sweep_run_lengths(np.array(stream, dtype=np.float64), thresholds, m)
+    assert len(runs) == len(thresholds)
+    for b, (intervals, residual) in zip(thresholds, runs):
+        ref_intervals, ref_residual, _ = one_step_scan(stream, _config(b, m))
+        assert intervals.dtype == np.int64
+        assert intervals.tolist() == ref_intervals
+        assert residual == ref_residual
+    _, _, stats = one_step_scan(stream, _config(math.inf, m))
+    assert peak == (stats.max() if len(stream) else -math.inf)
+    return runs
+
+
+_increments = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.lists(_increments, max_size=300),
+    thresholds=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=6, unique=True).map(sorted),
+    m=st.one_of(st.just(np.inf), st.floats(1e-3, 1e4)),
+)
+def test_sweep_run_lengths_equal_detector_update_loops(stream, thresholds, m):
+    assert_sweep_equals_one_step_scans(stream, thresholds, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), stream=st.lists(st.integers(-6, 6), min_size=1, max_size=200),
+       m=st.sampled_from([np.inf, 2.0, 4.0]))
+def test_sweep_run_lengths_at_attained_values(data, stream, m):
+    # thresholds equal to values the no-reset statistic takes exercise w >= b at ties
+    _, _, stats = one_step_scan(stream, _config(math.inf, m))
+    attained = sorted({float(w) for w in stats if w > 0})
+    if not attained:
+        attained = [1.0]
+    thresholds = sorted(data.draw(st.lists(st.sampled_from(attained), min_size=1, max_size=6,
+                                           unique=True)))
+    assert_sweep_equals_one_step_scans([float(v) for v in stream], thresholds, m)
+
+
+class TestSweepRunLengths:
+    def test_stream_that_never_regenerates(self):
+        # a post-change stream: W stays positive from the first step, one excursion
+        rng = np.random.default_rng(8)
+        stream = rng.uniform(-1.0, 3.0, size=5000)
+        stream[0] = 2.0
+        _, _, stats = one_step_scan(stream, _config(math.inf, np.inf))
+        assert np.all(stats > 0)
+        runs = assert_sweep_equals_one_step_scans(stream, [5.0, 50.0, 400.0, 3000.0], np.inf)
+        assert all(intervals.size for intervals, _ in runs)
+
+    def test_integer_increments_tie_at_threshold(self):
+        stream = [1.0, 2.0, -1.0, 3.0, -7.0, 2.0, 2.0, 1.0, 0.0, 5.0]
+        runs = assert_sweep_equals_one_step_scans(stream, [3.0, 5.0, 10.0], np.inf)
+        # W = 1, 3 (alarm at b=3), ...: the tie w == b alarms
+        assert runs[0][0].tolist()[0] == 2
+
+    def test_signed_zeros_and_clip_boundaries(self):
+        m = 2.0
+        stream = [0.0, -0.0, 2.0, -2.0, -0.0, 2.0, 0.0, 5.0, -5.0, -0.0, 2.0, 2.0, -2.0, 0.0]
+        assert_sweep_equals_one_step_scans(stream, [2.0, 4.0, 6.0], m)
+        assert_sweep_equals_one_step_scans([-0.0] * 5 + [0.0] * 5, [1e-3, 1.0], m)
+
+    def test_empty_stream(self):
+        runs, peak = _kernels.sweep_run_lengths(np.array([]), [1.0, 2.0])
+        assert [(intervals.tolist(), residual) for intervals, residual in runs] == [([], 0), ([], 0)]
+        assert peak == -math.inf
+
+    def test_thresholds_above_every_peak(self):
+        rng = np.random.default_rng(9)
+        stream = rng.uniform(-2.0, 1.0, size=3000)
+        runs = assert_sweep_equals_one_step_scans(stream, [1e6, 2e6], 1.5)
+        assert [(intervals.size, residual) for intervals, residual in runs] == [(0, 3000)] * 2
+
+    def test_matches_run_lengths_on_long_streams(self):
+        rng = np.random.default_rng(10)
+        for m in (np.inf, 2.5):
+            s = rng.uniform(-3, 2.8, size=50_000)
+            thresholds = [0.5, 4.0, 12.0, 30.0]
+            runs, _ = _kernels.sweep_run_lengths(s, thresholds, m)
+            for b, (intervals, residual) in zip(thresholds, runs):
+                ref_intervals, ref_residual = _kernels.run_lengths(s, b, m)
+                assert np.array_equal(intervals, ref_intervals)
+                assert residual == ref_residual
