@@ -17,7 +17,9 @@ Each command writes its outputs (CSV series; plotting is left to external
 tooling) and a ``manifest.json`` echoing the config as read, with every
 default filled in and no value rewritten, so any run can be reproduced from
 its manifest alone. ``train``, ``detect``, ``sweep`` and ``mocap`` also
-write a ``metrics.json`` with the wall time of each stage.
+write a ``metrics.json`` with the wall time and the process's peak resident
+set (its high-water mark so far) at the end of each stage; ``bounds`` writes
+the values it prints to ``bounds.json``.
 
 Exit codes: 0 success, 1 internal errors (a fault in a command, not in its
 input), 2 usage/config errors, 3 data errors (trajectory CSVs, AMC files,
@@ -82,13 +84,43 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _stage(seconds: float, **counts) -> dict:
-    """One stage's wall seconds, plus each item count and its rate."""
-    out = {"wall_s": seconds}
-    for name, count in counts.items():
-        out[name] = count
-        out[f"{name}_per_s"] = count / seconds if seconds > 0 else None
-    return out
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far (``VmHWM``) in MB, or None without /proc."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
+class _Stages:
+    """The ``stages`` record of a ``metrics.json``, one entry per stage in order.
+
+    A stage records its wall seconds, each item count with its rate, and
+    ``peak_rss_mb``: the process's high-water resident set (``VmHWM``) read
+    as the stage ends, or None where ``/proc`` is absent. It is the peak of
+    the whole process so far, not of the stage alone, so it never decreases
+    from one stage to the next, and the stage at which it rises is the stage
+    that set the run's peak.
+    """
+
+    def __init__(self):
+        self.records: dict[str, dict] = {}
+        self._last = time.perf_counter()
+
+    def end(self, name: str, **counts) -> None:
+        now = time.perf_counter()
+        seconds = now - self._last
+        record = {"wall_s": seconds}
+        for item, count in counts.items():
+            record[item] = count
+            record[f"{item}_per_s"] = count / seconds if seconds > 0 else None
+        record["peak_rss_mb"] = _peak_rss_mb()
+        self.records[name] = record
+        self._last = now
 
 
 def _change_point(value) -> float:
@@ -144,6 +176,7 @@ def _read_states_csv(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
+    stages = _Stages()
     data = config.data
     oracle = None
     if data.csv is not None:
@@ -153,6 +186,7 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
         oracle = markov.closed_form_score(data.kernel)
     else:
         raise ValueError("train needs data.kernel or data.csv")
+    stages.end("data", pairs=len(pairs))
 
     arch = scorenet.MlpArchitecture(
         input_dim=2 * pairs.dim,
@@ -168,6 +202,7 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
     params, history = scorenet.train(
         arch, pairs, config.training, standardize=config.standardize, on_epoch=record_epoch
     )
+    stages.end("fit", epochs=len(history))
 
     model_path = out_dir / "model.bin"
     scorenet.save_model(params, model_path)
@@ -177,11 +212,13 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
         writer.writerow(["epoch", "loss"])
         for i, loss in enumerate(history):
             writer.writerow([i, repr(loss)])
+    stages.end("write")
 
     print(f"trained {len(history)} epochs; final loss {history[-1]:.6g}")
-    metrics = {"pairs": len(pairs), "epochs": epochs}
+    metrics = {"pairs": len(pairs), "stages": stages.records, "epochs": epochs}
     if oracle is not None:
         report = scorenet.evaluate_accuracy(params, oracle, pairs)
+        stages.end("evaluate", pairs=len(pairs))
         print(
             f"accuracy vs closed-form score (in-sample): mse={report.mse:.6g} "
             f"var_scale={report.var_scale:.6g} rel_error={report.rel_error:.6g}"
@@ -233,7 +270,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
                                               _change_point(data.simulate.change_point))
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
     declared_cp = _change_point(config.change_point)
-    started = time.perf_counter()
+    stages = _Stages()
     if trajectory is None:
         states = _read_states_csv(data.csv)
     else:
@@ -244,16 +281,16 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
         raise ValueError(
             f"data dimension {states.shape[1]} does not match model dimension {field_pre.dim}"
         )
-    read = time.perf_counter()
+    stages.end("read", states=int(states.shape[0]))
 
     increments = detector.score_increments(field_pre, field_post, states)
-    scored = time.perf_counter()
+    stages.end("score", increments=len(increments))
 
     trunc = detector.TruncationSpec(config.detector.truncation)
     dconf = detector.DetectorConfig(threshold=config.detector.threshold, truncation=trunc)
     trace = detector.statistic_trace(increments, trunc)
     report = detector.measure_false_alarms(increments, dconf)
-    scanned = time.perf_counter()
+    stages.end("scan", increments=len(increments))
 
     trace_path = out_dir / "trace.csv"
     # increment i covers the pair (state_{i+1}, state_{i+2}), so times start at 2
@@ -270,16 +307,11 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
         summary["delays"] = [t - int(declared_cp) for t in alarm_times if t >= declared_cp]
     summary_path = out_dir / "alarms.json"
     _write_json(summary_path, summary)
-    written = time.perf_counter()
+    stages.end("write", rows=len(increments))
 
     metrics_path = out_dir / "metrics.json"
     _write_json(metrics_path, {
-        "stages": {
-            "read": _stage(read - started, states=int(states.shape[0])),
-            "score": _stage(scored - read, increments=len(increments)),
-            "scan": _stage(scanned - scored, increments=len(increments)),
-            "write": _stage(written - scanned, rows=len(increments)),
-        },
+        "stages": stages.records,
         "clipped_fraction": float(np.mean(np.abs(increments) > trunc.clip)),
         "peak_statistic": float(trace.max()),
     })
@@ -357,11 +389,11 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
     if spec is None:
         raise ValueError(f"stream.law = {law} requires kernels.{law}")
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
-    started = time.perf_counter()
+    stages = _Stages()
     states = markov.simulate_path(config.stream.trajectory(spec))
-    simulated = time.perf_counter()
+    stages.end("simulate", states=int(states.shape[0]))
     increments = detector.score_increments(field_pre, field_post, states)
-    scored = time.perf_counter()
+    stages.end("score", increments=len(increments))
 
     thresholds = [float(b) for b in config.thresholds]
     trunc = detector.TruncationSpec(config.truncation)
@@ -383,7 +415,7 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
     if config.bounds is not None:
         curve, bound_inputs = _sweep_bounds(config, thresholds, trunc.level,
                                             level_metrics[0]["drift"]["mean"])
-    scanned = time.perf_counter()
+    stages.end("scan", increments=len(increments))
 
     for name, report in sweeps.items():
         detector.write_sweep_csv(out_dir / name, report)
@@ -392,15 +424,10 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
         bounds_path = out_dir / "bounds.csv"
         bounds.write_bound_csv(bounds_path, curve)
         outputs.append(bounds_path.name)
-    written = time.perf_counter()
+    stages.end("write", rows=len(thresholds) * len(outputs))
 
     metrics = {
-        "stages": {
-            "simulate": _stage(simulated - started, states=int(states.shape[0])),
-            "score": _stage(scored - simulated, increments=len(increments)),
-            "scan": _stage(scanned - scored, increments=len(increments)),
-            "write": _stage(written - scanned, rows=len(thresholds) * len(outputs)),
-        },
+        "stages": stages.records,
         "truncation_levels": level_metrics,
     }
     if config.bounds is not None:
@@ -425,16 +452,27 @@ def cmd_bounds(config: BoundsConfig, out_dir: Path) -> list[str]:
     print(f"mu = {mu:.6g} ({mu_label})")
     lower = bounds.false_alarm_lower_bound(delta, mu, b)
     print(f"false-alarm lower bound at b={b:g}: {lower:.6g}")
+    values = {
+        "mu": {"value": mu, "provenance": mu_label},
+        "delta": delta,
+        "threshold": b,
+        "false_alarm_lower_bound": lower,
+    }
     outputs = []
     if config.post_drift is not None:
         n0, delay = bounds.delay_upper_bound(b, mu, float(config.post_drift))
         print(f"delay bound at b={b:g}: n0 = {n0}, 1 + n0 = {delay:g} (asymptotic)")
+        values["delay"] = {"post_drift": float(config.post_drift), "n0": n0,
+                           "upper_bound": delay, "asymptotic": True}
     if config.thresholds:
         curve = bounds.bound_curve(delta, mu, [float(t) for t in config.thresholds])
         path = out_dir / "bounds.csv"
         bounds.write_bound_csv(path, curve)
         outputs.append(path.name)
         print(f"wrote {path}")
+    values_path = out_dir / "bounds.json"
+    _write_json(values_path, values)
+    outputs.append(values_path.name)
     return outputs
 
 
@@ -453,14 +491,13 @@ def _parse_amc_file(path):
 
 
 def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
-    started = time.perf_counter()
+    stages = _Stages()
     pre_clip = _parse_amc_file(config.pre)
     post_clip = None if config.post is None else _parse_amc_file(config.post)
-    lines = sum(clip.n_lines for clip in (pre_clip, post_clip) if clip is not None)
-    parsed = time.perf_counter()
+    stages.end("parse", lines=sum(clip.n_lines for clip in (pre_clip, post_clip) if clip is not None))
     result = mocap.build_scenario(mocap.ScenarioSpec(
         pre_clip, post_clip, config.splice_index, config.stride, config.standardize))
-    built = time.perf_counter()
+    stages.end("build", frames=int(result.states.shape[0]))
 
     # each state row is formatted once; pair row i is state rows i and i+1
     states_path = out_dir / "states.csv"
@@ -479,7 +516,7 @@ def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
             _textio.write_rows(states_fh, rows)
             _textio.write_rows(pairs_fh, [a + "," + b for a, b in pairwise(chain(last, rows))])
             last = rows[-1:]
-    written = time.perf_counter()
+    stages.end("write", rows=int(result.states.shape[0]) + len(result.pairs))
 
     scenario = {
         "dimension": d,
@@ -494,13 +531,7 @@ def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, scenario)
     metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, {
-        "stages": {
-            "parse": _stage(parsed - started, lines=lines),
-            "build": _stage(built - parsed, frames=scenario["n_frames"]),
-            "write": _stage(written - built, rows=scenario["n_frames"] + scenario["n_pairs"]),
-        },
-    })
+    _write_json(metrics_path, {"stages": stages.records})
 
     print(
         f"scenario: {scenario['n_frames']} frames, dimension {d}, "

@@ -16,6 +16,14 @@ return a mean together with its Monte-Carlo standard error. Whether a pair
 stream is stationary is the caller's concern (see ``markov.simulate_path``
 for burn-in handling).
 
+Memory: the batch estimators (``hyvarinen_scores`` and therefore
+``score_differences`` and ``estimate_drift``, and
+``estimate_fisher_divergence``) read a stream in row blocks of about 1 MiB
+per (rows, d) float64 array (``_BLOCK_BYTES``) and write each block into one
+preallocated (n,) output. Beyond its input a call holds that output, one
+more (n,) array for a score difference, and the few block-sized temporaries
+a field builds; a field's own batch methods see one block at a time.
+
 Fields are immutable after construction and safe for concurrent reads.
 """
 
@@ -216,18 +224,40 @@ def hyvarinen_score(field: ScoreField, pair: TransitionPair) -> float:
     return 0.5 * float(s @ s) + div
 
 
+# Bytes in one (rows, d) float64 array of the score stage: blocks of
+# max(1, _BLOCK_BYTES // (8 d)) rows, 13,107 at d=10 and 2,114 at d=62.
+# Per-row arithmetic does not depend on the block, so closed-form fields give
+# the same bits for any block size; network fields move their tangent chunk
+# boundaries with it and agree to 1e-12 relative (see scorenet._STACK_BYTES).
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(batch: PairBatch):
+    """Slices covering the rows of ``batch``, ``_BLOCK_BYTES`` per (rows, d) array."""
+    rows = max(1, _BLOCK_BYTES // (8 * batch.dim))
+    return (slice(start, start + rows) for start in range(0, len(batch), rows))
+
+
 def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
-    """Vectorized Hyvarinen scores over a pair stream; shape (n,)."""
+    """Vectorized Hyvarinen scores over a pair stream; shape (n,).
+
+    The field's ``score_batch`` and ``divergence_batch`` are called once per
+    row block of ``_BLOCK_BYTES``, so memory does not grow with the stream.
+    """
     batch = PairBatch.coerce(pairs)
     if batch.dim != field.dim:
         raise ValueError(f"pair dimension {batch.dim} does not match field dimension {field.dim}")
-    s = field.score_batch(batch.x_next, batch.x_prev)
-    if not np.all(np.isfinite(s)):
-        raise NumericsError("non-finite score term in Hyvarinen score")
-    div = field.divergence_batch(batch.x_next, batch.x_prev)
-    if not np.all(np.isfinite(div)):
-        raise NumericsError("non-finite divergence term in Hyvarinen score")
-    return 0.5 * np.einsum("ij,ij->i", s, s) + div
+    out = np.empty(len(batch))
+    for block in _row_blocks(batch):
+        Y, X = batch.x_next[block], batch.x_prev[block]
+        s = field.score_batch(Y, X)
+        if not np.all(np.isfinite(s)):
+            raise NumericsError("non-finite score term in Hyvarinen score")
+        div = field.divergence_batch(Y, X)
+        if not np.all(np.isfinite(div)):
+            raise NumericsError("non-finite divergence term in Hyvarinen score")
+        out[block] = 0.5 * np.einsum("ij,ij->i", s, s) + div
+    return out
 
 
 def score_difference(field_p: ScoreField, field_q: ScoreField, pair) -> float:
@@ -236,7 +266,11 @@ def score_difference(field_p: ScoreField, field_q: ScoreField, pair) -> float:
 
 
 def score_differences(field_p: ScoreField, field_q: ScoreField, pairs) -> np.ndarray:
-    return hyvarinen_scores(field_p, pairs) - hyvarinen_scores(field_q, pairs)
+    """S_H(.; p) - S_H(.; q) over a pair stream; shape (n,)."""
+    batch = PairBatch.coerce(pairs)
+    out = hyvarinen_scores(field_p, batch)
+    out -= hyvarinen_scores(field_q, batch)
+    return out
 
 
 def estimate_fisher_divergence(field_p: ScoreField, field_q: ScoreField, samples) -> MonteCarloEstimate:
@@ -248,10 +282,11 @@ def estimate_fisher_divergence(field_p: ScoreField, field_q: ScoreField, samples
     batch = PairBatch.coerce(samples)
     if len(batch) == 0:
         raise ValueError("empty sample set")
-    diff = field_p.score_batch(batch.x_next, batch.x_prev) - field_q.score_batch(
-        batch.x_next, batch.x_prev
-    )
-    values = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    values = np.empty(len(batch))
+    for block in _row_blocks(batch):
+        Y, X = batch.x_next[block], batch.x_prev[block]
+        diff = field_p.score_batch(Y, X) - field_q.score_batch(Y, X)
+        values[block] = 0.5 * np.einsum("ij,ij->i", diff, diff)
     return MonteCarloEstimate.from_values(values)
 
 

@@ -122,35 +122,22 @@ def simulate_path(config: TrajectoryConfig) -> np.ndarray:
     reproducible from the config alone.
     """
     d = config.pre.dim
+    if config.length == 0:
+        return np.empty((0, d))
     rng = np.random.default_rng(config.seed)
     noise = rng.standard_normal((config.burn_in + config.length, d))
 
-    x = np.zeros(d)
-    if config.burn_in:
-        warm = _kernels.chain_steps(
-            x, noise[: config.burn_in], config.pre.alpha, config.pre.shift, config.pre.sigma
-        )
-        x = warm[-1]
-    body = noise[config.burn_in :]
-
-    if config.length == 0:
-        return np.empty((0, d))
-
+    # the burn-in and the pre-change segment are one call, so a short burn-in
+    # is stepped in lockstep blocks with the rest instead of a state at a time
     n_pre = config.length if config.change_point == INFINITE else int(config.change_point) - 1
-    parts = []
-    if n_pre > 0:
-        pre_states = _kernels.chain_steps(
-            x, body[:n_pre], config.pre.alpha, config.pre.shift, config.pre.sigma
-        )
-        parts.append(pre_states)
-        x = pre_states[-1]
-    if n_pre < config.length:
-        post = config.post
-        post_states = _kernels.chain_steps(
-            x, body[n_pre:], post.alpha, post.shift, post.sigma
-        )
-        parts.append(post_states)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    split = config.burn_in + n_pre
+    pre, post = config.pre, config.post
+    states = _kernels.chain_steps(np.zeros(d), noise[:split], pre.alpha, pre.shift, pre.sigma)
+    if split == noise.shape[0]:
+        return states[config.burn_in :]
+    x = states[-1] if split else np.zeros(d)
+    post_states = _kernels.chain_steps(x, noise[split:], post.alpha, post.shift, post.sigma)
+    return np.concatenate((states[config.burn_in :], post_states))
 
 
 def stationary_pairs(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scusum import cli
+from scusum import bounds, cli
 from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from scusum.detector import TruncationSpec, score_increments, statistic_trace
 from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
@@ -32,6 +32,24 @@ def run(tmp_path, command, payload, out="out", extra=()):
     out_dir = tmp_path / out
     code = main([command, "--config", config, "--out", str(out_dir), *extra])
     return code, out_dir
+
+
+def assert_stage_peaks(stages):
+    """Every stage records the process's high-water resident set, which never falls."""
+    peaks = [stage["peak_rss_mb"] for stage in stages.values()]
+    if not os.path.exists("/proc/self/status"):
+        assert peaks == [None] * len(peaks)
+        return
+    assert all(isinstance(peak, float) and peak > 0 for peak in peaks)
+    assert peaks == sorted(peaks)
+
+
+def test_peak_rss_is_null_without_proc(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    assert cli._peak_rss_mb() is None
 
 
 class TestSimulate:
@@ -134,6 +152,11 @@ class TestTrain:
         for e in metrics["epochs"]:
             assert e["wall_s"] > 0
             assert e["pairs_per_s"] == pytest.approx(payload["data"]["pairs"] / e["wall_s"])
+        stages = metrics["stages"]
+        assert list(stages) == ["data", "fit", "write", "evaluate"]
+        assert stages["data"]["pairs"] == stages["evaluate"]["pairs"] == payload["data"]["pairs"]
+        assert stages["fit"]["epochs"] == 4
+        assert_stage_peaks(stages)
         accuracy = metrics["accuracy"]
         assert accuracy["sample"].startswith("in-sample")
         assert accuracy["rel_error"] == pytest.approx(accuracy["mse"] / accuracy["var_scale"])
@@ -153,6 +176,7 @@ class TestTrain:
         assert code == EXIT_OK
         metrics = json.loads((out / "metrics.json").read_text())
         assert len(metrics["epochs"]) == 2 and "accuracy" not in metrics
+        assert list(metrics["stages"]) == ["data", "fit", "write"]
 
     @pytest.mark.parametrize("key, value", [
         ("eps", -1.0), ("eps", 0.0), ("eps", math.inf), ("eps", math.nan),
@@ -223,6 +247,7 @@ class TestDetect:
         assert all(stage["wall_s"] >= 0 for stage in stages.values())
         assert stages["read"]["states"] == 400
         assert stages["score"]["increments"] == stages["write"]["rows"] == 399
+        assert_stage_peaks(stages)
         rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         assert metrics["clipped_fraction"] == np.mean(np.abs(rows[:, 1]) > 10.0) > 0
         assert metrics["peak_statistic"] == rows[:, 2].max()
@@ -348,6 +373,7 @@ class TestSweep:
         assert stages["simulate"]["states"] == 5000
         assert stages["score"]["increments"] == stages["scan"]["increments"] == 4999
         assert stages["write"]["rows"] == 9  # three thresholds in each of three CSVs
+        assert_stage_peaks(stages)
 
         spec_pre, spec_post = GaussianKernelSpec(**SMALL_KERNEL), GaussianKernelSpec(**SMALL_POST)
         states = simulate_path(TrajectoryConfig(pre=spec_pre, length=5000, seed=9, burn_in=100))
@@ -408,6 +434,30 @@ class TestBounds:
         assert float(bound_line.rsplit(" ", 1)[1]) == pytest.approx(6.96649, abs=1e-4)
         assert "n0 = 1" in captured  # floor((4 + 2) / 5)
 
+    def test_writes_what_it_prints(self, tmp_path):
+        payload = {"delta": 0.5, "mu": {"heuristic": {"truncation_level": 4.0}},
+                   "threshold": 30.0, "post_drift": 2.5, "thresholds": [10.0, 20.0]}
+        code, out = run(tmp_path, "bounds", payload)
+        assert code == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "bounds.csv", "bounds.json"]
+        mu = bounds.heuristic_mu(4.0)
+        n0, delay = bounds.delay_upper_bound(30.0, mu, 2.5)
+        assert json.loads((out / "bounds.json").read_text()) == {
+            "mu": {"value": mu, "provenance": "heuristic (2.05 * truncation level)"},
+            "delta": 0.5,
+            "threshold": 30.0,
+            "false_alarm_lower_bound": bounds.false_alarm_lower_bound(0.5, mu, 30.0),
+            "delay": {"post_drift": 2.5, "n0": n0, "upper_bound": delay, "asymptotic": True},
+        }
+
+    def test_without_post_drift_writes_no_delay(self, tmp_path):
+        code, out = run(tmp_path, "bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0})
+        assert code == EXIT_OK
+        values = json.loads((out / "bounds.json").read_text())
+        assert "delay" not in values
+        assert values["false_alarm_lower_bound"] == bounds.false_alarm_lower_bound(1.0, 2.0, 4.0)
+
     def test_n0_example(self, tmp_path, capsys):
         payload = {"delta": 1.0, "mu": 10.0, "threshold": 100.0, "post_drift": 5.0}
         code, _ = run(tmp_path, "bounds", payload)
@@ -456,6 +506,7 @@ class TestMocap:
         assert stages["build"]["frames"] == 14
         assert stages["write"]["rows"] == 14 + 13
         assert stages["write"]["rows_per_s"] > 0
+        assert_stage_peaks(stages)
 
     def test_stride_halves_even_fixture(self, tmp_path):
         payload = {

@@ -1,6 +1,7 @@
 """Stopping rules, run-length harnesses, and their brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,21 @@ class TestSyntheticStreams:
 
     def test_score_increment_count(self, closed_form_fields, pre_increments):
         assert len(pre_increments) == 20_000 - 1
+
+
+def test_score_increments_memory_does_not_grow_with_the_stream(closed_form_fields):
+    # the score stage works in row blocks: one (n,) output per field and about
+    # 1 MiB per (rows, d) temporary, where whole-stream temporaries took 32 MB
+    fp, fq = closed_form_fields
+    states = simulate_path(TrajectoryConfig(pre=PRE, length=200_001, seed=73))
+    tracemalloc.start()
+    try:
+        increments = score_increments(fp, fq, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert increments.shape == (200_000,) and increments.nbytes == 1_600_000
+    assert peak < 8_000_000
 
 
 class TestCsvOutputs:

@@ -1,9 +1,13 @@
 """Score fields, Hyvarinen scores, Fisher divergence, and drift estimators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scusum import scorenet
+from scusum import fields, markov, scorenet
 from scusum.exceptions import NumericsError
 from scusum.fields import (
     GaussianScoreField,
@@ -16,6 +20,7 @@ from scusum.fields import (
     hyvarinen_score,
     hyvarinen_scores,
     score_difference,
+    score_differences,
 )
 
 
@@ -84,6 +89,119 @@ class TestHyvarinenScore:
 
         with pytest.raises(NumericsError, match="divergence"):
             hyvarinen_score(BrokenDiv(), TransitionPair(np.zeros(1), np.zeros(1)))
+
+
+# ---------------------------------------------------------------------------
+# row blocks: every block size gives the one-block result
+# ---------------------------------------------------------------------------
+
+def block_budgets(n, d):
+    """``_BLOCK_BYTES`` values giving 1, 2, n - 1, n and n + 1 rows per block."""
+    return [rows * 8 * d for rows in sorted({1, 2, max(1, n - 1), n, n + 1})]
+
+
+def blocked(budget, fn, *args):
+    with mock.patch.object(fields, "_BLOCK_BYTES", budget):
+        return fn(*args)
+
+
+def closed_form_fields(d, seed=None):
+    pre = markov.GaussianKernelSpec(dim=d, alpha=0.3, sigma=0.3, shift=0.2)
+    post = markov.GaussianKernelSpec(dim=d, alpha=0.6, sigma=0.5, shift=0.9)
+    return markov.closed_form_score(pre), markov.closed_form_score(post)
+
+
+def network_fields(d, seed):
+    arch = scorenet.MlpArchitecture(input_dim=2 * d, hidden_widths=(8, 8), output_dim=d)
+    return (scorenet.as_score_field(scorenet.init_params(arch, seed)),
+            scorenet.as_score_field(scorenet.init_params(arch, seed + 1)))
+
+
+def random_pairs(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return PairBatch(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+
+
+def score_stage(field_p, field_q, pairs):
+    """Every blocked entry point: scores, score differences, Fisher mean and SE."""
+    est = estimate_fisher_divergence(field_p, field_q, pairs)
+    return (hyvarinen_scores(field_p, pairs), score_differences(field_p, field_q, pairs),
+            np.array([est.mean, est.std_error]))
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_close(a, b):
+    # network fields move their tangent chunk boundaries with the block; a
+    # score difference near zero keeps the absolute error of its two terms,
+    # so the scale is the array's largest value
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("make_fields, agree", [
+        (closed_form_fields, assert_bitwise), (network_fields, assert_close),
+    ], ids=["closed_form", "network"])
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 5), seed=st.integers(0, 2**31))
+    def test_every_block_size_gives_the_one_block_result(self, make_fields, agree, n, d, seed):
+        fp, fq = make_fields(d, seed)
+        pairs = random_pairs(n, d, seed)
+        one = score_stage(fp, fq, pairs)
+        assert_bitwise(one[1], one[0] - hyvarinen_scores(fq, pairs))
+        for budget in block_budgets(n, d):
+            for got, want in zip(blocked(budget, score_stage, fp, fq, pairs), one):
+                agree(got, want)
+
+    def test_default_block_rows(self):
+        assert fields._BLOCK_BYTES // (8 * 10) == 13_107
+        assert fields._BLOCK_BYTES // (8 * 62) == 2_114
+
+    def test_network_field_scores_each_block_through_the_public_batch_api(self):
+        fp, _ = network_fields(3, 0)
+        pairs = random_pairs(10, 3, 0)
+        with mock.patch.object(scorenet, "forward_batch", wraps=scorenet.forward_batch) as fwd, \
+                mock.patch.object(scorenet, "divergence_batch", wraps=scorenet.divergence_batch) as div:
+            blocked(4 * 8 * 3, hyvarinen_scores, fp, pairs)
+        assert [len(c.args[1]) for c in fwd.call_args_list] == [4, 4, 2]
+        assert [len(c.args[1]) for c in div.call_args_list] == [4, 4, 2]
+
+    @pytest.mark.parametrize("term, message", [
+        ("score", "non-finite score term in Hyvarinen score"),
+        ("divergence", "non-finite divergence term in Hyvarinen score"),
+    ])
+    @pytest.mark.parametrize("rows", [1, 2, 6, 7, 8])
+    def test_non_finite_term_in_last_block_raises(self, term, message, rows):
+        n, d = 7, 2
+        base, _ = closed_form_fields(d)
+
+        class LastRowBroken(ScoreField):
+            dim = d
+
+            def score(self, y, x):
+                raise AssertionError("batch path only")
+
+            def divergence(self, y, x):
+                raise AssertionError("batch path only")
+
+            def score_batch(self, Y, X):
+                s = base.score_batch(Y, X)
+                if term == "score" and np.any(Y[:, 0] == 99.0):
+                    s[Y[:, 0] == 99.0] = np.nan
+                return s
+
+            def divergence_batch(self, Y, X):
+                div = base.divergence_batch(Y, X)
+                if term == "divergence":
+                    div[Y[:, 0] == 99.0] = np.inf
+                return div
+
+        pairs = random_pairs(n, d, 3)
+        pairs.x_next[-1, 0] = 99.0
+        with pytest.raises(NumericsError, match=f"^{message}$"):
+            blocked(rows * 8 * d, hyvarinen_scores, LastRowBroken(), pairs)
 
 
 class TestScoreDifference:

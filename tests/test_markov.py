@@ -170,6 +170,34 @@ class TestSimulatePath:
         assert not np.array_equal(changed[3000:], plain[3000:])
 
 
+def one_step_path(config):
+    """States X_1..X_length stepped one state at a time from the documented noise draw."""
+    d = config.pre.dim
+    noise = np.random.default_rng(config.seed).standard_normal((config.burn_in + config.length, d))
+    x, states = np.zeros(d), []
+    for t, z in enumerate(noise):
+        n = t - config.burn_in + 1  # 1-based index of the state this step emits
+        spec = config.post if n >= config.change_point else config.pre
+        x = x - spec.alpha * x + spec.shift * np.tanh(x) + spec.sigma * z
+        if n >= 1:
+            states.append(x)
+    return np.array(states).reshape(config.length, d)
+
+
+@pytest.mark.parametrize("change_point", [math.inf, 1, 1500])
+@pytest.mark.parametrize("burn_in", [0, 1, 1023, 1024, 1025])
+def test_simulate_path_bitwise_equal_to_one_step_loop(burn_in, change_point):
+    # burn-in and pre-change steps share one lockstep call, so the burn-in
+    # lengths around the block size move where the blocks fall
+    pre = GaussianKernelSpec(dim=3, alpha=0.3, sigma=0.3, shift=0.2)
+    post = GaussianKernelSpec(dim=3, alpha=0.6, sigma=0.5, shift=0.9)
+    config = TrajectoryConfig(pre=pre, post=post, change_point=change_point, length=3000,
+                              seed=burn_in, burn_in=burn_in)
+    states = simulate_path(config)
+    assert states.shape == (3000, 3)
+    assert np.array_equal(states.view(np.int64), one_step_path(config).view(np.int64))
+
+
 class TestClosedFormScore:
     def test_zero_score_at_mean(self):
         field = closed_form_score(PRE)
