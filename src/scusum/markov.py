@@ -135,9 +135,13 @@ def simulate_path(config: TrajectoryConfig) -> np.ndarray:
     states = _kernels.chain_steps(np.zeros(d), noise[:split], pre.alpha, pre.shift, pre.sigma)
     if split == noise.shape[0]:
         return states[config.burn_in :]
-    x = states[-1] if split else np.zeros(d)
-    post_states = _kernels.chain_steps(x, noise[split:], post.alpha, post.shift, post.sigma)
-    return np.concatenate((states[config.burn_in :], post_states))
+    # the pre-change noise is spent: the pre-change states take its rows and
+    # the post-change states the rest, so no third array holds the whole path
+    noise[:split] = states
+    del states
+    x = noise[split - 1] if split else np.zeros(d)
+    noise[split:] = _kernels.chain_steps(x, noise[split:], post.alpha, post.shift, post.sigma)
+    return noise[config.burn_in :]
 
 
 def stationary_pairs(

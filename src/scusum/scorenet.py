@@ -24,6 +24,12 @@ Everything here is plain numpy in double precision:
   one GEMV; and writes the (B, d, h) tangent stacks into buffers that one
   ``train`` or ``divergence_batch`` call reuses for all its minibatches or
   chunks and drops when it returns;
+* one byte budget, ``_STACK_BYTES`` (1 MiB), sizes every array of a pass
+  over many pairs: ``forward_batch`` runs its rows in chunks whose
+  (rows, width) activations fit it, and the tangent passes of
+  ``divergence_batch``, ``surrogate_loss`` and ``loss_gradient`` in chunks
+  whose (rows, d, width) stacks fit it, so memory does not grow with the
+  number of pairs;
 * optimization is deterministic given the config seed (init and shuffling
   use separate PCG64 streams spawned from it).
 
@@ -290,7 +296,7 @@ class _TangentStacks:
     them for each of its minibatches or chunks; a slot's buffer is allocated
     on first use, and a batch of B <= rows pairs uses its leading part. They
     are dropped with the call. ``for_pairs`` sizes them for the chunks of an
-    n-pair call: at most ``_STACK_BYTES`` per stack, 66 rows at d=62 and
+    n-pair call: at most ``_STACK_BYTES`` per stack, 16 rows at d=62 and
     width 128.
 
     With L hidden layers and ``memory`` (gradients wanted), slot l holds
@@ -309,7 +315,7 @@ class _TangentStacks:
     def for_pairs(cls, arch: MlpArchitecture, n: int, memory: bool) -> "_TangentStacks":
         """Stacks for an n-pair call taken ``rows`` pairs at a time."""
         row_bytes = arch.output_dim * max(arch.hidden_widths, default=1) * 8
-        return cls(arch, min(n, max(1, _STACK_BYTES // row_bytes)), memory)
+        return cls(arch, max(1, min(n, _STACK_BYTES // row_bytes)), memory)
 
     def __call__(self, slot: int, batch: int, width: int) -> np.ndarray:
         if slot not in self._flat:
@@ -376,19 +382,66 @@ def _inv_s(params: MlpParameters):
     return np.ones(params.arch.output_dim)
 
 
-def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
-    """Network outputs for (n, d) batches of y and x; raw coordinates."""
+# Bytes in one float64 array of a network pass, the one budget every pass over
+# many pairs sizes its chunks from:
+#
+# * forward_batch takes max(1, _STACK_BYTES // (8 * max(2d, widths))) rows
+#   at a time, so an input or (rows, width) activation stays within it, 1024
+#   rows at width 128;
+# * divergence_batch, surrogate_loss and loss_gradient take
+#   max(1, _STACK_BYTES // (8 * d * max width)) rows at a time for their
+#   (rows, d, width) tangent stacks, 102 at d=10 and 16 at d=62 for width
+#   128. A divergence or loss chunk holds two stacks, a gradient chunk 2L for
+#   L hidden layers.
+#
+# A stack stays in cache while the d tangent passes stream it, and memory
+# does not grow with the pairs. One divergence_batch call, 128x3 network,
+# median of 5 alternating fresh processes, on 2 vCPUs with numpy 2.4.6 and
+# OpenBLAS (about +-10% run to run):
+#
+#     d    pairs   ms at 4 / 2 / 1 MiB    max RSS at 4 / 2 / 1 MiB, MB
+#     10   20000   395 / 412 / 401        54.8 / 46.8 / 43.1
+#     31    4096   208 / 211 / 228        51.2 / 44.8 / 41.6
+#     62    4096   422 / 407 / 410        53.0 / 46.7 / 43.4
+#
+# The rows move results in the last bits only (the GEMM and GEMV kernels
+# treat tail rows differently): chunkings agree to 1e-12 relative, not bit
+# for bit.
+_STACK_BYTES = 1 << 20
+
+
+def _pair_arrays(params: MlpParameters, Y, X):
+    """(n, d) float64 views of Y and X; both must have d columns and the same rows."""
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     d = params.arch.output_dim
     if Y.shape[1] != d or X.shape[1] != d:
         raise ValueError(f"inputs must have dimension {d}")
-    a = _net_inputs(params, Y, X)
-    n_hidden = len(params.arch.hidden_widths)
-    for l in range(n_hidden):
-        a = silu(a @ params.weights[l] + params.biases[l])
-    psi = a @ params.weights[-1] + params.biases[-1]
-    return psi * _inv_s(params)
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError(f"Y has {Y.shape[0]} rows but X has {X.shape[0]}")
+    return Y, X
+
+
+def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
+    """Network outputs for (n, d) batches of y and x; raw coordinates.
+
+    Rows go through the network in chunks of ``_STACK_BYTES`` per (rows,
+    width) activation and land in one (n, d) output.
+    """
+    Y, X = _pair_arrays(params, Y, X)
+    arch = params.arch
+    rows = max(1, _STACK_BYTES // (8 * max((arch.input_dim, *arch.hidden_widths))))
+    inv_s = _inv_s(params)
+    out = np.empty(Y.shape)
+    for start in range(0, Y.shape[0], rows):
+        block = slice(start, start + rows)
+        a = _net_inputs(params, Y[block], X[block])
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            a = silu(a @ w + b)
+        psi = np.matmul(a, params.weights[-1], out=out[block])
+        psi += params.biases[-1]
+        psi *= inv_s
+    return out
 
 
 def forward(params: MlpParameters, y, x) -> np.ndarray:
@@ -397,37 +450,16 @@ def forward(params: MlpParameters, y, x) -> np.ndarray:
     return forward_batch(params, as_state(y, d)[None, :], as_state(x, d)[None, :])[0]
 
 
-# Bytes in one (rows, d, width) float64 tangent stack of divergence_batch,
-# surrogate_loss and loss_gradient: they take their pairs
-# rows = max(1, _STACK_BYTES // (d * max width * 8)) at a time, so a stack
-# stays in cache (L2 is 2 MiB per core where this was measured) while the d
-# tangent passes stream it, and memory does not grow with the pairs. A
-# divergence or loss chunk holds two stacks, a gradient chunk 2L for L
-# hidden layers. One divergence_batch call, 128x3 network, median of 7, on
-# 2 vCPUs with numpy 2.4.6 and OpenBLAS:
-#
-#     d    pairs   rows   ms at 2048 rows -> at these rows   max RSS, MB
-#     10   20000    409    679 -> 552                          122 -> 58
-#     31    4096    132    381 -> 256                          199 -> 53
-#     62    4096     66    658 -> 475                          327 -> 57
-#
-# The rows move results in the last bits only (the GEMV treats tail rows
-# differently): chunkings agree to 1e-12 relative, not bit for bit.
-_STACK_BYTES = 4 << 20
-
-
 def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     """Exact sum_i d(psi_i)/dy_i per row, via d tangent passes."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    a0 = _net_inputs(params, Y, X)
+    Y, X = _pair_arrays(params, Y, X)
     inv_s = _inv_s(params)
-    n = a0.shape[0]
+    n = Y.shape[0]
     stacks = _TangentStacks.for_pairs(params.arch, n, memory=False)
     out = np.empty(n)
     for start in range(0, n, stacks.rows):
         block = slice(start, start + stacks.rows)
-        _, t, _ = _tangent_pass(params, a0[block], inv_s, stacks)
+        _, t, _ = _tangent_pass(params, _net_inputs(params, Y[block], X[block]), inv_s, stacks)
         out[block] = _divergence(params, t, inv_s)
     return out
 

@@ -257,6 +257,19 @@ class TestFisherDivergence:
         est = estimate_fisher_divergence(p, q, PairBatch(X, Y))
         assert est.mean == pytest.approx(expected, rel=0.02)
 
+    def test_constant_mean_shift_is_exact(self):
+        # unit variances, means differing by theta: the score difference is
+        # -theta in every coordinate, so each term is 0.5 * d * theta^2
+        d, theta = 7, 0.75
+        rng = np.random.default_rng(6)
+        batch = PairBatch(rng.standard_normal((5000, d)), rng.standard_normal((5000, d)))
+        est = estimate_fisher_divergence(
+            GaussianScoreField(lambda x: x, sigma=1.0, dim=d),
+            GaussianScoreField(lambda x: x + theta, sigma=1.0, dim=d),
+            batch,
+        )
+        assert abs(est.mean - 0.5 * d * theta**2) <= 1e-12 * (0.5 * d * theta**2)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         p = GaussianScoreField(np.tanh, sigma=0.5, dim=2)

@@ -1,6 +1,7 @@
 """Synthetic chain: mean map, stepping, paths, oracle score, exact LLR."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ def test_simulate_path_bitwise_equal_to_one_step_loop(burn_in, change_point):
     states = simulate_path(config)
     assert states.shape == (3000, 3)
     assert np.array_equal(states.view(np.int64), one_step_path(config).view(np.int64))
+
+
+def test_change_point_path_is_written_over_the_spent_noise():
+    # noise is 16 MB and the larger segment's states 8 MB; concatenating the
+    # two segments into a third array took 48.9 MB
+    config = TrajectoryConfig(pre=PRE, post=POST, change_point=100_001, length=200_000, seed=5)
+    tracemalloc.start()
+    try:
+        states = simulate_path(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (200_000, 10)
+    assert peak < 28_000_000
 
 
 class TestClosedFormScore:

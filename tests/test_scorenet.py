@@ -1,6 +1,7 @@
 """Score network: forward/divergence exactness, gradients, training, I/O."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -127,6 +128,44 @@ class TestForward:
         stacked = forward_batch(params, batch.x_next, batch.x_prev)
         singles = [forward(params, y, x) for y, x in zip(batch.x_next, batch.x_prev)]
         assert np.allclose(stacked, singles)
+
+
+    @pytest.mark.parametrize("call", [forward_batch, scorenet.divergence_batch])
+    def test_row_count_mismatch_rejected(self, call):
+        # chunks slice Y and X alike, so unequal rows would be dropped silently
+        rng = np.random.default_rng(1)
+        params = init_params(tiny_arch(3, (6,)), 2)
+        with pytest.raises(ValueError, match="rows"):
+            call(params, rng.standard_normal((5, 3)), rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("call, shape", [(forward_batch, (0, 3)), (scorenet.divergence_batch, (0,))])
+    def test_zero_rows_give_an_empty_result(self, call, shape):
+        params = init_params(tiny_arch(3, (6,)), 2)
+        assert call(params, np.empty((0, 3)), np.empty((0, 3))).shape == shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 10]),
+        widths=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+        n=st.integers(2, 40),
+        rows=st.sampled_from(["1", "2", "n-1", "n", "n+1"]),
+        standardize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunks_agree_with_one_chunk(self, d, widths, n, rows, standardize, seed):
+        # forward_batch takes _STACK_BYTES // (8 * max(2d, widths)) rows at a time
+        rng = np.random.default_rng(seed)
+        params = init_params(tiny_arch(d, widths), seed)
+        if standardize:
+            params = standardized(params, rng)
+        batch = random_batch(rng, d, n)
+        row_bytes = 8 * max((2 * d, *widths))
+        with mock.patch.object(scorenet, "_STACK_BYTES", n * row_bytes):
+            ref = forward_batch(params, batch.x_next, batch.x_prev)
+        rows = {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1}[rows]
+        with mock.patch.object(scorenet, "_STACK_BYTES", rows * row_bytes):
+            out = forward_batch(params, batch.x_next, batch.x_prev)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDivergence:
@@ -339,9 +378,42 @@ class TestChunking:
         loss_gradient(params, batch)
         assert len(stacks) == 3
         for made, count in zip(stacks, (2, 2, 4)):  # two stacks, or 2L with gradients
-            assert 1 < made.rows < 5000
+            assert made.rows == 16  # 1 MiB // (62 * 128 * 8 B)
             assert len(made._flat) == count
             assert all(buf.nbytes <= scorenet._STACK_BYTES for buf in made._flat.values())
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPassMemory:
+    """A pass over many pairs holds its output and budget-sized chunks only;
+    whole-input (n, width) activations took 154 MB (forward_batch) and 42 MB
+    (hyvarinen_scores) here."""
+
+    @pytest.fixture(scope="class")
+    def net_and_pairs(self):
+        params = init_params(tiny_arch(10, (128, 128, 128)), 11)
+        return params, random_batch(np.random.default_rng(31), 10, 50_000)
+
+    def test_forward_batch(self, net_and_pairs):
+        params, batch = net_and_pairs
+        out, peak = _traced_peak(forward_batch, params, batch.x_next, batch.x_prev)
+        assert out.shape == (50_000, 10)
+        assert peak < 10_000_000
+
+    def test_hyvarinen_scores(self, net_and_pairs):
+        params, batch = net_and_pairs
+        out, peak = _traced_peak(hyvarinen_scores, as_score_field(params), batch)
+        assert out.shape == (50_000,)
+        assert peak < 10_000_000
 
 
 class TestTrain:
