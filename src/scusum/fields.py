@@ -23,10 +23,10 @@ per (rows, d) float64 array (``_BLOCK_BYTES``) and write each block into one
 preallocated (n,) output. Beyond its input a call holds that output, one
 more (n,) array for a score difference, and the few block-sized temporaries
 a field builds; a field's own batch methods see one block at a time. A
-network field (``scorenet``) keeps its own arrays within that size too: its
-passes take a block in chunks of ``scorenet._STACK_BYTES`` per activation or
-tangent stack, so its (rows, width) activations never reach width/d times
-the block.
+network field (``scorenet``) bounds its own arrays as well: its passes take
+a block in chunks of ``scorenet._STACK_BYTES`` per activation or tangent
+stack, so its (rows, width) activations never reach width/d times the
+block.
 
 Fields are immutable after construction and safe for concurrent reads.
 """
