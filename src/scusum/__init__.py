@@ -26,10 +26,8 @@ from .markov import (
     GaussianKernelSpec,
     TrajectoryConfig,
     closed_form_score,
-    log_likelihood_ratio,
     simulate_path,
     stationary_pairs,
-    step,
     transition_mean,
 )
 from .scorenet import (
@@ -51,8 +49,7 @@ from .detector import (
     RunLengthReport,
     TruncationSpec,
     detector_update,
-    measure_delays,
-    measure_false_alarms,
+    measure_run_lengths,
     run_detector,
     score_increments,
     statistic_trace,

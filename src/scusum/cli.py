@@ -146,7 +146,8 @@ def _read_states_csv(path) -> np.ndarray:
     """States of a trajectory CSV, every cell but the regime column read with ``float()``.
 
     A row whose field count differs from the header's, or with a malformed or
-    non-finite value, is rejected with its ``path:line``.
+    non-finite value, is rejected with its ``path:line``; a file with fewer
+    than two rows (one transition pair) with its path.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -166,8 +167,8 @@ def _read_states_csv(path) -> np.ndarray:
             if not all(map(math.isfinite, values)):
                 raise AmcError(f"{path}:{lineno}: non-finite value in trajectory row")
             rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: trajectory has no rows")
+    if len(rows) < 2:
+        raise AmcError(f"{path}: trajectory has {len(rows)} rows, need at least 2")
     return np.asarray(rows)
 
 
@@ -289,7 +290,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     trunc = detector.TruncationSpec(config.detector.truncation)
     dconf = detector.DetectorConfig(threshold=config.detector.threshold, truncation=trunc)
     trace = detector.statistic_trace(increments, trunc)
-    report = detector.measure_false_alarms(increments, dconf)
+    report = detector.measure_run_lengths(increments, dconf)
     stages.end("scan", increments=len(increments))
 
     trace_path = out_dir / "trace.csv"
@@ -399,7 +400,7 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
     trunc = detector.TruncationSpec(config.truncation)
     levels = {"sweep.csv": trunc}
     if config.compare_untruncated and trunc.level is not None:
-        levels["sweep_untruncated.csv"] = detector.TruncationSpec.none()
+        levels["sweep_untruncated.csv"] = detector.TruncationSpec()
     sweeps = {}
     level_metrics = []
     for name, level in levels.items():

@@ -96,6 +96,8 @@ def _load_section(cls, raw: dict, path: str, seed):
         else:
             raise ValueError(f"missing required config key '{here}'")
         built[f.name], echo[f.name] = _load(hints[f.name], value, here, seed)
+        if f.name == "seed" and value < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"{here} must be >= 0, got {value}")
     try:
         return cls(**built), echo
     except ValueError as err:  # the dataclass's own range checks
@@ -116,6 +118,11 @@ class StreamConfig:
     length: int
     seed: int = markov.TrajectoryConfig.seed
     burn_in: int = markov.TrajectoryConfig.burn_in
+    min_length: typing.ClassVar[int] = 2  # a scored stream needs one pair: two states
+
+    def __post_init__(self):
+        if self.length < self.min_length:
+            raise ValueError(f"length must be >= {self.min_length}, got {self.length}")
 
     def trajectory(self, pre, post=None, change_point=math.inf) -> markov.TrajectoryConfig:
         return markov.TrajectoryConfig(pre=pre, post=post, change_point=change_point,
@@ -133,6 +140,7 @@ class ChangeStreamConfig(StreamConfig):
 class SimulateConfig(ChangeStreamConfig):
     kernel: markov.GaussianKernelSpec
     post_kernel: markov.GaussianKernelSpec | None = None
+    min_length: typing.ClassVar[int] = 0  # a written trajectory may be empty
 
 
 @_section

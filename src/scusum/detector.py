@@ -24,7 +24,7 @@ and a reset only lowers the carry), so all of them restart together from the
 next increment. Between two such steps a threshold above the peak of W sees
 exactly W and no alarm. Each threshold's scan therefore runs only over the
 excursions of W that reach it, and its intervals and residual are bitwise
-those of ``measure_false_alarms`` at that threshold.
+those of ``measure_run_lengths`` at that threshold.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ __all__ = [
     "detector_update",
     "run_detector",
     "statistic_trace",
-    "measure_false_alarms",
-    "measure_delays",
+    "measure_run_lengths",
     "threshold_sweep",
     "score_increments",
     "write_trace_csv",
@@ -70,10 +69,6 @@ class TruncationSpec:
         if self.level is not None and not self.level > 0:
             raise ValueError("truncation level must be positive")
 
-    @classmethod
-    def none(cls) -> "TruncationSpec":
-        return cls(level=None)
-
     @property
     def clip(self) -> float:
         return math.inf if self.level is None else float(self.level)
@@ -82,7 +77,7 @@ class TruncationSpec:
 @dataclass(frozen=True)
 class DetectorConfig:
     threshold: float
-    truncation: TruncationSpec = field(default_factory=TruncationSpec.none)
+    truncation: TruncationSpec = field(default_factory=TruncationSpec)
 
     def __post_init__(self):
         if not self.threshold > 0:
@@ -132,7 +127,7 @@ def run_detector(increments, config: DetectorConfig) -> int | None:
     return int(intervals[0]) if intervals.size else None
 
 
-def statistic_trace(increments, truncation: TruncationSpec = TruncationSpec.none()) -> np.ndarray:
+def statistic_trace(increments, truncation: TruncationSpec = TruncationSpec()) -> np.ndarray:
     """Full W_n series without resets (for traces and threshold calibration)."""
     return _kernels.cusum_trace(_finite(increments), truncation.clip)
 
@@ -158,30 +153,21 @@ class RunLengthReport:
         return cls(intervals=intervals, mean=mean, count=len(intervals), residual=residual)
 
 
-def _scan_run_lengths(increments, config: DetectorConfig) -> RunLengthReport:
+def measure_run_lengths(increments, config: DetectorConfig) -> RunLengthReport:
+    """Alarm-to-alarm intervals of a detect-and-reset scan over ``increments``.
+
+    Each alarm records the interval since the previous alarm (or the stream
+    start) and resets the statistic to zero. Over a stream generated wholly
+    under the pre-change law the intervals are false-alarm run lengths, and
+    their mean estimates the mean time between false alarms. Over a stream
+    generated wholly under the post-change law (the change active from the
+    first sample) each interval is one detection delay, and the mean
+    estimates the expected delay at this threshold.
+    """
     intervals, residual = _kernels.run_lengths(
         _finite(increments), config.threshold, config.truncation.clip
     )
     return RunLengthReport.from_intervals(intervals, residual)
-
-
-def measure_false_alarms(increments, config: DetectorConfig) -> RunLengthReport:
-    """Detect-and-reset over a stream generated wholly under the pre-change law.
-
-    Each alarm records the interval since the previous alarm (or the stream
-    start) and resets the statistic to zero; the mean interval estimates the
-    mean time between false alarms.
-    """
-    return _scan_run_lengths(increments, config)
-
-
-def measure_delays(increments, config: DetectorConfig) -> RunLengthReport:
-    """Detect-and-reset over a stream generated wholly under the post-change law.
-
-    With the change active from the first sample, each interval is one
-    detection delay; the mean estimates the expected delay at this threshold.
-    """
-    return _scan_run_lengths(increments, config)
 
 
 @dataclass(frozen=True)
@@ -209,11 +195,11 @@ class SweepReport(Sequence):
         return len(self.rows)
 
 
-def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationSpec.none()) -> SweepReport:
+def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationSpec()) -> SweepReport:
     """The detect-and-reset harness at every threshold of a grid, over one stream.
 
     ``stream`` is an increment array; one pass over it serves every
-    threshold, and each row equals ``measure_false_alarms`` at its threshold.
+    threshold, and each row equals ``measure_run_lengths`` at its threshold.
     """
     thresholds = [float(b) for b in thresholds]
     if any(b2 <= b1 for b1, b2 in zip(thresholds, thresholds[1:])):

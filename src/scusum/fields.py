@@ -2,8 +2,10 @@
 
 A score field models the gradient of a conditional log-density in its first
 argument: ``score(y, x) ~ grad_y log p(y|x)`` together with its divergence
-``divergence(y, x) ~ sum_i d(score_i)/dy_i``. On top of that capability this
-module provides:
+``divergence(y, x) ~ sum_i d(score_i)/dy_i``. Fields are batch-first: each
+implements ``score_batch`` and ``divergence_batch`` over (n, d) arrays of
+rows (y, x), and the one-pair ``score`` and ``divergence`` of the base class
+are batches of one. On top of that capability this module provides:
 
 * the conditional Hyvarinen score  S_H(y, x) = 0.5*||score||^2 + divergence,
 * the score difference s = S_H(.; p) - S_H(.; q) between two models,
@@ -123,47 +125,43 @@ class PairBatch:
             return pairs
         if isinstance(pairs, tuple) and len(pairs) == 2:
             return cls(pairs[0], pairs[1])
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("empty pair collection")
-        if isinstance(pairs[0], TransitionPair):
-            return cls(
-                np.stack([p.x_prev for p in pairs]),
-                np.stack([p.x_next for p in pairs]),
-            )
-        raise TypeError("expected PairBatch, (X_prev, X_next) arrays, or TransitionPair sequence")
+        raise TypeError("expected PairBatch or (X_prev, X_next) arrays")
 
 
 class ScoreField(ABC):
     """Model of a conditional score grad_y log p(y|x) and its divergence.
 
-    Implementations must be read-only after construction. Batch methods have
-    looping defaults; override them when a vectorized form exists.
+    Implementations define the batch methods and must be read-only after
+    construction; ``score`` and ``divergence`` are batches of one.
     """
 
     dim: int
 
     @abstractmethod
-    def score(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Score vector at (y, x); shape (d,)."""
+    def score_batch(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Score vector per row (y, x); shape (n, d)."""
 
     @abstractmethod
-    def divergence(self, y: np.ndarray, x: np.ndarray) -> float:
-        """Trace of the Jacobian of the score with respect to y."""
-
-    def score_batch(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.score(y, x) for y, x in zip(Y, X)])
-
     def divergence_batch(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.array([self.divergence(y, x) for y, x in zip(Y, X)], dtype=np.float64)
+        """Trace of the Jacobian of the score with respect to y, per row; shape (n,)."""
+
+    def score(self, y, x) -> np.ndarray:
+        """Score vector at one pair (y, x); shape (d,)."""
+        y, x = as_state(y, self.dim), as_state(x, self.dim)
+        return self.score_batch(y[None, :], x[None, :])[0]
+
+    def divergence(self, y, x) -> float:
+        """Divergence at one pair (y, x)."""
+        y, x = as_state(y, self.dim), as_state(x, self.dim)
+        return float(self.divergence_batch(y[None, :], x[None, :])[0])
 
 
 class GaussianScoreField(ScoreField):
     """Exact score of a conditional Gaussian N(mean_fn(x), sigma^2 I).
 
     score(y, x) = -(y - mean_fn(x)) / sigma^2 and the divergence is the
-    constant -d / sigma^2. ``mean_fn`` must map (d,) -> (d,) and, for the
-    batch path, (n, d) -> (n, d) (elementwise maps qualify automatically).
+    constant -d / sigma^2. ``mean_fn`` must map (n, d) -> (n, d)
+    (elementwise maps qualify automatically).
     """
 
     def __init__(self, mean_fn, sigma: float, dim: int):
@@ -172,14 +170,6 @@ class GaussianScoreField(ScoreField):
         self.mean_fn = mean_fn
         self.sigma = float(sigma)
         self.dim = int(dim)
-
-    def score(self, y, x):
-        y = as_state(y, self.dim)
-        x = as_state(x, self.dim)
-        return -(y - self.mean_fn(x)) / self.sigma**2
-
-    def divergence(self, y, x):
-        return -self.dim / self.sigma**2
 
     def score_batch(self, Y, X):
         return -(Y - self.mean_fn(X)) / self.sigma**2
@@ -207,16 +197,12 @@ class MonteCarloEstimate:
         return self.mean
 
 
-def _check_field_dim(field: ScoreField, pair: TransitionPair) -> None:
-    if pair.dim != field.dim:
-        raise ValueError(f"pair dimension {pair.dim} does not match field dimension {field.dim}")
-
-
 def hyvarinen_score(field: ScoreField, pair: TransitionPair) -> float:
     """0.5*||score(x_next, x_prev)||^2 + divergence(x_next, x_prev)."""
     if not isinstance(pair, TransitionPair):
         pair = TransitionPair(*pair)
-    _check_field_dim(field, pair)
+    if pair.dim != field.dim:
+        raise ValueError(f"pair dimension {pair.dim} does not match field dimension {field.dim}")
     s = np.asarray(field.score(pair.x_next, pair.x_prev), dtype=np.float64)
     if s.shape != (field.dim,):
         raise ValueError(f"score returned shape {s.shape}, expected ({field.dim},)")

@@ -27,17 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, _textio
-from .fields import GaussianScoreField, PairBatch, TransitionPair, as_state
+from .fields import GaussianScoreField, PairBatch
 
 __all__ = [
     "GaussianKernelSpec",
     "TrajectoryConfig",
     "transition_mean",
-    "step",
     "simulate_path",
     "stationary_pairs",
     "closed_form_score",
-    "log_likelihood_ratio",
     "log_likelihood_ratios",
     "write_trajectory_csv",
 ]
@@ -108,12 +106,6 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
     return x - spec.alpha * x + spec.shift * np.tanh(x)
 
 
-def step(spec: GaussianKernelSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One transition: mu(x) + sigma * z with z ~ N(0, I) drawn from rng."""
-    x = as_state(x, spec.dim)
-    return transition_mean(spec, x) + spec.sigma * rng.standard_normal(spec.dim)
-
-
 def simulate_path(config: TrajectoryConfig) -> np.ndarray:
     """Generate states X_1..X_length as a (length, d) array.
 
@@ -171,23 +163,10 @@ def _log_density_quadratics(spec: GaussianKernelSpec, Y, X):
     return np.einsum("...i,...i->...", resid, resid) / spec.sigma**2
 
 
-def log_likelihood_ratio(
-    pre: GaussianKernelSpec, post: GaussianKernelSpec, pair: TransitionPair
-) -> float:
-    """log post(x_next|x_prev) - log pre(x_next|x_prev), in closed form."""
-    if not isinstance(pair, TransitionPair):
-        pair = TransitionPair(*pair)
-    if pre.dim != post.dim or pair.dim != pre.dim:
-        raise ValueError("kernel and pair dimensions must match")
-    return float(
-        log_likelihood_ratios(pre, post, PairBatch(pair.x_prev[None, :], pair.x_next[None, :]))[0]
-    )
-
-
 def log_likelihood_ratios(
     pre: GaussianKernelSpec, post: GaussianKernelSpec, pairs
 ) -> np.ndarray:
-    """Vectorized exact log-likelihood-ratio increments over a pair stream."""
+    """Exact log post(x_next|x_prev) - log pre(x_next|x_prev) per pair of a stream; shape (n,)."""
     batch = PairBatch.coerce(pairs)
     if pre.dim != post.dim or batch.dim != pre.dim:
         raise ValueError("kernel and pair dimensions must match")

@@ -36,8 +36,9 @@ Everything here is plain numpy in double precision:
 Optionally a model carries per-dimension standardization statistics
 (mean/scale of the raw state vectors, computed from the training data). Such
 a model standardizes inputs internally and rescales outputs so that
-``forward``/``divergence`` always speak raw coordinates; training happens in
-standardized space, where score magnitudes are comparable across dimensions.
+``forward_batch`` and ``divergence_batch`` always speak raw coordinates;
+training happens in standardized space, where score magnitudes are
+comparable across dimensions.
 
 Model files: magic ``SCUSUMNET``, little-endian uint32 version and header
 length, a JSON header (architecture, activation, standardization flag),
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ModelFileError, NumericsError, TrainingError
-from .fields import PairBatch, ScoreField, as_state, hyvarinen_scores
+from .fields import PairBatch, ScoreField, hyvarinen_scores
 
 __all__ = [
     "MlpArchitecture",
@@ -67,9 +68,7 @@ __all__ = [
     "TrainConfig",
     "AccuracyReport",
     "init_params",
-    "forward",
     "forward_batch",
-    "divergence",
     "divergence_batch",
     "surrogate_loss",
     "loss_gradient",
@@ -444,12 +443,6 @@ def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
     return out
 
 
-def forward(params: MlpParameters, y, x) -> np.ndarray:
-    """psi(y, x; theta) for a single pair; shape (d,)."""
-    d = params.arch.output_dim
-    return forward_batch(params, as_state(y, d)[None, :], as_state(x, d)[None, :])[0]
-
-
 def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     """Exact sum_i d(psi_i)/dy_i per row, via d tangent passes."""
     Y, X = _pair_arrays(params, Y, X)
@@ -462,11 +455,6 @@ def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
         _, t, _ = _tangent_pass(params, _net_inputs(params, Y[block], X[block]), inv_s, stacks)
         out[block] = _divergence(params, t, inv_s)
     return out
-
-
-def divergence(params: MlpParameters, y, x) -> float:
-    d = params.arch.output_dim
-    return float(divergence_batch(params, as_state(y, d)[None, :], as_state(x, d)[None, :])[0])
 
 
 def surrogate_loss(model, pairs) -> float:
@@ -708,12 +696,6 @@ class MlpScoreField(ScoreField):
         self.params = params
         self.dim = params.arch.output_dim
 
-    def score(self, y, x):
-        return forward(self.params, y, x)
-
-    def divergence(self, y, x):
-        return divergence(self.params, y, x)
-
     def score_batch(self, Y, X):
         return forward_batch(self.params, Y, X)
 
@@ -722,7 +704,7 @@ class MlpScoreField(ScoreField):
 
 
 def as_score_field(params: MlpParameters) -> MlpScoreField:
-    """Expose (forward, divergence) through the ScoreField capability."""
+    """Expose (forward_batch, divergence_batch) through the ScoreField capability."""
     return MlpScoreField(params)
 
 

@@ -201,13 +201,14 @@ def test_criterion_3_gradient_exactness():
                     rel = abs(grad[idx] - fd) / max(abs(fd), 1e-6)
                     worst_grad = max(worst_grad, rel)
 
+        field = scorenet.as_score_field(params)
         y, x = rng.standard_normal(d), rng.standard_normal(d)
         fd_div = 0.0
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1e-5
-            fd_div += (scorenet.forward(params, y + e, x)[i] - scorenet.forward(params, y - e, x)[i]) / 2e-5
-        exact = scorenet.divergence(params, y, x)
+            fd_div += (field.score(y + e, x)[i] - field.score(y - e, x)[i]) / 2e-5
+        exact = field.divergence(y, x)
         worst_div = max(worst_div, abs(exact - fd_div) / max(abs(fd_div), 1e-6))
 
     ok = worst_grad <= 1e-4 and worst_div <= 1e-5
@@ -348,7 +349,7 @@ def test_criterion_9_bound_validity(pre_increments, post_increments):
     ok = True
     details = [f"mu={mu:.0f}, empirical delta={delta:.1f}"]
     for b in thresholds:
-        fa = detector.measure_false_alarms(
+        fa = detector.measure_run_lengths(
             pre_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
         )
         # with no alarm over the whole stream, its length is a lower bound
@@ -362,7 +363,7 @@ def test_criterion_9_bound_validity(pre_increments, post_increments):
     post_drift = float(phi_post.mean())
     assert post_drift > 0
     for b in thresholds[-2:]:
-        delays = detector.measure_delays(
+        delays = detector.measure_run_lengths(
             post_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
         )
         _, delay_bound = bounds.delay_upper_bound(b, mu, post_drift)
@@ -382,8 +383,8 @@ def test_criterion_10_truncation_comparison(pre_increments, post_increments):
     for m in (TRUNCATION_LEVEL, 150.0):
         trunc = detector.TruncationSpec(m)
         for b in (30.0, 60.0):  # chosen so the pre-change stream actually alarms
-            plain = detector.measure_false_alarms(pre_increments, detector.DetectorConfig(threshold=b))
-            clipped = detector.measure_false_alarms(
+            plain = detector.measure_run_lengths(pre_increments, detector.DetectorConfig(threshold=b))
+            clipped = detector.measure_run_lengths(
                 pre_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
             )
             plain_mean = plain.mean if plain.count else float(len(pre_increments))
@@ -391,8 +392,8 @@ def test_criterion_10_truncation_comparison(pre_increments, post_increments):
             ok = ok and clipped_mean >= plain_mean
             details.append(f"M={m:.0f} FA b={b:.0f}: {clipped_mean:.1f}>={plain_mean:.1f}")
         for b in (1000.0, 2000.0):
-            plain = detector.measure_delays(post_increments, detector.DetectorConfig(threshold=b))
-            clipped = detector.measure_delays(
+            plain = detector.measure_run_lengths(post_increments, detector.DetectorConfig(threshold=b))
+            clipped = detector.measure_run_lengths(
                 post_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
             )
             ok = ok and plain.count > 0 and clipped.count > 0 and clipped.mean >= plain.mean

@@ -164,6 +164,16 @@ DEFECTS = [
                 "detector": {"threshold": math.inf}}, "detector.threshold"),
     ("detect", {"kernels": {"pre": KERNEL, "post": POST}, "data": {"simulate": {"length": 40}},
                 "detector": {"threshold": 50.0}, "change_point": 2.5}, "change_point"),
+    # numpy takes no negative seed; training.seed would fail only after the data stage
+    ("simulate", with_leaf(VALID["simulate"], ("seed",), -1), "seed must be >= 0"),
+    ("sweep", with_leaf(VALID["sweep"], ("stream", "seed"), -1), "stream.seed"),
+    ("train", with_leaf(VALID["train"], ("data", "seed"), -1), "data.seed"),
+    ("train", with_leaf(VALID["train"], ("training", "seed"), -1), "training.seed"),
+    ("detect", with_leaf(VALID["detect"], ("data", "simulate", "seed"), -1), "data.simulate.seed"),
+    # a scored stream needs one transition pair; the stream would be simulated first
+    ("sweep", with_leaf(VALID["sweep"], ("stream", "length"), 1), "stream: length"),
+    ("detect", with_leaf(VALID["detect"], ("data", "simulate"), {"length": 1}),
+     "data.simulate: length"),
 ]
 
 
@@ -194,6 +204,22 @@ def test_messages_name_the_dotted_key(tmp_path, capsys, command, key, value, mes
     code, _ = run(tmp_path, command, with_leaf(VALID[command], key, value))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "seed"), ("train", "data.seed")])
+def test_negative_seed_flag_exits_2_naming_the_first_seed(tmp_path, capsys, command, key):
+    code, out = run(tmp_path, command, VALID[command], extra=("--seed", "-3"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"error: {key} must be >= 0, got -3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_simulate_writes_streams_too_short_to_score(tmp_path, length):
+    payload = {"kernel": KERNEL, "length": length}
+    code, out = run(tmp_path, "simulate", payload)
+    assert code == EXIT_OK
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + length
 
 
 def test_missing_required_key_named(tmp_path, capsys):

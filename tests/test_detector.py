@@ -11,8 +11,7 @@ from scusum.detector import (
     DetectorState,
     TruncationSpec,
     detector_update,
-    measure_delays,
-    measure_false_alarms,
+    measure_run_lengths,
     run_detector,
     score_increments,
     statistic_trace,
@@ -44,7 +43,7 @@ class TestTruncate:
         assert truncate(TruncationSpec(600), 3.0) == 3.0
 
     def test_none_is_identity(self):
-        assert truncate(TruncationSpec.none(), 1e12) == 1e12
+        assert truncate(TruncationSpec(), 1e12) == 1e12
 
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -141,25 +140,25 @@ class TestRunDetector:
 
 class TestRunLengthHarnesses:
     def test_all_negative_no_alarms(self):
-        report = measure_false_alarms(-np.ones(1000), DetectorConfig(threshold=5.0))
+        report = measure_run_lengths(-np.ones(1000), DetectorConfig(threshold=5.0))
         assert report.count == 0 and report.intervals == []
         assert math.isnan(report.mean)
         assert report.residual == 1000
 
     def test_unit_increments_deterministic_intervals(self):
-        report = measure_false_alarms(np.ones(100), DetectorConfig(threshold=10.0))
+        report = measure_run_lengths(np.ones(100), DetectorConfig(threshold=10.0))
         assert report.intervals == [10] * 10
         assert report.mean == 10.0 and report.residual == 0
 
     def test_constant_increment_delays(self):
         c, b = 0.9, 7.0
-        report = measure_delays(np.full(500, c), DetectorConfig(threshold=b))
+        report = measure_run_lengths(np.full(500, c), DetectorConfig(threshold=b))
         assert set(report.intervals) == {math.ceil(b / c)}
 
     def test_intervals_partition_stream(self):
         rng = np.random.default_rng(14)
         s = rng.uniform(-2, 3, size=20_000)
-        report = measure_false_alarms(s, DetectorConfig(threshold=25.0, truncation=TruncationSpec(2.5)))
+        report = measure_run_lengths(s, DetectorConfig(threshold=25.0, truncation=TruncationSpec(2.5)))
         assert sum(report.intervals) + report.residual == len(s)
         assert report.count == len(report.intervals)
 
@@ -168,7 +167,7 @@ class TestRunLengthHarnesses:
         s = rng.uniform(-1.5, 1.6, size=50_000)
         means = []
         for b in (2.0, 5.0, 10.0, 20.0):
-            means.append(measure_false_alarms(s, DetectorConfig(threshold=b)).mean)
+            means.append(measure_run_lengths(s, DetectorConfig(threshold=b)).mean)
         assert all(m2 >= m1 for m1, m2 in zip(means, means[1:]))
 
     def test_mean_delay_nondecreasing_in_threshold(self):
@@ -176,7 +175,7 @@ class TestRunLengthHarnesses:
         s = rng.uniform(-1.0, 2.5, size=30_000)  # positive drift, post-change style
         means = []
         for b in (5.0, 15.0, 45.0, 135.0):
-            report = measure_delays(s, DetectorConfig(threshold=b))
+            report = measure_run_lengths(s, DetectorConfig(threshold=b))
             assert report.count > 0
             means.append(report.mean)
         assert all(m2 >= m1 for m1, m2 in zip(means, means[1:]))
@@ -187,7 +186,7 @@ class TestThresholdSweep:
         rng = np.random.default_rng(16)
         s = rng.uniform(-1, 1.5, size=10_000)
         rows = threshold_sweep(s, [4.0])
-        direct = measure_false_alarms(s, DetectorConfig(threshold=4.0))
+        direct = measure_run_lengths(s, DetectorConfig(threshold=4.0))
         assert rows[0].mean_run_length == direct.mean
         assert rows[0].count == direct.count
 
@@ -199,7 +198,7 @@ class TestThresholdSweep:
         report = threshold_sweep(s, thresholds, trunc)
         assert len(report) == len(thresholds)
         for row, b in zip(report, thresholds):
-            direct = measure_false_alarms(s, DetectorConfig(threshold=b, truncation=trunc))
+            direct = measure_run_lengths(s, DetectorConfig(threshold=b, truncation=trunc))
             assert (row.threshold, row.count) == (b, direct.count)
             assert row.mean_run_length == direct.mean or direct.count == 0
         assert report[-1].count == 0 and math.isnan(report[-1].mean_run_length)
@@ -260,8 +259,8 @@ class TestSyntheticStreams:
     def test_truncated_delay_not_shorter(self, post_increments):
         # positive spikes get clipped, so the truncated statistic climbs no faster
         b = 2000.0
-        plain = measure_delays(post_increments, DetectorConfig(threshold=b))
-        clipped = measure_delays(
+        plain = measure_run_lengths(post_increments, DetectorConfig(threshold=b))
+        clipped = measure_run_lengths(
             post_increments, DetectorConfig(threshold=b, truncation=TruncationSpec(150.0))
         )
         assert clipped.count > 0 and plain.count > 0

@@ -1,5 +1,7 @@
 """Score fields, Hyvarinen scores, Fisher divergence, and drift estimators."""
 
+import importlib
+import pkgutil
 from unittest import mock
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scusum
 from scusum import fields, markov, scorenet
 from scusum.exceptions import NumericsError
 from scusum.fields import (
@@ -68,11 +71,11 @@ class TestHyvarinenScore:
         class BrokenScore(ScoreField):
             dim = 1
 
-            def score(self, y, x):
-                return np.array([np.inf])
+            def score_batch(self, Y, X):
+                return np.full(Y.shape, np.inf)
 
-            def divergence(self, y, x):
-                return 0.0
+            def divergence_batch(self, Y, X):
+                return np.zeros(len(Y))
 
         with pytest.raises(NumericsError, match="score"):
             hyvarinen_score(BrokenScore(), TransitionPair(np.zeros(1), np.zeros(1)))
@@ -81,11 +84,11 @@ class TestHyvarinenScore:
         class BrokenDiv(ScoreField):
             dim = 1
 
-            def score(self, y, x):
-                return np.zeros(1)
+            def score_batch(self, Y, X):
+                return np.zeros(Y.shape)
 
-            def divergence(self, y, x):
-                return float("nan")
+            def divergence_batch(self, Y, X):
+                return np.full(len(Y), np.nan)
 
         with pytest.raises(NumericsError, match="divergence"):
             hyvarinen_score(BrokenDiv(), TransitionPair(np.zeros(1), np.zeros(1)))
@@ -279,7 +282,8 @@ class TestFisherDivergence:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            estimate_fisher_divergence(standard_normal_field(), standard_normal_field(), [])
+            estimate_fisher_divergence(standard_normal_field(), standard_normal_field(),
+                                       (np.empty((0, 1)), np.empty((0, 1))))
 
 
 class TestDrift:
@@ -323,7 +327,68 @@ def scalar_divergence_consistency(field, probes, h=1e-4):
     return worst
 
 
+class TestOnePairMethods:
+    """The base-class ``score`` and ``divergence`` are row 0 of a batch of one."""
+
+    @staticmethod
+    def fields(d):
+        params = scorenet.init_params(
+            scorenet.MlpArchitecture(input_dim=2 * d, hidden_widths=(6, 5), output_dim=d), 4)
+        return [scorenet.as_score_field(params), GaussianScoreField(np.tanh, sigma=0.4, dim=d),
+                markov.closed_form_score(markov.GaussianKernelSpec(d, 0.3, 0.3, 0.2))]
+
+    def test_bitwise_row_zero_of_the_batch(self):
+        rng = np.random.default_rng(21)
+        d = 3
+        for field in self.fields(d):
+            for _ in range(5):
+                y, x = rng.standard_normal(d), rng.standard_normal(d)
+                Y, X = y[None, :], x[None, :]
+                assert np.array_equal(field.score(y, x), field.score_batch(Y, X)[0])
+                div = field.divergence(y, x)
+                assert type(div) is float and div == field.divergence_batch(Y, X)[0]
+
+    @pytest.mark.parametrize("method", ["score", "divergence"])
+    @pytest.mark.parametrize("y, x, message", [
+        (np.zeros(2), np.zeros(3), "dimension 2, expected 3"),
+        (np.zeros(3), np.zeros(4), "dimension 4, expected 3"),
+        (np.zeros((1, 3)), np.zeros(3), "1-D"),
+        (np.array([0.0, np.nan, 0.0]), np.zeros(3), "non-finite"),
+        (np.zeros(3), np.array([np.inf, 0.0, 0.0]), "non-finite"),
+    ])
+    def test_bad_states_rejected(self, method, y, x, message):
+        for field in self.fields(3):
+            with pytest.raises(ValueError, match=message):
+                getattr(field, method)(y, x)
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # the benchmark's tracer looks up every __all__ entry, so a stale one breaks it
+    for name in scusum.__all__:
+        assert hasattr(scusum, name), name
+    for info in pkgutil.iter_modules(scusum.__path__):
+        module = importlib.import_module(f"scusum.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name, None)
+            assert getattr(obj, "__module__", None) == module.__name__, f"{info.name}.{name}"
+
+
 class TestDivergenceConsistency:
+    def test_scalar_divergence_override_is_caught(self):
+        # a field whose one-pair divergence is off by one fails the check,
+        # though its batch methods are exact
+        class OffByOne(scorenet.MlpScoreField):
+            def divergence(self, y, x):
+                return super().divergence(y, x) + 1.0
+
+        d = 3
+        params = scorenet.init_params(
+            scorenet.MlpArchitecture(input_dim=2 * d, hidden_widths=(8,), output_dim=d), 5)
+        rng = np.random.default_rng(13)
+        probes = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(4)]
+        assert check_divergence_consistency(scorenet.MlpScoreField(params), probes) <= 1e-5
+        assert check_divergence_consistency(OffByOne(params), probes) > 0.1
+
     def test_batched_check_matches_scalar_reference(self):
         rng = np.random.default_rng(12)
         d = 4
@@ -356,11 +421,6 @@ class TestPairBatch:
         assert len(batch) == 3
         assert np.array_equal(batch.x_prev, states[:-1])
         assert np.array_equal(batch.x_next, states[1:])
-
-    def test_coerce_pair_list(self):
-        pairs = [TransitionPair(np.zeros(2), np.ones(2)) for _ in range(5)]
-        batch = PairBatch.coerce(pairs)
-        assert len(batch) == 5 and batch.dim == 2
 
     def test_pair_validates_dimensions(self):
         with pytest.raises(ValueError):

@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scusum import _kernels
-from scusum.fields import PairBatch, TransitionPair, check_divergence_consistency
+from scusum.fields import PairBatch, check_divergence_consistency
 from scusum.markov import (
     GaussianKernelSpec,
     TrajectoryConfig,
     closed_form_score,
-    log_likelihood_ratio,
     log_likelihood_ratios,
     simulate_path,
     stationary_pairs,
-    step,
     transition_mean,
     write_trajectory_csv,
 )
@@ -47,24 +45,31 @@ class TestTransitionMean:
             transition_mean(PRE, np.zeros(3))
 
 
+def one_step(spec, x, rng):
+    """One transition of the chain from ``x``, through the program's own stepping kernel."""
+    noise = rng.standard_normal((1, spec.dim))
+    return _kernels.chain_steps(x, noise, spec.alpha, spec.shift, spec.sigma)[0]
+
+
 class TestStep:
     def test_matches_documented_draw(self):
         spec = GaussianKernelSpec(dim=1, alpha=0.3, sigma=0.3, shift=0.2)
         x = np.array([1.0])
-        out = step(spec, x, np.random.default_rng(77))
+        out = one_step(spec, x, np.random.default_rng(77))
         z = np.random.default_rng(77).standard_normal(1)
         assert np.array_equal(out, transition_mean(spec, x) + 0.3 * z)
 
     def test_tiny_noise_approaches_mean(self):
         spec = GaussianKernelSpec(dim=2, alpha=0.5, sigma=1e-9, shift=0.1)
         x = np.array([0.4, -0.7])
-        assert np.allclose(step(spec, x, np.random.default_rng(0)), transition_mean(spec, x), atol=1e-7)
+        assert np.allclose(one_step(spec, x, np.random.default_rng(0)), transition_mean(spec, x),
+                           atol=1e-7)
 
     def test_noise_covariance(self):
-        rng = np.random.default_rng(5)
+        # the residuals X_{n+1} - mu(X_n) of a simulated path are the sigma * Z_n draws
         spec = GaussianKernelSpec(dim=5, alpha=0.3, sigma=0.4, shift=0.2)
-        x = np.full(5, 0.3)
-        draws = np.array([step(spec, x, rng) - transition_mean(spec, x) for _ in range(100_000)])
+        states = simulate_path(TrajectoryConfig(pre=spec, length=100_001, seed=5))
+        draws = states[1:] - transition_mean(spec, states[:-1])
         assert np.allclose(np.var(draws, axis=0), spec.sigma**2, rtol=0.03)
 
 
@@ -267,8 +272,8 @@ class TestClosedFormScore:
 
 class TestLogLikelihoodRatio:
     def test_identical_kernels_zero(self):
-        pair = TransitionPair(np.zeros(10), np.ones(10))
-        assert log_likelihood_ratio(PRE, PRE, pair) == pytest.approx(0.0)
+        pair = PairBatch(np.zeros(10), np.ones(10))
+        assert log_likelihood_ratios(PRE, PRE, pair)[0] == pytest.approx(0.0)
 
     def test_symmetric_point(self):
         pre = GaussianKernelSpec(dim=1, alpha=1.0, sigma=1.0, shift=0.0)  # mean 0
@@ -276,9 +281,9 @@ class TestLogLikelihoodRatio:
         # use the shifted-mean field via a custom pair instead: evaluate at the
         # midpoint of means 0 and 2 using explicit kernels of equal sigma
         post = GaussianKernelSpec(dim=1, alpha=1.0, sigma=1.0, shift=2.0 / math.tanh(5.0))
-        pair = TransitionPair(np.array([5.0]), np.array([1.0]))
+        pair = PairBatch(np.array([5.0]), np.array([1.0]))
         # mu_pre = 0, mu_post = shift*tanh(5) = 2; y = 1 is equidistant
-        assert log_likelihood_ratio(pre, post, pair) == pytest.approx(0.0, abs=1e-12)
+        assert log_likelihood_ratios(pre, post, pair)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_signs_under_each_law(self):
         pre_pairs = stationary_pairs(PRE, 100_000, seed=7)

@@ -21,9 +21,7 @@ from scusum.scorenet import (
     MlpParameters,
     TrainConfig,
     as_score_field,
-    divergence,
     evaluate_accuracy,
-    forward,
     forward_batch,
     init_params,
     load_model,
@@ -33,6 +31,16 @@ from scusum.scorenet import (
     surrogate_loss,
     train,
 )
+
+
+def forward(params, y, x):
+    """psi(y, x) at one pair: row 0 of a batch of one."""
+    return forward_batch(params, y[None, :], x[None, :])[0]
+
+
+def divergence(params, y, x):
+    """The exact divergence at one pair: row 0 of a batch of one."""
+    return scorenet.divergence_batch(params, y[None, :], x[None, :])[0]
 
 
 def tiny_arch(d=2, widths=(4,)):

@@ -152,7 +152,8 @@ def test_bad_trajectory_arguments_leave_no_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-state_arrays = st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(
+# a trajectory CSV holds at least one transition pair: two rows
+state_arrays = st.tuples(st.integers(2, 6), st.integers(1, 5)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=finite)
 )
 
@@ -290,13 +291,8 @@ def test_trajectory_cells_parse_as_float_does(tmp_path):
     assert back.flags.c_contiguous
 
 
-@pytest.mark.parametrize("command", ["train", "detect"])
-@pytest.mark.parametrize("bad_row", ["nan,0.4,pre", "inf,0.4,pre", "0.3,0.4,9.9,pre", "0.3,pre"])
-def test_bad_trajectory_csv_exits_3(tmp_path, capsys, command, bad_row):
-    # before, NaN and inf exited 4 (diverged loss, non-finite score) and a
-    # long row was cut to the header's width
-    data = tmp_path / "t.csv"
-    data.write_text(GOOD_ROWS + bad_row + "\r\n" + GOOD_ROWS.split("\r\n", 1)[1], newline="")
+def _run_on_csv(tmp_path, command, data):
+    """Exit code of ``train`` or ``detect`` reading the trajectory CSV ``data``."""
     kernel = {"dim": 2, "alpha": 0.3, "sigma": 0.3}
     payload = {
         "train": {"data": {"csv": str(data)}, "architecture": {"hidden_widths": [4]},
@@ -306,5 +302,25 @@ def test_bad_trajectory_csv_exits_3(tmp_path, capsys, command, bad_row):
     }[command]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    return main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["train", "detect"])
+@pytest.mark.parametrize("bad_row", ["nan,0.4,pre", "inf,0.4,pre", "0.3,0.4,9.9,pre", "0.3,pre"])
+def test_bad_trajectory_csv_exits_3(tmp_path, capsys, command, bad_row):
+    # before, NaN and inf exited 4 (diverged loss, non-finite score) and a
+    # long row was cut to the header's width
+    data = tmp_path / "t.csv"
+    data.write_text(GOOD_ROWS + bad_row + "\r\n" + GOOD_ROWS.split("\r\n", 1)[1], newline="")
+    assert _run_on_csv(tmp_path, command, data) == EXIT_DATA
     assert f"{data}:5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "detect"])
+@pytest.mark.parametrize("rows", [0, 1])
+def test_trajectory_csv_without_a_pair_exits_3(tmp_path, capsys, command, rows):
+    data = tmp_path / "t.csv"
+    data.write_text("\r\n".join(GOOD_ROWS.split("\r\n")[: 1 + rows]) + "\r\n", newline="")
+    assert _run_on_csv(tmp_path, command, data) == EXIT_DATA
+    assert f"error: {data}: trajectory has {rows} rows, need at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
