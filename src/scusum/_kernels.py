@@ -13,7 +13,10 @@ state bitwise, because the map is deterministic from there on; a block whose
 end did not change hands an exact end to the next block. Blocks that are
 still unresolved after the sweep (the paths of a bistable kernel need not
 merge) and the tail past the last full block are stepped one state at a
-time, so the worst case stays close to the plain loop.
+time, so the worst case stays close to the plain loop. Every loop makes no
+temporaries: a step is seven ``out=`` ufunc calls into two preallocated
+buffers of the state's shape, in the order and with the IEEE operations of
+the expression above, so it stays bitwise equal to it.
 
 The CUSUM statistic follows the recursion
 
@@ -71,10 +74,25 @@ def _bits(a):
 # chain stepping: x <- x - alpha*x + shift*tanh(x) + sigma*z
 # ---------------------------------------------------------------------------
 
+def _step(x, z, alpha, shift, sigma, a, b, out):
+    """out = x - alpha*x + shift*tanh(x) + sigma*z, evaluated in that order in ``a`` and ``b``.
+
+    ``out`` may be ``x``; ``a`` and ``b`` are scratch of the shape of ``x``.
+    """
+    np.multiply(x, alpha, out=a)
+    np.subtract(x, a, out=a)
+    np.tanh(x, out=b)
+    np.multiply(b, shift, out=b)
+    np.add(a, b, out=a)
+    np.multiply(z, sigma, out=b)
+    np.add(a, b, out=out)
+
+
 def _step_sequential(x, noise, out, alpha, shift, sigma):
+    a, b = np.empty_like(x), np.empty_like(x)
     for t in range(noise.shape[0]):
-        x = x - alpha * x + shift * np.tanh(x) + sigma * noise[t]
-        out[t] = x
+        _step(x, noise[t], alpha, shift, sigma, a, b, out[t])
+        x = out[t]
 
 
 def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarray:
@@ -93,22 +111,25 @@ def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarr
 
     z = noise[: R * BLOCK].reshape(R, BLOCK, d)
     blocks = out[: R * BLOCK].reshape(R, BLOCK, d)
+    a, b = np.empty((R, d)), np.empty((R, d))
 
     # lockstep pass: block 0 from x0 (exact), the others from x0 as a guess
     X = np.empty((R, d))
     X[:] = x0
     for t in range(BLOCK):
-        X = X - alpha * X + shift * np.tanh(X) + sigma * z[:, t]
+        _step(X, z[:, t], alpha, shift, sigma, a, b, X)
         blocks[:, t] = X
     ends = X
 
     # correction sweep: re-step blocks 1..R-1 from the stored end of the block
     # before; stop early once every block has merged with its stored path
-    Y = ends[:-1]
+    Y = ends[:-1].copy()
+    a, b = a[1:], b[1:]
+    same = np.empty((R - 1, d), dtype=bool)
     exact = R
     for t in range(BLOCK):
-        Y = Y - alpha * Y + shift * np.tanh(Y) + sigma * z[1:, t]
-        if np.array_equal(_bits(Y), _bits(blocks[1:, t])):
+        _step(Y, z[1:, t], alpha, shift, sigma, a, b, Y)
+        if np.equal(_bits(Y), _bits(blocks[1:, t]), out=same).all():
             break
         blocks[1:, t] = Y
     else:

@@ -103,24 +103,56 @@ class _Stages:
     ``peak_rss_mb``: the process's high-water resident set (``VmHWM``) read
     as the stage ends, or None where ``/proc`` is absent. It is the peak of
     the whole process so far, not of the stage alone, so it never decreases
-    from one stage to the next, and the stage at which it rises is the stage
-    that set the run's peak.
+    from one stage to the next. A stage that runs in blocks, interleaved
+    with another (``sweep`` simulates and scores one block at a time), is
+    ended once per block with ``block=True``: its wall seconds and counts
+    add up over its blocks, it records their number as ``blocks``, and its
+    ``peak_rss_mb`` is read as its last block ends. ``peak_stage`` is the
+    stage during which the high-water mark last rose, which is the stage
+    that set the run's peak even when stages interleave.
     """
 
     def __init__(self):
         self.records: dict[str, dict] = {}
+        self.peak_stage: str | None = None
+        self._peak = _peak_rss_mb()
         self._last = time.perf_counter()
 
-    def end(self, name: str, **counts) -> None:
+    def end(self, name: str, block: bool = False, **counts) -> None:
         now = time.perf_counter()
-        seconds = now - self._last
-        record = {"wall_s": seconds}
+        record = self.records.setdefault(name, {"wall_s": 0.0})
+        record["wall_s"] += now - self._last
+        seconds = record["wall_s"]
+        if block:
+            record["blocks"] = record.get("blocks", 0) + 1
         for item, count in counts.items():
-            record[item] = count
-            record[f"{item}_per_s"] = count / seconds if seconds > 0 else None
-        record["peak_rss_mb"] = _peak_rss_mb()
-        self.records[name] = record
+            record[item] = record.get(item, 0) + count
+            record[f"{item}_per_s"] = record[item] / seconds if seconds > 0 else None
+        peak = record["peak_rss_mb"] = _peak_rss_mb()
+        if peak is not None and (self._peak is None or peak > self._peak):
+            self._peak, self.peak_stage = peak, name
         self._last = now
+
+    def metrics(self) -> dict:
+        """The ``stages`` record and ``peak_rss_stage``, the stage that set the run's peak."""
+        return {"stages": self.records, "peak_rss_stage": self.peak_stage}
+
+
+def _staged_blocks(stages: _Stages, blocks, make: str, use: str):
+    """Yield ``blocks``, timing each one's making as a block of stage ``make`` and its use as one of ``use``.
+
+    ``make`` counts the states of each block and ``use`` the increments it
+    gives: its inner pairs and the pair that crosses into it from the block
+    before. A block is dropped here once its user asks for the next one.
+    """
+    first = True
+    for block in blocks:
+        n = len(block)
+        stages.end(make, block=True, states=n)
+        yield block
+        del block
+        stages.end(use, block=True, increments=n - 1 if first else n)
+        first = False
 
 
 def _change_point(value) -> float:
@@ -216,7 +248,7 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
     stages.end("write")
 
     print(f"trained {len(history)} epochs; final loss {history[-1]:.6g}")
-    metrics = {"pairs": len(pairs), "stages": stages.records, "epochs": epochs}
+    metrics = {"pairs": len(pairs), **stages.metrics(), "epochs": epochs}
     if oracle is not None:
         report = scorenet.evaluate_accuracy(params, oracle, pairs)
         stages.end("evaluate", pairs=len(pairs))
@@ -274,18 +306,17 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     stages = _Stages()
     if trajectory is None:
         states = _read_states_csv(data.csv)
+        (n_states, dim), blocks = states.shape, [states]
     else:
-        states = markov.simulate_path(trajectory)
+        # a simulated stream is scored one block at a time, as it is stepped
+        n_states, dim = trajectory.length, trajectory.pre.dim
+        blocks = markov.path_blocks(trajectory)
         if declared_cp == math.inf:
             declared_cp = trajectory.change_point
-    if states.shape[1] != field_pre.dim:
-        raise ValueError(
-            f"data dimension {states.shape[1]} does not match model dimension {field_pre.dim}"
-        )
-    stages.end("read", states=int(states.shape[0]))
-
-    increments = detector.score_increments(field_pre, field_post, states)
-    stages.end("score", increments=len(increments))
+    if dim != field_pre.dim:
+        raise ValueError(f"data dimension {dim} does not match model dimension {field_pre.dim}")
+    blocks = _staged_blocks(stages, blocks, "read", "score")
+    increments = detector.stream_increments(field_pre, field_post, blocks, n_states)
 
     trunc = detector.TruncationSpec(config.detector.truncation)
     dconf = detector.DetectorConfig(threshold=config.detector.threshold, truncation=trunc)
@@ -312,7 +343,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
 
     metrics_path = out_dir / "metrics.json"
     _write_json(metrics_path, {
-        "stages": stages.records,
+        **stages.metrics(),
         "clipped_fraction": float(np.mean(np.abs(increments) > trunc.clip)),
         "peak_statistic": float(trace.max()),
     })
@@ -391,10 +422,11 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
         raise ValueError(f"stream.law = {law} requires kernels.{law}")
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
     stages = _Stages()
-    states = markov.simulate_path(config.stream.trajectory(spec))
-    stages.end("simulate", states=int(states.shape[0]))
-    increments = detector.score_increments(field_pre, field_post, states)
-    stages.end("score", increments=len(increments))
+    # the stream is stepped and scored one block at a time: only the
+    # increments grow with its length
+    blocks = _staged_blocks(stages, markov.path_blocks(config.stream.trajectory(spec)),
+                            "simulate", "score")
+    increments = detector.stream_increments(field_pre, field_post, blocks, config.stream.length)
 
     thresholds = [float(b) for b in config.thresholds]
     trunc = detector.TruncationSpec(config.truncation)
@@ -428,7 +460,7 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
     stages.end("write", rows=len(thresholds) * len(outputs))
 
     metrics = {
-        "stages": stages.records,
+        **stages.metrics(),
         "truncation_levels": level_metrics,
     }
     if config.bounds is not None:
@@ -532,7 +564,7 @@ def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, scenario)
     metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, {"stages": stages.records})
+    _write_json(metrics_path, stages.metrics())
 
     print(
         f"scenario: {scenario['n_frames']} frames, dimension {d}, "

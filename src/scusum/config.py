@@ -76,6 +76,11 @@ def _load(tp, value, path: str, seed):
     return built, echo if len(options) == 1 else value
 
 
+# integer keys with a lower bound, wherever they appear: numpy's generators
+# take no negative seed, a burn-in is a step count and training needs a pair
+_MINIMUM = {"seed": 0, "burn_in": 0, "pairs": 1}
+
+
 def _load_section(cls, raw: dict, path: str, seed):
     names = {f.name for f in fields(cls)}
     for key in raw:
@@ -96,8 +101,8 @@ def _load_section(cls, raw: dict, path: str, seed):
         else:
             raise ValueError(f"missing required config key '{here}'")
         built[f.name], echo[f.name] = _load(hints[f.name], value, here, seed)
-        if f.name == "seed" and value < 0:  # numpy's generators take no negative seed
-            raise ValueError(f"{here} must be >= 0, got {value}")
+        if f.name in _MINIMUM and value < _MINIMUM[f.name]:
+            raise ValueError(f"{here} must be >= {_MINIMUM[f.name]}, got {value}")
     try:
         return cls(**built), echo
     except ValueError as err:  # the dataclass's own range checks

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels, _textio
 from .exceptions import NumericsError
-from .fields import PairBatch, ScoreField, score_differences
+from .fields import PairBatch, ScoreField, _block_rows, score_differences
 
 __all__ = [
     "TruncationSpec",
@@ -54,6 +54,7 @@ __all__ = [
     "measure_run_lengths",
     "threshold_sweep",
     "score_increments",
+    "stream_increments",
     "write_trace_csv",
     "write_sweep_csv",
 ]
@@ -216,7 +217,59 @@ def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationS
 
 def score_increments(field_p: ScoreField, field_q: ScoreField, states) -> np.ndarray:
     """Score-difference increments s_n over consecutive pairs of a trajectory."""
-    return score_differences(field_p, field_q, PairBatch.from_states(states))
+    states = np.asarray(states, dtype=np.float64)
+    return stream_increments(field_p, field_q, [states], len(states))
+
+
+def stream_increments(field_p: ScoreField, field_q: ScoreField, blocks, n_states: int) -> np.ndarray:
+    """``score_increments`` over a trajectory of ``n_states`` states that arrives in blocks.
+
+    ``blocks`` yields consecutive (rows, d) pieces of the trajectory, such as
+    ``markov.path_blocks``; each is scored as it arrives into one
+    (n_states - 1,) output and is not kept. A block contributes its inner
+    pairs and the pair that crosses into it from the block before. The pairs
+    go to the fields in the row blocks of ``fields.hyvarinen_scores`` over
+    the whole trajectory, one row block per call, so the result is bitwise
+    that of one whole-trajectory call; the states of a row block that crosses
+    into the next block (at most one row block) wait for it.
+    """
+    if n_states < 2:
+        raise ValueError("need a (n >= 2, d) array of states")
+    rows = _block_rows(field_p.dim)
+    out = np.empty(n_states - 1)
+
+    def score(states, first: int) -> None:
+        pairs = PairBatch.from_states(states)
+        out[first : first + len(pairs)] = score_differences(field_p, field_q, pairs)
+
+    held = None  # the states from pair `done` on, waiting for a full row block
+    done = end = 0  # pairs scored, states received
+    for block in blocks:
+        if not len(block):
+            continue
+        start, end = end, end + len(block)
+        if end > n_states:
+            raise ValueError(f"blocks hold more than {n_states} states")
+        last = end == n_states
+        if held is not None:
+            # the row block that crosses into this block: rows + 1 states at most
+            head = np.concatenate([held, block[: done + rows + 1 - start]])
+            if len(head) < rows + 1 and not last:
+                held = head
+                continue
+            score(head, done)
+            done += len(head) - 1
+            del head
+        # the row blocks that lie inside this block; on the last block the rest too
+        while done + rows < end or (last and done + 1 < end):
+            stop = min(done + rows, end - 1)
+            score(block[done - start : stop + 1 - start], done)
+            done = stop
+        held = block[done - start :].copy()
+        del block
+    if end != n_states:
+        raise ValueError(f"blocks hold {end} states, expected {n_states}")
+    return out
 
 
 def write_trace_csv(path, increments, trace, first_time: int = 1) -> None:

@@ -222,9 +222,14 @@ def hyvarinen_score(field: ScoreField, pair: TransitionPair) -> float:
 _BLOCK_BYTES = 1 << 20
 
 
+def _block_rows(d: int) -> int:
+    """Rows per block of the score stage at dimension ``d``: ``_BLOCK_BYTES`` per (rows, d) array."""
+    return max(1, _BLOCK_BYTES // (8 * d))
+
+
 def _row_blocks(batch: PairBatch):
-    """Slices covering the rows of ``batch``, ``_BLOCK_BYTES`` per (rows, d) array."""
-    rows = max(1, _BLOCK_BYTES // (8 * batch.dim))
+    """Slices covering the rows of ``batch``, ``_block_rows`` at a time."""
+    rows = _block_rows(batch.dim)
     return (slice(start, start + rows) for start in range(0, len(batch), rows))
 
 

@@ -12,11 +12,19 @@ closed form, which makes this process the oracle test bed for score learning
 and for the exact likelihood-ratio CUSUM baseline.
 
 Randomness: trajectories draw from numpy's PCG64 bit generator
-(``np.random.default_rng(seed)``) using ``standard_normal`` (ziggurat), all
-noise drawn up front in one call. Given the same config, paths are bitwise
-reproducible, and bitwise equal to stepping the recursion one state at a
-time (``_kernels.chain_steps`` steps blocks in lockstep, then corrects them
-until their states match exactly).
+(``np.random.default_rng(seed)``) using ``standard_normal`` (ziggurat). The
+noise is drawn block by block from that one stream, which gives the bits of
+one ``standard_normal((burn_in + length, d))`` draw, and each block is
+stepped from the exact last state of the block before. Given the same config,
+paths are bitwise reproducible, and bitwise equal to stepping the recursion
+one state at a time (``_kernels.chain_steps`` steps a block's rows in
+lockstep, then corrects them until their states match exactly).
+
+Memory: ``path_blocks`` yields the path in blocks of ``_BLOCK_BYTES`` per
+(rows, d) array, so a caller that uses each block and drops it (``sweep``,
+and ``detect`` on a simulated stream) holds one block's noise and states
+whatever the length; ``simulate_path`` writes the blocks into one
+(burn_in + length, d) array.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ __all__ = [
     "GaussianKernelSpec",
     "TrajectoryConfig",
     "transition_mean",
+    "path_blocks",
     "simulate_path",
     "stationary_pairs",
     "closed_form_score",
@@ -106,34 +115,81 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
     return x - spec.alpha * x + spec.shift * np.tanh(x)
 
 
+# Bytes in one (rows, d) float64 array of a simulated block: blocks of the
+# largest multiple of _kernels.BLOCK rows within budget // (8 d), 104,448 at
+# d=10, so a block has no short lockstep tail of its own (a last block or a
+# block cut at the change point still may). A block holds its noise and its
+# states; each block costs one lockstep warm-up. Peak RSS and wall time of
+# the benchmark's sweep_closed_form pass (perfbench/run.py, median of two
+# runs), and one in-process `sweep` call on its 201,000 x 10 false-alarm
+# stream (median of 14, budgets interleaved); 2 vCPUs, numpy 2.4.6, about
+# +-10% run to run:
+#
+#     budget    blocks    pass peak RSS, MB    pass wall, s    one call, ms
+#     4 MiB        4            47.7              0.307            230
+#     8 MiB        2            54.8              0.316            214
+#     16 MiB       1            67.0              0.325            212
+#
+# 8 MiB keeps the call's time and takes 12 MB off its peak; 4 MiB takes 7 MB
+# more but costs about 8% in warm-ups.
+_BLOCK_BYTES = 8 << 20
+
+
+def _block_rows(d: int) -> int:
+    rows = max(1, _BLOCK_BYTES // (8 * d))
+    return rows - rows % _kernels.BLOCK if rows >= _kernels.BLOCK else rows
+
+
+def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
+    """Yield the states X_1..X_length as consecutive (rows, d) blocks.
+
+    Steps 1..burn_in + length are drawn and stepped in blocks of
+    ``_block_rows(d)`` rows, cut at the change point, each from the exact last
+    state of the block before; the burn-in rows are dropped from what is
+    yielded. The blocks are bitwise the rows of ``simulate_path``. Each
+    block's noise is drawn into its own rows of ``noise`` (a
+    (burn_in + length, d) array) when given, and may be overwritten once the
+    block is yielded; otherwise into an array dropped with the block. A
+    yielded block is not kept: the next one is drawn once it is asked for.
+    """
+    d = config.pre.dim
+    if config.length == 0:
+        return
+    rows = _block_rows(d)
+    total = config.burn_in + config.length
+    n_pre = config.length if config.change_point == INFINITE else int(config.change_point) - 1
+    split = config.burn_in + n_pre
+    rng = np.random.default_rng(config.seed)
+    x = np.zeros(d)
+    for spec, lo, hi in ((config.pre, 0, split), (config.post, split, total)):
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            z = np.empty((b - a, d)) if noise is None else noise[a:b]
+            rng.standard_normal(out=z)
+            states = _kernels.chain_steps(x, z, spec.alpha, spec.shift, spec.sigma)
+            del z
+            x = states[-1].copy()
+            if b > config.burn_in:
+                yield states[max(0, config.burn_in - a) :]
+            del states
+
+
 def simulate_path(config: TrajectoryConfig) -> np.ndarray:
     """Generate states X_1..X_length as a (length, d) array.
 
     Burn-in runs under the pre-change kernel from the zero vector and is
     discarded. All noise comes from one seeded PCG64 stream, so the path is
-    reproducible from the config alone.
+    reproducible from the config alone. Each block of ``path_blocks`` draws
+    its noise into its own rows of one (burn_in + length, d) array and its
+    states are copied over them; the path is a view of that array.
     """
-    d = config.pre.dim
-    if config.length == 0:
-        return np.empty((0, d))
-    rng = np.random.default_rng(config.seed)
-    noise = rng.standard_normal((config.burn_in + config.length, d))
-
-    # the burn-in and the pre-change segment are one call, so a short burn-in
-    # is stepped in lockstep blocks with the rest instead of a state at a time
-    n_pre = config.length if config.change_point == INFINITE else int(config.change_point) - 1
-    split = config.burn_in + n_pre
-    pre, post = config.pre, config.post
-    states = _kernels.chain_steps(np.zeros(d), noise[:split], pre.alpha, pre.shift, pre.sigma)
-    if split == noise.shape[0]:
-        return states[config.burn_in :]
-    # the pre-change noise is spent: the pre-change states take its rows and
-    # the post-change states the rest, so no third array holds the whole path
-    noise[:split] = states
-    del states
-    x = noise[split - 1] if split else np.zeros(d)
-    noise[split:] = _kernels.chain_steps(x, noise[split:], post.alpha, post.shift, post.sigma)
-    return noise[config.burn_in :]
+    out = np.empty((config.burn_in + config.length, config.pre.dim))
+    start = config.burn_in
+    for states in path_blocks(config, out):
+        out[start : start + len(states)] = states
+        start += len(states)
+        del states
+    return out[config.burn_in :]
 
 
 def stationary_pairs(

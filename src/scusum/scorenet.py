@@ -285,7 +285,10 @@ def _silu_parts(z, want_d2: bool):
 #
 # one GEMV over the batch. Two tangent quantities do not depend on the pair
 # and stay (d, h) arrays that broadcast: p_0 = inv_s[:, None] * W_0[:d], and
-# the cotangent of t_last, W_out.T * inv_s[:, None] / B.
+# the cotangent of t_last, W_out.T * inv_s[:, None] / B. p_0 and the GEMV
+# vector are formed once per call (_shared_tangents), so divergence_batch
+# does not repeat them per chunk; it also skips the output layer's GEMM,
+# whose psi it does not read.
 # ---------------------------------------------------------------------------
 
 class _TangentStacks:
@@ -322,12 +325,21 @@ class _TangentStacks:
         return self._flat[slot][: batch * self._d * width].reshape(batch, self._d, width)
 
 
-def _tangent_pass(params: MlpParameters, a0, inv_s, stacks: _TangentStacks):
+def _shared_tangents(params: MlpParameters, inv_s):
+    """(p_0, v): the layer-0 tangent and the divergence's GEMV vector, the same for every pair."""
+    p0 = inv_s[:, None] * params.weights[0][: params.arch.output_dim]
+    v = (params.weights[-1].T * inv_s[:, None]).ravel()
+    return p0, v
+
+
+def _tangent_pass(params: MlpParameters, a0, inv_s, p0, stacks: _TangentStacks, want_psi=True):
     """Primal pass plus the d tangent passes over one batch.
 
-    Returns psi, the tangent of the output layer's input (the shared (d, 2d)
-    input tangent when there is no hidden layer) and, with
-    ``stacks.memory``, the per-layer arrays the backward pass reads.
+    ``p0`` is the layer-0 tangent of ``_shared_tangents``. Returns psi (None
+    without ``want_psi``: the output layer's GEMM is skipped), the tangent of
+    the output layer's input (the shared (d, 2d) input tangent when there is
+    no hidden layer) and, with ``stacks.memory``, the per-layer arrays the
+    backward pass reads.
     """
     B = a0.shape[0]
     d = params.arch.output_dim
@@ -343,7 +355,7 @@ def _tangent_pass(params: MlpParameters, a0, inv_s, stacks: _TangentStacks):
         z += params.biases[l]
         a, d1, d2 = _silu_parts(z, want_d2=keep)
         if t is None:
-            p = inv_s[:, None] * w[:d]
+            p = p0
         else:
             p = stacks(n_hidden + l - 1 if keep else l % 2, B, h)
             np.matmul(t.reshape(B * d, -1), w, out=p.reshape(B * d, h))
@@ -354,17 +366,19 @@ def _tangent_pass(params: MlpParameters, a0, inv_s, stacks: _TangentStacks):
             d2s.append(d2)
             pres.append(p)
             tangents.append(t)
-    psi = a @ params.weights[-1]
-    psi += params.biases[-1]
+    psi = None
+    if want_psi:
+        psi = a @ params.weights[-1]
+        psi += params.biases[-1]
     if t is None:
         t = np.zeros((d, params.arch.input_dim))
         t[np.arange(d), np.arange(d)] = inv_s
     return psi, t, (acts, d1s, d2s, pres, tangents)
 
 
-def _divergence(params: MlpParameters, t, inv_s):
-    # (B,) from a (B, d, h) tangent stack, a scalar from a shared (d, h) one
-    v = (params.weights[-1].T * inv_s[:, None]).ravel()
+def _divergence(t, v):
+    # (B,) from a (B, d, h) tangent stack, a scalar from a shared (d, h) one;
+    # v is the GEMV vector of _shared_tangents
     return t.reshape(*t.shape[:-2], -1) @ v
 
 
@@ -449,11 +463,13 @@ def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     inv_s = _inv_s(params)
     n = Y.shape[0]
     stacks = _TangentStacks.for_pairs(params.arch, n, memory=False)
+    p0, v = _shared_tangents(params, inv_s)
     out = np.empty(n)
     for start in range(0, n, stacks.rows):
         block = slice(start, start + stacks.rows)
-        _, t, _ = _tangent_pass(params, _net_inputs(params, Y[block], X[block]), inv_s, stacks)
-        out[block] = _divergence(params, t, inv_s)
+        a0 = _net_inputs(params, Y[block], X[block])
+        _, t, _ = _tangent_pass(params, a0, inv_s, p0, stacks, want_psi=False)
+        out[block] = _divergence(t, v)
     return out
 
 
@@ -519,10 +535,11 @@ def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _Tang
     B = Y.shape[0]
     a0 = _net_inputs(params, Y, X)
     inv_s = _inv_s(params)
-    psi, t, (acts, d1s, d2s, pres, tangents) = _tangent_pass(params, a0, inv_s, stacks)
+    p0, v = _shared_tangents(params, inv_s)
+    psi, t, (acts, d1s, d2s, pres, tangents) = _tangent_pass(params, a0, inv_s, p0, stacks)
 
     psi_scaled = psi * inv_s
-    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + _divergence(params, t, inv_s)
+    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + _divergence(t, v)
     loss = float(np.mean(loss_terms))
 
     if not want_grads:

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from scusum import bounds, cli
+from scusum import bounds, cli, markov
 from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from scusum.detector import TruncationSpec, score_increments, statistic_trace
 from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
@@ -42,6 +43,14 @@ def assert_stage_peaks(stages):
         return
     assert all(isinstance(peak, float) and peak > 0 for peak in peaks)
     assert peaks == sorted(peaks)
+
+
+def assert_peak_stage(metrics):
+    """``peak_rss_stage`` names a stage of the run, or is null where ``/proc`` is absent."""
+    if not os.path.exists("/proc/self/status"):
+        assert metrics["peak_rss_stage"] is None
+    else:
+        assert metrics["peak_rss_stage"] in (*metrics["stages"], None)
 
 
 def test_peak_rss_is_null_without_proc(monkeypatch):
@@ -247,7 +256,10 @@ class TestDetect:
         assert all(stage["wall_s"] >= 0 for stage in stages.values())
         assert stages["read"]["states"] == 400
         assert stages["score"]["increments"] == stages["write"]["rows"] == 399
+        # the change point cuts the simulated stream into two blocks
+        assert stages["read"]["blocks"] == stages["score"]["blocks"] == 2
         assert_stage_peaks(stages)
+        assert_peak_stage(metrics)
         rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         assert metrics["clipped_fraction"] == np.mean(np.abs(rows[:, 1]) > 10.0) > 0
         assert metrics["peak_statistic"] == rows[:, 2].max()
@@ -373,7 +385,10 @@ class TestSweep:
         assert stages["simulate"]["states"] == 5000
         assert stages["score"]["increments"] == stages["scan"]["increments"] == 4999
         assert stages["write"]["rows"] == 9  # three thresholds in each of three CSVs
+        assert stages["simulate"]["blocks"] == stages["score"]["blocks"] == 1
+        assert "blocks" not in stages["scan"]
         assert_stage_peaks(stages)
+        assert_peak_stage(metrics)
 
         spec_pre, spec_post = GaussianKernelSpec(**SMALL_KERNEL), GaussianKernelSpec(**SMALL_POST)
         states = simulate_path(TrajectoryConfig(pre=spec_pre, length=5000, seed=9, burn_in=100))
@@ -396,6 +411,41 @@ class TestSweep:
                       "provenance": "empirical mean of truncated increments"},
         }
         assert "empirical mean of truncated increments" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, payload", [
+        ("sweep", {"kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+                   "stream": {"law": "pre", "length": 5000, "seed": 9, "burn_in": 100},
+                   "thresholds": [20.0, 40.0, 80.0], "truncation": 20.0,
+                   "compare_untruncated": True,
+                   "bounds": {"mu": {"heuristic": {"factor": 2.05}}, "delta": "empirical"}}),
+        ("detect", {"kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+                    "data": {"simulate": {"length": 5000, "change_point": 2500, "seed": 6,
+                                          "burn_in": 100}},
+                    "detector": {"threshold": 300.0, "truncation": 10.0}}),
+    ])
+    def test_a_stream_in_blocks_gives_the_outputs_of_one_block(self, tmp_path, command, payload):
+        # 700-row blocks cut the 5100 steps into 8 blocks; the first holds the
+        # 100 burn-in steps, and in detect each kernel's steps are cut apart
+        code, whole = run(tmp_path, command, payload, out="whole")
+        assert code == EXIT_OK
+        with mock.patch.object(markov, "_BLOCK_BYTES", 8 * 3 * 700):
+            code, blocked = run(tmp_path, command, payload, out="blocked")
+        assert code == EXIT_OK
+        for path in whole.iterdir():
+            if path.name != "metrics.json":
+                assert (blocked / path.name).read_bytes() == path.read_bytes(), path.name
+        metrics = json.loads((blocked / "metrics.json").read_text())
+        stages = metrics["stages"]
+        make = "simulate" if command == "sweep" else "read"
+        assert list(stages) == [make, "score", "scan", "write"]
+        assert stages[make]["blocks"] == stages["score"]["blocks"] == 8
+        assert stages[make]["states"] == 5000 and stages["score"]["increments"] == 4999
+        assert stages["score"]["increments_per_s"] == pytest.approx(4999 / stages["score"]["wall_s"])
+        assert_stage_peaks(stages)
+        assert_peak_stage(metrics)
+        whole_metrics = json.loads((whole / "metrics.json").read_text())
+        for key in ("truncation_levels", "bounds", "clipped_fraction", "peak_statistic"):
+            assert metrics.get(key) == whole_metrics.get(key)
 
     def test_delay_law_records_post_drift(self, tmp_path):
         payload = {

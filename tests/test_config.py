@@ -170,6 +170,18 @@ DEFECTS = [
     ("train", with_leaf(VALID["train"], ("data", "seed"), -1), "data.seed"),
     ("train", with_leaf(VALID["train"], ("training", "seed"), -1), "training.seed"),
     ("detect", with_leaf(VALID["detect"], ("data", "simulate", "seed"), -1), "data.simulate.seed"),
+    # a negative burn-in and an empty training set were rejected only when the
+    # stream was simulated, naming no key
+    ("simulate", with_leaf(VALID["simulate"], ("burn_in",), -1), "burn_in must be >= 0, got -1"),
+    ("sweep", with_leaf(VALID["sweep"], ("stream", "burn_in"), -1),
+     "stream.burn_in must be >= 0, got -1"),
+    ("train", with_leaf(VALID["train"], ("data", "burn_in"), -1), "data.burn_in must be >= 0, got -1"),
+    ("detect", with_leaf(VALID["detect"], ("data", "simulate", "burn_in"), -1),
+     "data.simulate.burn_in must be >= 0, got -1"),
+    ("sweep", with_leaf(with_leaf(VALID["sweep"], ("stream", "burn_in"), -1),
+                        ("models", "pre"), "no_such_model.bin"), "stream.burn_in"),
+    ("train", with_leaf(VALID["train"], ("data", "pairs"), 0), "data.pairs must be >= 1, got 0"),
+    ("train", with_leaf(VALID["train"], ("data", "pairs"), -5), "data.pairs must be >= 1, got -5"),
     # a scored stream needs one transition pair; the stream would be simulated first
     ("sweep", with_leaf(VALID["sweep"], ("stream", "length"), 1), "stream: length"),
     ("detect", with_leaf(VALID["detect"], ("data", "simulate"), {"length": 1}),

@@ -2,9 +2,14 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scusum import fields
 
 from scusum.detector import (
     DetectorConfig,
@@ -15,13 +20,16 @@ from scusum.detector import (
     run_detector,
     score_increments,
     statistic_trace,
+    stream_increments,
     threshold_sweep,
     truncate,
     write_sweep_csv,
     write_trace_csv,
 )
 from scusum.exceptions import NumericsError
-from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
+from scusum.markov import (GaussianKernelSpec, TrajectoryConfig, closed_form_score, path_blocks,
+                           simulate_path)
+from scusum.scorenet import MlpArchitecture, as_score_field, init_params
 
 PRE = GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
 POST = GaussianKernelSpec(dim=10, alpha=0.6, sigma=0.5, shift=0.9)
@@ -283,6 +291,76 @@ def test_score_increments_memory_does_not_grow_with_the_stream(closed_form_field
         tracemalloc.stop()
     assert increments.shape == (200_000,) and increments.nbytes == 1_600_000
     assert peak < 8_000_000
+
+
+def _cut(states, cuts):
+    """``states`` as consecutive blocks ending at the sorted positions ``cuts``."""
+    edges = [0, *sorted(set(cuts)), len(states)]
+    return [states[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    rows=st.sampled_from([1, 2, 3, 7, 64, 1000]),
+    network=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_increments_bitwise_equal_to_one_whole_trajectory_call(n, cuts, rows, network, seed):
+    # the pairs reach the fields in the row blocks of the whole-trajectory
+    # call, so network fields, whose GEMMs treat row counts differently, agree
+    # bit for bit as well
+    d = 3
+    if network:
+        arch = MlpArchitecture(2 * d, (8,), d)
+        fp, fq = as_score_field(init_params(arch, 1)), as_score_field(init_params(arch, 2))
+    else:
+        fp = closed_form_score(GaussianKernelSpec(dim=d, alpha=0.3, sigma=0.3, shift=0.2))
+        fq = closed_form_score(GaussianKernelSpec(dim=d, alpha=0.6, sigma=0.5, shift=0.9))
+    states = np.random.default_rng(seed).standard_normal((n, d))
+    blocks = _cut(states, [int(c * n) for c in cuts])
+    with mock.patch.object(fields, "_BLOCK_BYTES", 8 * d * rows):
+        whole = score_increments(fp, fq, states)
+        streamed = stream_increments(fp, fq, iter(blocks), n)
+    assert np.array_equal(streamed.view(np.int64), whole.view(np.int64))
+
+
+def test_stream_increments_rejects_a_wrong_state_count(closed_form_fields):
+    fp, fq = closed_form_fields
+    states = np.zeros((10, 10))
+    with pytest.raises(ValueError, match="hold 10 states, expected 11"):
+        stream_increments(fp, fq, [states[:4], states[4:]], 11)
+    with pytest.raises(ValueError, match="more than 9 states"):
+        stream_increments(fp, fq, [states[:4], states[4:]], 9)
+    with pytest.raises(ValueError, match="n >= 2"):
+        stream_increments(fp, fq, [states[:1]], 1)
+
+
+def _streamed_peak(fields_pq, length):
+    """tracemalloc peak of simulating and scoring a ``length``-state stream one block at a time."""
+    config = TrajectoryConfig(pre=PRE, length=length, seed=74)
+    tracemalloc.start()
+    try:
+        increments = stream_increments(*fields_pq, path_blocks(config), length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert increments.shape == (length - 1,)
+    return peak
+
+
+def test_streamed_simulate_and_score_peak_grows_only_by_the_increments(closed_form_fields):
+    # one block's noise and states (2 x 8.4 MB) set the peak at any length, and
+    # only the (n - 1,) increments grow, 8 bytes per step. Besides them the
+    # longer stream's peak may hold the states of one score row block that
+    # waits for the next block (1 MiB at most, whatever the length), which the
+    # shorter one's first-block peak does not. Holding the whole stream's noise
+    # and states grew the peak by 157 bytes per step
+    extra_steps = 200_000
+    waiting_row_block = (fields._block_rows(10) + 1) * 10 * 8
+    growth = _streamed_peak(closed_form_fields, 400_000) - _streamed_peak(closed_form_fields, 200_000)
+    assert growth < 8 * extra_steps + waiting_row_block + 100_000
 
 
 class TestCsvOutputs:

@@ -2,19 +2,21 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scusum import _kernels
+from scusum import _kernels, markov
 from scusum.fields import PairBatch, check_divergence_consistency
 from scusum.markov import (
     GaussianKernelSpec,
     TrajectoryConfig,
     closed_form_score,
     log_likelihood_ratios,
+    path_blocks,
     simulate_path,
     stationary_pairs,
     transition_mean,
@@ -202,6 +204,61 @@ def test_simulate_path_bitwise_equal_to_one_step_loop(burn_in, change_point):
     states = simulate_path(config)
     assert states.shape == (3000, 3)
     assert np.array_equal(states.view(np.int64), one_step_path(config).view(np.int64))
+
+
+def whole_stream_path(config):
+    """States X_1..X_length from one ``chain_steps`` call per kernel over the whole noise draw."""
+    d = config.pre.dim
+    noise = np.random.default_rng(config.seed).standard_normal((config.burn_in + config.length, d))
+    split = config.burn_in + min(config.change_point - 1, config.length)
+    pre, post = config.pre, config.post
+    states = _kernels.chain_steps(np.zeros(d), noise[:split], pre.alpha, pre.shift, pre.sigma)
+    if split < noise.shape[0]:
+        x = states[-1] if split else np.zeros(d)
+        tail = _kernels.chain_steps(x, noise[split:], post.alpha, post.shift, post.sigma)
+        states = np.concatenate([states, tail])
+    return states[config.burn_in :]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(1, 3000),
+    burn_in=st.sampled_from([0, 1, 5, 1023, 1024, 1025, 2500]),
+    change_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    rows=st.sampled_from([1, 2, 1023, 1024, 1025, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_blocks_bitwise_equal_to_one_whole_stream_call(length, burn_in, change_at, rows, seed):
+    # block rows are forced past the byte budget, down to one row and past the
+    # whole stream; the blocks must still carry the exact state across every cut
+    pre = GaussianKernelSpec(dim=3, alpha=0.3, sigma=0.3, shift=0.2)
+    post = GaussianKernelSpec(dim=3, alpha=0.6, sigma=0.5, shift=0.9)
+    change_point = math.inf if change_at is None else 1 + int(change_at * (length - 1))
+    config = TrajectoryConfig(pre=pre, post=post, change_point=change_point, length=length,
+                              seed=seed, burn_in=burn_in)
+    with mock.patch.object(markov, "_block_rows", lambda d: rows):
+        blocks = list(path_blocks(config))
+        path = simulate_path(config)
+    assert all(0 < len(block) <= rows for block in blocks)
+    expected = whole_stream_path(config)
+    streamed = np.concatenate(blocks)
+    assert streamed.shape == path.shape == (length, 3)
+    assert np.array_equal(streamed.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(path.view(np.int64), expected.view(np.int64))
+
+
+def test_block_rows_are_whole_lockstep_blocks_within_the_budget():
+    rows = markov._block_rows(10)
+    assert rows == 104_448 and rows % _kernels.BLOCK == 0
+    assert rows * 10 * 8 <= markov._BLOCK_BYTES < (rows + _kernels.BLOCK) * 10 * 8
+    # a budget below one lockstep block of rows (d > 1024 at 8 MiB) is not rounded down
+    assert markov._block_rows(markov._BLOCK_BYTES // (8 * 1000)) == 1000
+
+
+def test_path_blocks_of_an_empty_path_draw_nothing():
+    config = TrajectoryConfig(pre=PRE, length=0, burn_in=5)
+    assert list(path_blocks(config)) == []
+    assert simulate_path(config).shape == (0, 10)
 
 
 def test_change_point_path_is_written_over_the_spent_noise():
