@@ -128,9 +128,12 @@ class _Stages:
         for item, count in counts.items():
             record[item] = record.get(item, 0) + count
             record[f"{item}_per_s"] = record[item] / seconds if seconds > 0 else None
-        peak = record["peak_rss_mb"] = _peak_rss_mb()
+        peak = _peak_rss_mb()
         if peak is not None and (self._peak is None or peak > self._peak):
             self._peak, self.peak_stage = peak, name
+        # the running maximum: two VmHWM reads can fall by a few pages, since
+        # the kernel keeps RSS in batched per-CPU counters
+        record["peak_rss_mb"] = self._peak
         self._last = now
 
     def metrics(self) -> dict:
@@ -248,7 +251,7 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
     stages.end("write")
 
     print(f"trained {len(history)} epochs; final loss {history[-1]:.6g}")
-    metrics = {"pairs": len(pairs), **stages.metrics(), "epochs": epochs}
+    report = None
     if oracle is not None:
         report = scorenet.evaluate_accuracy(params, oracle, pairs)
         stages.end("evaluate", pairs=len(pairs))
@@ -256,6 +259,9 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
             f"accuracy vs closed-form score (in-sample): mse={report.mse:.6g} "
             f"var_scale={report.var_scale:.6g} rel_error={report.rel_error:.6g}"
         )
+    # built after the last stage ends, so peak_rss_stage can name any stage
+    metrics = {"pairs": len(pairs), **stages.metrics(), "epochs": epochs}
+    if report is not None:
         metrics["accuracy"] = {
             "sample": "in-sample: the training pairs",
             "mse": report.mse,

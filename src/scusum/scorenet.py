@@ -20,16 +20,22 @@ Everything here is plain numpy in double precision:
 * the hot path evaluates one sigmoid per hidden layer and derives silu,
   silu' and silu'' from it; keeps the two pair-independent tangent
   quantities (the layer-0 tangent and the output cotangent) as (d, h)
-  arrays that broadcast; reads only the diagonal of the output tangent, as
-  one GEMV; and writes the (B, d, h) tangent stacks into buffers that one
-  ``train`` or ``divergence_batch`` call reuses for all its minibatches or
-  chunks and drops when it returns;
+  arrays that broadcast; and reads only the diagonal of the output tangent
+  (one GEMV in ``divergence_batch``, a contraction of the last
+  pre-activation tangent in the loss);
+* the (B, d, h) tangent stacks live in one pool of buffers that one call
+  reuses for all its minibatches or chunks and drops when it returns. A
+  divergence pass holds at most two stacks. A gradient pass keeps only the
+  pre-activation tangents p_l, rebuilds each t_l = p_l * silu'(z_l) where
+  the backward pass reads it (one multiply), writes each cotangent over the
+  stack of the one before, and never forms the last hidden tangent, so it
+  holds L stacks for L >= 2 hidden layers, 3 for a 128x3 network;
 * one byte budget, ``_STACK_BYTES`` (1 MiB), sizes every array of a pass
   over many pairs: ``forward_batch`` runs its rows in chunks whose
   (rows, width) activations fit it, and the tangent passes of
-  ``divergence_batch``, ``surrogate_loss`` and ``loss_gradient`` in chunks
-  whose (rows, d, width) stacks fit it, so memory does not grow with the
-  number of pairs;
+  ``divergence_batch``, ``surrogate_loss``, ``loss_gradient`` and each
+  ``train`` minibatch in chunks whose (rows, d, width) stacks fit it, so
+  memory grows neither with the number of pairs nor with ``batch_size``;
 * optimization is deterministic given the config seed (init and shuffling
   use separate PCG64 streams spawned from it).
 
@@ -234,9 +240,10 @@ def init_params(arch: MlpArchitecture, seed) -> MlpParameters:
 # activation
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z):
-    # 0.5 * (1 + tanh(z / 2)) in place on one new array; finite for every z
-    g = np.multiply(z, 0.5)
+def _sigmoid(z, out=None):
+    # 0.5 * (1 + tanh(z / 2)) in place on one array (new unless given);
+    # finite for every z
+    g = np.multiply(z, 0.5, out=out)
     np.tanh(g, out=g)
     g += 1.0
     g *= 0.5
@@ -275,111 +282,147 @@ def _silu_parts(z, want_d2: bool):
 # inv_s: (d,) output/tangent scaling (ones when not standardized)
 #
 # Direction i of the d tangent passes is seeded with inv_s[i] * e_i on the y
-# half of the input. Hidden layer l maps the tangent t_{l-1} to
-# p_l = t_{l-1} @ W_l and t_l = p_l * silu'(z_l), all (B, d, h_l) stacks, and
-# the divergence of the raw-coordinate model only needs the diagonal of the
-# output tangent:
+# half of the input. Hidden layer l maps the tangent t_{l-1} to the
+# pre-activation tangent p_l = t_{l-1} @ W_l and t_l = p_l * silu'(z_l), all
+# (B, d, h_l) stacks, and the divergence of the raw-coordinate model only
+# needs the diagonal of the output tangent:
 #
 #     sum_i inv_s[i] (t_last @ W_out)[b, i, i]
-#         = t_last[b].ravel() @ (W_out.T * inv_s[:, None]).ravel(),
+#         = t_last[b].ravel() @ (W_out.T * inv_s[:, None]).ravel()
+#         = sum_h silu'(z_last)[b, h] q[b, h],
+#     q[b, h] = sum_i p_last[b, i, h] V[i, h],  V = W_out.T * inv_s[:, None].
 #
-# one GEMV over the batch. Two tangent quantities do not depend on the pair
-# and stay (d, h) arrays that broadcast: p_0 = inv_s[:, None] * W_0[:d], and
-# the cotangent of t_last, W_out.T * inv_s[:, None] / B. p_0 and the GEMV
-# vector are formed once per call (_shared_tangents), so divergence_batch
-# does not repeat them per chunk; it also skips the output layer's GEMM,
-# whose psi it does not read.
+# divergence_batch forms t_last over p_last's buffer and takes the first
+# form, one GEMV over the batch. The loss takes the last form and never
+# forms t_last: its backward pass reads p_last too. Two tangent quantities do
+# not depend on the pair and stay (d, h) arrays that broadcast:
+# p_0 = inv_s[:, None] * W_0[:d], and V, whose ravel is the GEMV vector v and
+# which over B is the cotangent of t_last. Both are formed once per call
+# (_shared_tangents).
 # ---------------------------------------------------------------------------
 
 class _TangentStacks:
-    """Float64 (B, d, width) buffers for the tangent passes of one call.
+    """A pool of float64 (B, d, width) buffers for the tangent passes of one call.
 
-    One ``train``, ``divergence_batch`` or loss call makes them and reuses
-    them for each of its minibatches or chunks; a slot's buffer is allocated
-    on first use, and a batch of B <= rows pairs uses its leading part. They
-    are dropped with the call. ``for_pairs`` sizes them for the chunks of an
-    n-pair call: at most ``_STACK_BYTES`` per stack, 16 rows at d=62 and
-    width 128.
+    One ``train``, ``divergence_batch`` or loss call makes it and reuses its
+    buffers for each of its minibatches or chunks; they are dropped with the
+    call. ``take`` hands out the leading part of a free buffer, making one
+    only when none is free, and ``give`` returns it; every buffer is free
+    again when a pass starts (``reset``). ``for_pairs`` sizes the buffers for
+    n pairs split into the fewest equal chunks within ``_STACK_BYTES``: a
+    128-pair minibatch of a width-128 network runs as 2 x 64 rows at d=10
+    and 8 x 16 at d=62.
 
-    With L hidden layers and ``memory`` (gradients wanted), slot l holds
-    t_l, slot L+l-1 holds p_l (l >= 1) and slot 2L-1 is backward scratch.
-    Without it p_l and t_l share slot l % 2, so at most two stacks exist.
+    A divergence or loss pass holds at most two stacks at once, and a pass
+    with gradients L for L >= 2 hidden layers (none for one hidden layer), so
+    the pool makes no more buffers than that.
     """
 
-    def __init__(self, arch: MlpArchitecture, rows: int, memory: bool):
-        self.memory = memory
+    def __init__(self, arch: MlpArchitecture, rows: int):
         self.rows = rows
         self._d = arch.output_dim
         self._size = rows * arch.output_dim * max(arch.hidden_widths, default=0)
-        self._flat = {}
+        self.buffers = []
+        self._free = []
 
     @classmethod
-    def for_pairs(cls, arch: MlpArchitecture, n: int, memory: bool) -> "_TangentStacks":
-        """Stacks for an n-pair call taken ``rows`` pairs at a time."""
-        row_bytes = arch.output_dim * max(arch.hidden_widths, default=1) * 8
-        return cls(arch, max(1, min(n, _STACK_BYTES // row_bytes)), memory)
+    def for_pairs(cls, arch: MlpArchitecture, n: int) -> "_TangentStacks":
+        """Stacks for n >= 1 pairs split into the fewest equal chunks within ``_STACK_BYTES``."""
+        return cls(arch, _equal_chunk(n, _stack_rows(arch)))
 
-    def __call__(self, slot: int, batch: int, width: int) -> np.ndarray:
-        if slot not in self._flat:
-            self._flat[slot] = np.empty(self._size)
-        return self._flat[slot][: batch * self._d * width].reshape(batch, self._d, width)
+    def reset(self) -> None:
+        self._free = list(self.buffers)
+
+    def take(self, batch: int, width: int) -> np.ndarray:
+        if not self._free:
+            self.buffers.append(np.empty(self._size))
+            self._free.append(self.buffers[-1])
+        return self._free.pop()[: batch * self._d * width].reshape(batch, self._d, width)
+
+    def give(self, stack: np.ndarray) -> None:
+        self._free.append(stack.base)
+
+
+def _stack_rows(arch: MlpArchitecture) -> int:
+    """Pairs whose (rows, d, width) tangent stack fits ``_STACK_BYTES``."""
+    return max(1, _STACK_BYTES // (8 * arch.output_dim * max(arch.hidden_widths, default=1)))
+
+
+def _equal_chunk(n: int, limit: int) -> int:
+    """Rows per chunk when n >= 1 rows split into the fewest chunks of at most ``limit``.
+
+    The chunks then differ in size by at most one: 128 rows within 102 are
+    2 x 64, not 102 + 26.
+    """
+    return -(-n // -(-n // limit))
 
 
 def _shared_tangents(params: MlpParameters, inv_s):
-    """(p_0, v): the layer-0 tangent and the divergence's GEMV vector, the same for every pair."""
+    """(p_0, V): the layer-0 tangent and the divergence's (d, h) weights, the same for every pair."""
     p0 = inv_s[:, None] * params.weights[0][: params.arch.output_dim]
-    v = (params.weights[-1].T * inv_s[:, None]).ravel()
-    return p0, v
+    # C order, so the contractions over V and V / B stream it along h
+    return p0, np.multiply(params.weights[-1].T, inv_s[:, None], order="C")
 
 
-def _tangent_pass(params: MlpParameters, a0, inv_s, p0, stacks: _TangentStacks, want_psi=True):
-    """Primal pass plus the d tangent passes over one batch.
+def _times_d1(p, d1, out):
+    """p * d1[:, None, :] into ``out``, for a (B, d, h) stack p or the shared (d, h) p_0.
 
-    ``p0`` is the layer-0 tangent of ``_shared_tangents``. Returns psi (None
-    without ``want_psi``: the output layer's GEMM is skipped), the tangent of
-    the output layer's input (the shared (d, 2d) input tangent when there is
-    no hidden layer) and, with ``stacks.memory``, the per-layer arrays the
-    backward pass reads.
+    einsum's loop runs these products 20-45% faster than np.multiply's
+    broadcasting loop at the chunk shapes of a training step; it differs from
+    np.multiply only in giving +0.0 where the product is -0.0, so the
+    divergence_batch path, whose outputs stay bitwise fixed, keeps
+    np.multiply.
     """
+    return np.einsum("bih,bh->bih" if p.ndim == 3 else "ih,bh->bih", p, d1, out=out)
+
+
+def _tangent_pass(params: MlpParameters, a0, inv_s, p0, stacks: _TangentStacks, keep: bool):
+    """Primal pass plus the d tangent passes over one batch, up to the last hidden layer.
+
+    ``p0`` is the layer-0 tangent of ``_shared_tangents``. Returns the last
+    hidden activation, that layer's pre-activation tangent p_last and
+    silu'(z_last), and with ``keep`` the ``(a_in, silu', silu'', p)`` of
+    each hidden layer for the backward pass. Only p_1.. live in ``stacks``:
+    p_0 is the shared (d, h) array, and each t_l is made in a scratch stack
+    (in place over p_l without ``keep``) and dropped once p_{l+1} is formed.
+    Without hidden layers it returns a0, the shared (d, 2d) input tangent
+    and None.
+    """
+    stacks.reset()
     B = a0.shape[0]
     d = params.arch.output_dim
     n_hidden = len(params.arch.hidden_widths)
-    keep = stacks.memory
-    acts, d1s, d2s, pres, tangents = [a0], [], [], [], []
-    a = a0
-    t = None
+    layers = []
+    a, p, d1 = a0, None, None
     for l in range(n_hidden):
         w = params.weights[l]
         h = w.shape[1]
-        z = a @ w
-        z += params.biases[l]
-        a, d1, d2 = _silu_parts(z, want_d2=keep)
-        if t is None:
+        if l == 0:
             p = p0
         else:
-            p = stacks(n_hidden + l - 1 if keep else l % 2, B, h)
-            np.matmul(t.reshape(B * d, -1), w, out=p.reshape(B * d, h))
-        t = np.multiply(p, d1[:, None, :], out=stacks(l if keep else l % 2, B, h))
+            if keep:
+                t = _times_d1(p, d1, stacks.take(B, p.shape[-1]))
+            else:  # over p_{l-1}'s own stack; p_0 is shared and has none
+                t = np.multiply(p, d1[:, None, :], out=stacks.take(B, p.shape[-1]) if l == 1 else p)
+            p = np.matmul(t.reshape(B * d, -1), w, out=stacks.take(B, h).reshape(B * d, h))
+            p = p.reshape(B, d, h)
+            stacks.give(t)
+        z = a @ w
+        z += params.biases[l]
+        a_next, d1, d2 = _silu_parts(z, want_d2=keep)
         if keep:
-            acts.append(a)
-            d1s.append(d1)
-            d2s.append(d2)
-            pres.append(p)
-            tangents.append(t)
-    psi = None
-    if want_psi:
-        psi = a @ params.weights[-1]
-        psi += params.biases[-1]
-    if t is None:
-        t = np.zeros((d, params.arch.input_dim))
-        t[np.arange(d), np.arange(d)] = inv_s
-    return psi, t, (acts, d1s, d2s, pres, tangents)
+            layers.append((a, d1, d2, p))
+        a = a_next
+    if p is None:
+        p = np.zeros((d, params.arch.input_dim))
+        p[np.arange(d), np.arange(d)] = inv_s
+    return a, p, d1, layers
 
 
-def _divergence(t, v):
+def _divergence(t, V):
     # (B,) from a (B, d, h) tangent stack, a scalar from a shared (d, h) one;
-    # v is the GEMV vector of _shared_tangents
-    return t.reshape(*t.shape[:-2], -1) @ v
+    # V is the (d, h) divergence weights of _shared_tangents
+    return t.reshape(*t.shape[:-2], -1) @ V.ravel()
 
 
 def _net_inputs(params: MlpParameters, Y, X):
@@ -401,11 +444,16 @@ def _inv_s(params: MlpParameters):
 # * forward_batch takes max(1, _STACK_BYTES // (8 * max(2d, widths))) rows
 #   at a time, so an input or (rows, width) activation stays within it, 1024
 #   rows at width 128;
-# * divergence_batch, surrogate_loss and loss_gradient take
-#   max(1, _STACK_BYTES // (8 * d * max width)) rows at a time for their
-#   (rows, d, width) tangent stacks, 102 at d=10 and 16 at d=62 for width
-#   128. A divergence or loss chunk holds two stacks, a gradient chunk 2L for
-#   L hidden layers.
+# * divergence_batch takes max(1, _STACK_BYTES // (8 * d * max width)) rows
+#   at a time for its (rows, d, width) tangent stacks, 102 at d=10 and 16 at
+#   d=62 for width 128, and holds two stacks;
+# * surrogate_loss, loss_gradient and each train minibatch split their pairs
+#   into the fewest equal chunks of at most that many rows: a 128-pair
+#   minibatch runs as 2 x 64 rows at d=10 and 8 x 16 at d=62. A loss chunk
+#   holds two stacks, a gradient chunk L for L >= 2 hidden layers. The loss
+#   and gradient of one 128-pair minibatch of a 128x3 network peak
+#   (tracemalloc, stacks made fresh) at 3.6 MB at d=10 and 5.1 MB at d=62,
+#   against 9.9 and 51.4 MB with 2L stacks sized by batch_size.
 #
 # A stack stays in cache while the d tangent passes stream it, and memory
 # does not grow with the pairs. One divergence_batch call, 128x3 network,
@@ -439,18 +487,26 @@ def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
     """Network outputs for (n, d) batches of y and x; raw coordinates.
 
     Rows go through the network in chunks of ``_STACK_BYTES`` per (rows,
-    width) activation and land in one (n, d) output.
+    width) activation and land in one (n, d) output. Each hidden layer adds
+    its bias and applies SiLU in place, with the sigmoid in one scratch
+    buffer, and drops its input as soon as its GEMM has read it, so a chunk
+    holds at most three (rows, width) arrays.
     """
     Y, X = _pair_arrays(params, Y, X)
     arch = params.arch
+    n = Y.shape[0]
     rows = max(1, _STACK_BYTES // (8 * max((arch.input_dim, *arch.hidden_widths))))
+    g = np.empty(min(rows, n) * max(arch.hidden_widths, default=0))
     inv_s = _inv_s(params)
     out = np.empty(Y.shape)
-    for start in range(0, Y.shape[0], rows):
+    for start in range(0, n, rows):
         block = slice(start, start + rows)
         a = _net_inputs(params, Y[block], X[block])
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
-            a = silu(a @ w + b)
+            a = a @ w
+            a += b
+            # silu in place: the same products as a * _sigmoid(a)
+            a *= _sigmoid(a, out=g[: a.size].reshape(a.shape))
         psi = np.matmul(a, params.weights[-1], out=out[block])
         psi += params.biases[-1]
         psi *= inv_s
@@ -462,14 +518,18 @@ def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     Y, X = _pair_arrays(params, Y, X)
     inv_s = _inv_s(params)
     n = Y.shape[0]
-    stacks = _TangentStacks.for_pairs(params.arch, n, memory=False)
-    p0, v = _shared_tangents(params, inv_s)
+    stacks = _TangentStacks(params.arch, max(1, min(n, _stack_rows(params.arch))))
+    p0, V = _shared_tangents(params, inv_s)
     out = np.empty(n)
     for start in range(0, n, stacks.rows):
         block = slice(start, start + stacks.rows)
         a0 = _net_inputs(params, Y[block], X[block])
-        _, t, _ = _tangent_pass(params, a0, inv_s, p0, stacks, want_psi=False)
-        out[block] = _divergence(t, v)
+        _, t, d1, _ = _tangent_pass(params, a0, inv_s, p0, stacks, keep=False)
+        if d1 is not None:
+            # t_last = p_last * silu'(z_last), over p_last's stack (p_0 has none)
+            into = t if t.ndim == 3 else stacks.take(len(a0), t.shape[-1])
+            t = np.multiply(t, d1[:, None, :], out=into)
+        out[block] = _divergence(t, V)
     return out
 
 
@@ -484,7 +544,7 @@ def surrogate_loss(model, pairs) -> float:
         raise ValueError("empty batch")
     if isinstance(model, ScoreField):
         return float(np.mean(hyvarinen_scores(model, batch)))
-    loss, _ = _chunked_loss_and_grads(model, batch, want_grads=False)
+    loss, _ = _chunked_loss_and_grads(model, batch.x_next, batch.x_prev, want_grads=False)
     return loss
 
 
@@ -493,101 +553,132 @@ def loss_gradient(model: MlpParameters, pairs) -> MlpGradients:
     batch = PairBatch.coerce(pairs)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    _, grads = _chunked_loss_and_grads(model, batch, want_grads=True)
+    _, grads = _chunked_loss_and_grads(model, batch.x_next, batch.x_prev, want_grads=True)
     return grads
 
 
-def _chunked_loss_and_grads(params: MlpParameters, batch: PairBatch, want_grads: bool):
-    """``_loss_and_grads`` over chunks sized by ``_TangentStacks.for_pairs``, weighted by size.
+def _chunked_loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks=None):
+    """``_loss_and_grads`` over the fewest equal chunks of at most ``stacks.rows`` pairs, weighted by size.
 
-    The chunks share one set of tangent stacks, so memory stays that of one
-    chunk however many pairs there are.
+    The chunks share one pool of tangent stacks, ``_TangentStacks.for_pairs``
+    unless the caller passes its own (``train`` passes one for all its
+    minibatches), so memory stays that of one chunk however many pairs
+    there are.
     """
-    n = len(batch)
-    stacks = _TangentStacks.for_pairs(params.arch, n, memory=want_grads)
+    n = Y.shape[0]
+    if stacks is None:
+        stacks = _TangentStacks.for_pairs(params.arch, n)
+    rows = _equal_chunk(n, stacks.rows)
     loss, grads = 0.0, None
-    for start in range(0, n, stacks.rows):
-        stop = min(start + stacks.rows, n)
-        part_loss, part = _loss_and_grads(
-            params, batch.x_next[start:stop], batch.x_prev[start:stop], want_grads, stacks
-        )
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        part_loss, part = _loss_and_grads(params, Y[start:stop], X[start:stop], want_grads, stacks)
         weight = (stop - start) / n
         loss += weight * part_loss
         if part is None:
             continue
+        for g in part.weights + part.biases:
+            g *= weight
         if grads is None:
-            grads = MlpGradients([weight * g for g in part.weights],
-                                 [weight * g for g in part.biases])
+            grads = part
         else:
             for acc, g in zip(grads.weights + grads.biases, part.weights + part.biases):
-                acc += weight * g
+                acc += g
+    # checked once over the chunks: a non-finite chunk leaves its sum non-finite
+    if grads is None:
+        if not np.isfinite(loss):
+            raise NumericsError("non-finite surrogate loss")
+        return loss, None
+    for k, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
+        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+            raise NumericsError(f"non-finite gradient in layer {k}")
     return loss, grads
 
 
 def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _TangentStacks):
-    """Surrogate loss and (optionally) its exact parameter gradient.
+    """Surrogate loss and (optionally) its exact parameter gradient, unchecked for finiteness.
 
     Backpropagates through the primal pass and through all d tangent passes;
     see the layer-local rules inline. Gradients are averaged over the batch.
-    ``stacks`` holds the tangent buffers, which the caller reuses for all
-    its minibatches or chunks.
+    ``stacks`` is the pool of tangent buffers, which the caller reuses for
+    all its minibatches or chunks. The pass keeps the pre-activation tangents
+    p_l only; the backward pass rebuilds t_{l-1} = p_{l-1} * silu'(z_{l-1})
+    where it reads it, one multiply, and writes each cotangent d_p over d_t,
+    so it holds L stacks for L >= 2 hidden layers.
     """
     B = Y.shape[0]
+    d = params.arch.output_dim
     a0 = _net_inputs(params, Y, X)
     inv_s = _inv_s(params)
-    p0, v = _shared_tangents(params, inv_s)
-    psi, t, (acts, d1s, d2s, pres, tangents) = _tangent_pass(params, a0, inv_s, p0, stacks)
+    p0, V = _shared_tangents(params, inv_s)
+    a, p, d1, layers = _tangent_pass(params, a0, inv_s, p0, stacks, keep=want_grads)
 
+    w_out = params.weights[-1]
+    psi = a @ w_out
+    psi += params.biases[-1]
     psi_scaled = psi * inv_s
-    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + _divergence(t, v)
+    if d1 is None:  # no hidden layer: the divergence is the same for every pair
+        div = _divergence(p, V)
+    else:
+        p = np.broadcast_to(p, (B, *p.shape[-2:]))  # p_0 is shared with one hidden layer
+        q = np.einsum("bih,ih->bh", p, V)
+        div = np.einsum("bh,bh->b", q, d1)
+    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + div
     loss = float(np.mean(loss_terms))
 
     if not want_grads:
-        if not np.isfinite(loss):
-            raise NumericsError("non-finite surrogate loss")
         return loss, None
 
-    n_hidden = len(params.arch.hidden_widths)
-    d = params.arch.output_dim
+    n_hidden = len(layers)
     g_w = [None] * (n_hidden + 1)
     g_b = [None] * (n_hidden + 1)
 
-    # output layer: psi = a @ W + b; the divergence reads t @ W, whose
-    # cotangent is the same (d, h) for every pair
-    w_out = params.weights[-1]
+    # output layer: psi = a @ W + b; the divergence reads t_last @ W, whose
+    # cotangent d_t = V / B is the same (d, h) for every pair, and W's
+    # gradient through it is the batch mean of t_last = p_last * silu'(z_last)
     d_psi = psi_scaled * inv_s / B
-    d_t = w_out.T * inv_s[:, None] / B
-    t_mean = t.mean(axis=0) if t.ndim == 3 else t
-    g_w[-1] = acts[-1].T @ d_psi + (t_mean * inv_s[:, None]).T
+    if d1 is None:
+        t_mean = p
+    else:
+        t_mean = np.einsum("bih,bh->ih", p, d1)
+        t_mean /= B
+    g_w[-1] = a.T @ d_psi + (t_mean * inv_s[:, None]).T
     g_b[-1] = d_psi.sum(axis=0)
     d_a = d_psi @ w_out.T
+    d_t = V / B
 
     # hidden layers, last to first:
     #   z = a_prev @ W + b; a = silu(z); p = t_prev @ W; t = p * silu'(z)
     for l in range(n_hidden - 1, -1, -1):
-        w, d1, d2, p = params.weights[l], d1s[l], d2s[l], pres[l]
+        w = params.weights[l]
         h = w.shape[1]
+        a_in, d1, d2, p = layers[l]
+        # sum_i d_t * p per pair; q / B for the last layer, whose d_t is V / B
+        d_tp = q / B if l == n_hidden - 1 else np.einsum("...ih,...ih->...h", d_t, p)
         d_z = d_a * d1
-        d_z += np.einsum("...ih,...ih->...h", d_t, p) * d2
+        d_z += d_tp * d2
         g_b[l] = d_z.sum(axis=0)
-        g_w[l] = acts[l].T @ d_z
+        g_w[l] = a_in.T @ d_z
         if l == 0:
             # t_prev is the input tangent, inv_s[i] on input i < d and 0
             # elsewhere, so only the batch sum of d_p = d_t * d1 is needed
             d_t = np.broadcast_to(d_t, (B, d, h))
             g_w[0][:d] += inv_s[:, None] * np.einsum("bih,bh->ih", d_t, d1)
+            break
+        stacks.give(p)  # p_l is read no more
+        # d_p over d_t's stack; the last layer's d_t is shared and gets one
+        if d_t.ndim == 3:
+            d_p = np.multiply(d_t, d1[:, None, :], out=d_t)
         else:
-            d_p = np.multiply(d_t, d1[:, None, :], out=stacks(2 * n_hidden - 1, B, h))
-            t_prev = tangents[l - 1]
-            g_w[l] += t_prev.reshape(B * d, -1).T @ d_p.reshape(B * d, h)
-            d_a = d_z @ w.T
-            # t_prev is read no more; its buffer takes its cotangent
-            np.matmul(d_p.reshape(B * d, h), w.T, out=t_prev.reshape(B * d, -1))
-            d_t = t_prev
-
-    for k, (gw, gb) in enumerate(zip(g_w, g_b)):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericsError(f"non-finite gradient in layer {k}")
+            d_p = _times_d1(d_t, d1, stacks.take(B, h))
+        _, d1_prev, _, p_prev = layers[l - 1]
+        t_prev = _times_d1(p_prev, d1_prev, stacks.take(B, p_prev.shape[-1]))
+        g_w[l] += t_prev.reshape(B * d, -1).T @ d_p.reshape(B * d, h)
+        d_a = d_z @ w.T
+        # t_prev is read no more; its stack takes its cotangent
+        np.matmul(d_p.reshape(B * d, h), w.T, out=t_prev.reshape(B * d, -1))
+        d_t = t_prev
+        stacks.give(d_p)
     return loss, MlpGradients(weights=g_w, biases=g_b)
 
 
@@ -641,7 +732,7 @@ def train(
         v_b = [np.zeros_like(b) for b in params.biases]
         step_count = 0
 
-    stacks = _TangentStacks(arch, config.batch_size, memory=True)
+    stacks = _TangentStacks.for_pairs(arch, config.batch_size)
     history = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -650,7 +741,7 @@ def train(
         for start in range(0, n, config.batch_size):
             sel = order[start : start + config.batch_size]
             try:
-                loss, grads = _loss_and_grads(params, Y[sel], X[sel], want_grads=True, stacks=stacks)
+                loss, grads = _chunked_loss_and_grads(params, Y[sel], X[sel], True, stacks)
             except NumericsError as err:
                 raise TrainingError(f"loss diverged at epoch {epoch}: {err}", epoch=epoch) from err
             if not np.isfinite(loss):

@@ -61,6 +61,36 @@ def test_peak_rss_is_null_without_proc(monkeypatch):
     assert cli._peak_rss_mb() is None
 
 
+def test_stage_peaks_are_the_running_maximum(monkeypatch):
+    # VmHWM reads can fall by a few pages; a stage records the highest read
+    # so far, and the stage whose read last rose is the peak stage
+    reads = iter([70.0, 72.707, 72.691, 72.8, 72.75])
+    monkeypatch.setattr(cli, "_peak_rss_mb", lambda: next(reads))
+    stages = cli._Stages()
+    for name in ("simulate", "score", "scan", "write"):
+        stages.end(name)
+    metrics = stages.metrics()
+    assert [s["peak_rss_mb"] for s in metrics["stages"].values()] == [72.707, 72.707, 72.8, 72.8]
+    assert metrics["peak_rss_stage"] == "scan"
+
+
+def test_train_metrics_can_name_evaluate_the_peak_stage(tmp_path, monkeypatch):
+    # each read higher than the last: the evaluate stage, which ends last,
+    # sets the peak, and metrics.json must be written after it ends
+    reads = iter(range(100, 200))
+    monkeypatch.setattr(cli, "_peak_rss_mb", lambda: float(next(reads)))
+    code, out = run(tmp_path, "train", {
+        "data": {"kernel": SMALL_KERNEL, "pairs": 256, "seed": 5, "burn_in": 100},
+        "architecture": {"hidden_widths": [4]},
+        "training": {"epochs": 1, "batch_size": 64},
+    })
+    assert code == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert list(metrics["stages"]) == ["data", "fit", "write", "evaluate"]
+    assert metrics["peak_rss_stage"] == "evaluate"
+    assert_stage_peaks(metrics["stages"])
+
+
 class TestSimulate:
     def test_writes_trajectory_and_manifest(self, tmp_path):
         payload = {"kernel": SMALL_KERNEL, "length": 50, "seed": 4}

@@ -295,12 +295,12 @@ class TestLossGradient:
 
     @pytest.mark.parametrize("n", [1, 64, 65, 200])
     def test_chunks_agree_with_one_pass(self, monkeypatch, n):
-        # chunks of 64 pairs (200 = 64 + 64 + 64 + 8) against one tangent pass
-        # over all pairs
+        # equal chunks of at most 64 pairs (65 = 33 + 32, 200 = 4 x 50)
+        # against one tangent pass over all pairs
         rng = np.random.default_rng(23)
         params = standardized(init_params(tiny_arch(3, (6, 5, 4)), 9), rng)
         batch = random_batch(rng, 3, n)
-        stacks = scorenet._TangentStacks(params.arch, n, memory=True)
+        stacks = scorenet._TangentStacks(params.arch, n)
         one_loss, one = scorenet._loss_and_grads(params, batch.x_next, batch.x_prev, True, stacks)
         monkeypatch.setattr(scorenet, "_STACK_BYTES", 64 * 3 * 6 * 8)  # 64 rows of d=3, width 6
         loss = surrogate_loss(params, batch)
@@ -369,7 +369,14 @@ class TestChunking:
         for g, r in zip(grads.weights + grads.biases, ref.weights + ref.biases):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
-    def test_stacks_stay_within_the_byte_budget_at_the_mocap_dimension(self, monkeypatch):
+    @pytest.mark.parametrize("widths, counts", [
+        # divergence_batch and surrogate_loss hold two stacks; loss_gradient
+        # one per hidden layer, L of them for L >= 2 hidden layers
+        ((128, 8), (2, 2, 2)),
+        ((128, 128, 128), (2, 2, 3)),
+    ])
+    def test_stacks_stay_within_the_byte_budget_at_the_mocap_dimension(
+            self, monkeypatch, widths, counts):
         stacks = []
 
         class Recorded(scorenet._TangentStacks):
@@ -379,16 +386,16 @@ class TestChunking:
 
         monkeypatch.setattr(scorenet, "_TangentStacks", Recorded)
         rng = np.random.default_rng(29)
-        params = init_params(tiny_arch(62, (128, 8)), 10)
+        params = init_params(tiny_arch(62, widths), 10)
         batch = random_batch(rng, 62, 5000)
         scorenet.divergence_batch(params, batch.x_next, batch.x_prev)
         surrogate_loss(params, batch)
         loss_gradient(params, batch)
         assert len(stacks) == 3
-        for made, count in zip(stacks, (2, 2, 4)):  # two stacks, or 2L with gradients
+        for made, count in zip(stacks, counts):
             assert made.rows == 16  # 1 MiB // (62 * 128 * 8 B)
-            assert len(made._flat) == count
-            assert all(buf.nbytes <= scorenet._STACK_BYTES for buf in made._flat.values())
+            assert len(made.buffers) == count
+            assert all(buf.nbytes <= scorenet._STACK_BYTES for buf in made.buffers)
 
 
 def _traced_peak(call, *args):
@@ -486,6 +493,45 @@ class TestTrain:
         config = TrainConfig(learning_rate=1e-2, batch_size=128, epochs=4, seed=13)
         _, history = train(tiny_arch(3, (8, 8, 8)), pairs, config, standardize=standardize)
         assert history == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("widths", [(), (5,), (5, 3), (5, 3, 7), (5, 3, 7, 4)])
+    def test_step_gradient_matches_finite_differences(self, widths, standardize):
+        # one SGD step at learning rate 1 over one minibatch of 13 pairs moves
+        # the parameters by minus the gradient train computed, in chunks of
+        # 5 + 5 + 3 pairs (stacks of at most 5 rows); the finite differences
+        # take the loss in one chunk
+        d, n, seed = 3, 13, 21
+        arch = tiny_arch(d, widths)
+        pairs = random_batch(np.random.default_rng(seed), d, n)
+        config = TrainConfig(learning_rate=1.0, batch_size=n, epochs=1, seed=seed,
+                             optimizer="sgd", shuffle=False)
+        with mock.patch.object(scorenet, "_STACK_BYTES", 5 * d * max(widths, default=1) * 8):
+            trained, _ = train(arch, pairs, config, standardize=standardize)
+        start = init_params(arch, np.random.SeedSequence(seed).spawn(2)[0])
+        batch = pairs
+        if standardize:
+            mean, scale = scorenet._compute_standardization(pairs)
+            batch = PairBatch((pairs.x_prev - mean) / scale, (pairs.x_next - mean) / scale)
+        fd_w, fd_b = finite_diff_loss_grad(start, batch)
+        steps = [a - b for a, b in zip(start.weights + start.biases,
+                                       trained.weights + trained.biases)]
+        for g, f in zip(steps, fd_w + fd_b):
+            assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-6)) <= 1e-4
+
+    def test_step_memory_does_not_grow_with_batch_size(self):
+        # the tangent stacks of a step are sized by _STACK_BYTES, not by
+        # batch_size; only the minibatch's (B, d) inputs grow with it. Stacks
+        # sized by the batch grew this by 6 x 384 x 62 x 128 x 8 B = 146 MB.
+        d = 62
+        pairs = random_batch(np.random.default_rng(37), d, 1024)
+        arch = tiny_arch(d, (128, 128, 128))
+        peaks = {}
+        for batch_size in (128, 512):
+            config = TrainConfig(batch_size=batch_size, epochs=1, seed=3)
+            _, peaks[batch_size] = _traced_peak(train, arch, pairs, config)
+        extra_rows = 512 - 128
+        assert peaks[512] - peaks[128] <= extra_rows * 2 * d * 8 + 64 * 1024
 
     def test_on_epoch_reports_each_epoch(self):
         pairs = random_batch(np.random.default_rng(13), 2, 96)
