@@ -49,8 +49,6 @@ from .detector import (
     RunLengthReport,
     TruncationSpec,
     detector_update,
-    measure_run_lengths,
-    run_detector,
     score_increments,
     statistic_trace,
     threshold_sweep,

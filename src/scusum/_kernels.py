@@ -22,16 +22,16 @@ The CUSUM statistic follows the recursion
 
     W_n = phi(s_n) + max(0, W_{n-1}),      W_0 = 0,
 
-which equals max_{1<=k<=n} sum_{i=k}^n phi(s_i). The detect-and-reset scan
-``run_lengths`` runs this recursion as one scalar pass and is bitwise equal
-to ``detector.detector_update``. ``cusum_trace`` uses the algebraic identity
-W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running sum of phi(s); over
-very long streams the cumulative sums lose a few low bits relative to the
-recursion, so it matches the recursion to 1e-9 rather than bitwise.
+which equals max_{1<=k<=n} sum_{i=k}^n phi(s_i). ``cusum_trace`` uses the
+algebraic identity W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running
+sum of phi(s); over very long streams the cumulative sums lose a few low bits
+relative to the recursion, so it matches the recursion to 1e-9 rather than
+bitwise.
 
-``sweep_run_lengths`` gives the detect-and-reset scans of many thresholds
-from one pass of the no-reset recursion. It rests on two facts about the
-IEEE operations the scan performs:
+``sweep_run_lengths`` is the one detect-and-reset scan: it gives the scans
+of one or many thresholds from one pass of the no-reset recursion, each
+bitwise equal to ``detector.detector_update`` run with resets. It rests on
+two facts about the IEEE operations the scan performs:
 
 * Monotonicity. Round-to-nearest addition is monotone, so a lane that resets
   at its alarms carries max(0, w) <= max(0, W) at every step, where W is the
@@ -49,7 +49,10 @@ reset recursion then runs over the recorded excursions that reach it only,
 carrying its interval start across them, and is bitwise equal to a full
 scan at that threshold.
 
-Truncation is encoded as a clip level ``m``; pass ``np.inf`` to disable it.
+``cusum_trace`` takes the raw increments and a clip level ``m`` (``np.inf``
+disables truncation); ``sweep_run_lengths`` takes increments already
+clipped, phi(s_n), so its caller clips the stream once and reads its
+diagnostics from the same array.
 """
 
 from __future__ import annotations
@@ -182,14 +185,6 @@ def _reset_scan(values, b: float, first: int, last: int, intervals: list) -> int
     return last
 
 
-def run_lengths(increments, b: float, m: float = np.inf):
-    """Detect-and-reset scan; returns (intervals array, residual steps)."""
-    clipped = np.clip(_as_f64(increments), -m, m)
-    intervals = []
-    last = _reset_scan(memoryview(clipped), b, 0, 0, intervals)
-    return np.asarray(intervals, dtype=np.int64), clipped.shape[0] - last
-
-
 def _excursions(values, floor: float):
     """The excursions of the no-reset statistic W that an alarm at ``floor`` needs.
 
@@ -223,15 +218,16 @@ def _excursions(values, floor: float):
     return found, peak
 
 
-def sweep_run_lengths(increments, thresholds, m: float = np.inf):
-    """Detect-and-reset scans at every threshold from one no-reset pass.
+def sweep_run_lengths(phi, thresholds):
+    """Detect-and-reset scans of the clipped increments ``phi`` at every threshold.
 
-    Returns (runs, peak): ``runs[k]`` is the (intervals array, residual steps)
-    of ``run_lengths(increments, thresholds[k], m)``, bitwise, and ``peak`` is
-    the largest no-reset statistic max W_n (-inf for an empty stream).
+    Returns (runs, peak): ``runs[k]`` is (intervals, residual) of the scan at
+    ``thresholds[k]``, an int64 array of the alarm-to-alarm intervals and the
+    steps after the last alarm, and ``peak`` is the largest no-reset
+    statistic max W_n (-inf for an empty stream).
     """
-    clipped = np.clip(_as_f64(increments), -m, m)
-    values = memoryview(clipped)
+    phi = _as_f64(phi)
+    values = memoryview(phi)
     thresholds = [float(b) for b in thresholds]
     excursions, peak = _excursions(values, min(thresholds, default=math.inf))
     runs = []
@@ -241,5 +237,5 @@ def sweep_run_lengths(increments, thresholds, m: float = np.inf):
         for start, stop, top in excursions:
             if top >= b:
                 last = _reset_scan(values[start:stop], b, start, last, intervals)
-        runs.append((np.asarray(intervals, dtype=np.int64), clipped.shape[0] - last))
+        runs.append((np.asarray(intervals, dtype=np.int64), phi.shape[0] - last))
     return runs, peak

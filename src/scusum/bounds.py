@@ -149,8 +149,9 @@ def hoeffding_tail(n: int, eps: float, mu_f: float) -> float:
 
 
 def bound_curve(delta: float, mu: float, thresholds) -> list[tuple[float, float]]:
-    """False-alarm lower bound over a threshold grid, for overlay plots."""
-    return [(float(b), false_alarm_lower_bound(delta, mu, float(b))) for b in thresholds]
+    """False-alarm lower bound over a threshold grid, for overlay plots; NaN where b <= mu."""
+    return [(b, false_alarm_lower_bound(delta, mu, b) if b > mu else math.nan)
+            for b in map(float, thresholds)]
 
 
 def write_bound_csv(path, curve) -> None:

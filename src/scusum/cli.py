@@ -44,7 +44,6 @@ import numpy as np
 
 from . import __version__, _textio, bounds, detector, markov, mocap, scorenet
 from .exceptions import AmcError, ModelFileError, NumericsError, TrainingError
-from .fields import MonteCarloEstimate
 
 if TYPE_CHECKING:
     from .config import (BoundsConfig, DetectConfig, KernelsConfig, MocapConfig, ModelsConfig,
@@ -325,17 +324,16 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     increments = detector.stream_increments(field_pre, field_post, blocks, n_states)
 
     trunc = detector.TruncationSpec(config.detector.truncation)
-    dconf = detector.DetectorConfig(threshold=config.detector.threshold, truncation=trunc)
     trace = detector.statistic_trace(increments, trunc)
-    report = detector.measure_run_lengths(increments, dconf)
+    sweep = detector.threshold_sweep(increments, [config.detector.threshold], trunc)
     stages.end("scan", increments=len(increments))
 
     trace_path = out_dir / "trace.csv"
     # increment i covers the pair (state_{i+1}, state_{i+2}), so times start at 2
     detector.write_trace_csv(trace_path, increments, trace, first_time=2)
-    alarm_times = [int(v) + 1 for v in np.cumsum(report.intervals)]
+    alarm_times = [int(v) + 1 for v in np.cumsum(sweep[0].intervals)]
     summary = {
-        "threshold": dconf.threshold,
+        "threshold": config.detector.threshold,
         "truncation": trunc.level,
         "alarm_times": alarm_times,
         "change_point": None if declared_cp == math.inf else int(declared_cp),
@@ -350,7 +348,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     metrics_path = out_dir / "metrics.json"
     _write_json(metrics_path, {
         **stages.metrics(),
-        "clipped_fraction": float(np.mean(np.abs(increments) > trunc.clip)),
+        "clipped_fraction": sweep.clipped_fraction,
         "peak_statistic": float(trace.max()),
     })
 
@@ -399,11 +397,7 @@ def _sweep_bounds(config: SweepConfig, thresholds, truncation_level, drift_estim
             raise NumericsError(
                 "estimated pre-change drift is not negative; cannot evaluate the false-alarm bound"
             )
-        # the bound is defined only above mu; keep the grid aligned with NaN rows
-        curve = [
-            (b, bounds.false_alarm_lower_bound(delta, mu, b) if b > mu else float("nan"))
-            for b in thresholds
-        ]
+        curve = bounds.bound_curve(delta, mu, thresholds)
         inputs["delta"] = {"value": delta, "provenance": delta_label}
         print(f"mu = {mu:.6g} ({mu_label}); delta = {delta:.6g} ({delta_label})")
         if any(b <= mu for b in thresholds):
@@ -442,14 +436,13 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
     sweeps = {}
     level_metrics = []
     for name, level in levels.items():
-        sweeps[name] = detector.threshold_sweep(increments, thresholds, level)
-        drift = MonteCarloEstimate.from_values(np.clip(increments, -level.clip, level.clip))
+        sweeps[name] = report = detector.threshold_sweep(increments, thresholds, level)
         level_metrics.append({
             "output": name,
             "truncation": level.level,
-            "clipped_fraction": float(np.mean(np.abs(increments) > level.clip)),
-            "peak_statistic": sweeps[name].peak_statistic,
-            "drift": asdict(drift),
+            "clipped_fraction": report.clipped_fraction,
+            "peak_statistic": report.peak_statistic,
+            "drift": asdict(report.drift),
         })
     if config.bounds is not None:
         curve, bound_inputs = _sweep_bounds(config, thresholds, trunc.level,
@@ -476,7 +469,7 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
     outputs.append(metrics_path.name)
 
     for row in sweeps["sweep.csv"]:
-        print(f"b={row.threshold:g} mean_run_length={row.mean_run_length:g} count={row.count}")
+        print(f"b={row.threshold:g} mean_run_length={row.mean:g} count={row.count}")
     return outputs
 
 

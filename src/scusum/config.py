@@ -18,7 +18,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Literal
 
-from . import bounds, markov, mocap, scorenet
+from . import bounds, detector, markov, mocap, scorenet
 
 # a config section: built by keyword, so fields may be declared in any order
 _section = dataclass(frozen=True, kw_only=True)
@@ -105,8 +105,14 @@ def _load_section(cls, raw: dict, path: str, seed):
             raise ValueError(f"{here} must be >= {_MINIMUM[f.name]}, got {value}")
     try:
         return cls(**built), echo
+    except _FieldError as err:
+        raise ValueError(f"{path + '.' if path else ''}{err}") from None
     except ValueError as err:  # the dataclass's own range checks
         raise ValueError(f"{path or 'config'}: {err}") from None
+
+
+class _FieldError(ValueError):
+    """A section's check of one of its fields, whose message starts with the field's name."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,12 @@ class DetectorSettings:
     threshold: float
     truncation: float | None = None
 
+    def __post_init__(self):
+        try:
+            detector.DetectorConfig(self.threshold, detector.TruncationSpec(self.truncation))
+        except ValueError as err:
+            raise _FieldError(err) from None
+
 
 @_section
 class DetectConfig:
@@ -258,6 +270,13 @@ class SweepConfig:
     truncation: float | None = None
     compare_untruncated: bool = False
     bounds: SweepBoundsConfig | None = None
+
+    def __post_init__(self):
+        try:
+            detector.check_thresholds(self.thresholds)
+            detector.TruncationSpec(self.truncation)
+        except ValueError as err:
+            raise _FieldError(err) from None
 
 
 @_section

@@ -14,17 +14,18 @@ run-length guarantees in ``bounds`` assume.
 
 Long scans run through the numpy kernels in ``_kernels``. ``detector_update``
 is the one-step reference implementation they are property-tested against:
-the detect-and-reset scan behind ``run_detector`` and the run-length
-harnesses is bitwise equal to it, and ``statistic_trace`` agrees to 1e-9.
+the detect-and-reset scan behind ``threshold_sweep`` is bitwise equal to it,
+and ``statistic_trace`` agrees to 1e-9.
 
-``threshold_sweep`` serves a whole threshold grid from one pass over the
-stream. Wherever the no-reset statistic W is <= 0, every detect-and-reset
-statistic, whatever its threshold, is <= 0 as well (rounding is monotone,
-and a reset only lowers the carry), so all of them restart together from the
-next increment. Between two such steps a threshold above the peak of W sees
+``threshold_sweep`` is the one run-length harness: ``detect`` runs it at its
+one threshold and ``sweep`` at a grid, each over one pass of the stream.
+Wherever the no-reset statistic W is <= 0, every detect-and-reset statistic,
+whatever its threshold, is <= 0 as well (rounding is monotone, and a reset
+only lowers the carry), so all of them restart together from the next
+increment. Between two such steps a threshold above the peak of W sees
 exactly W and no alarm. Each threshold's scan therefore runs only over the
-excursions of W that reach it, and its intervals and residual are bitwise
-those of ``measure_run_lengths`` at that threshold.
+excursions of W that reach it. The same pass clips the stream once and
+reports the clipped fraction and the drift of the clipped increments.
 """
 
 from __future__ import annotations
@@ -38,20 +39,18 @@ import numpy as np
 
 from . import _kernels, _textio
 from .exceptions import NumericsError
-from .fields import PairBatch, ScoreField, _block_rows, score_differences
+from .fields import MonteCarloEstimate, PairBatch, ScoreField, _block_rows, score_differences
 
 __all__ = [
     "TruncationSpec",
     "DetectorConfig",
     "DetectorState",
     "RunLengthReport",
-    "SweepRow",
     "SweepReport",
     "truncate",
     "detector_update",
-    "run_detector",
     "statistic_trace",
-    "measure_run_lengths",
+    "check_thresholds",
     "threshold_sweep",
     "score_increments",
     "stream_increments",
@@ -68,7 +67,7 @@ class TruncationSpec:
 
     def __post_init__(self):
         if self.level is not None and not self.level > 0:
-            raise ValueError("truncation level must be positive")
+            raise ValueError(f"truncation must be positive, got {self.level!r}")
 
     @property
     def clip(self) -> float:
@@ -82,7 +81,7 @@ class DetectorConfig:
 
     def __post_init__(self):
         if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+            raise ValueError(f"threshold must be positive, got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -122,72 +121,43 @@ def _finite(increments) -> np.ndarray:
     return increments
 
 
-def run_detector(increments, config: DetectorConfig) -> int | None:
-    """Smallest n (1-based) with W_n >= threshold, or None if never reached."""
-    intervals, _ = _kernels.run_lengths(_finite(increments), config.threshold, config.truncation.clip)
-    return int(intervals[0]) if intervals.size else None
-
-
 def statistic_trace(increments, truncation: TruncationSpec = TruncationSpec()) -> np.ndarray:
     """Full W_n series without resets (for traces and threshold calibration)."""
     return _kernels.cusum_trace(_finite(increments), truncation.clip)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field: == would compare elementwise
 class RunLengthReport:
-    """Alarm-to-alarm intervals from a detect-and-reset scan.
+    """The detect-and-reset scan at one threshold: its alarm-to-alarm intervals (int64).
 
-    ``residual`` counts trailing steps consumed after the last alarm without
-    another alarm, so sum(intervals) + residual equals the stream length.
-    ``mean`` is NaN when no alarm fired.
+    ``residual`` counts the steps after the last alarm, so sum(intervals) +
+    residual is the stream length; ``mean`` is NaN when no alarm fired. Over
+    a pre-change stream the intervals are false-alarm run lengths, and over a
+    post-change stream (the change active from the first sample) detection
+    delays.
     """
 
-    intervals: list[int]
-    mean: float
-    count: int
-    residual: int
-
-    @classmethod
-    def from_intervals(cls, intervals, residual: int) -> "RunLengthReport":
-        intervals = [int(v) for v in intervals]
-        mean = float(np.mean(intervals)) if intervals else float("nan")
-        return cls(intervals=intervals, mean=mean, count=len(intervals), residual=residual)
-
-
-def measure_run_lengths(increments, config: DetectorConfig) -> RunLengthReport:
-    """Alarm-to-alarm intervals of a detect-and-reset scan over ``increments``.
-
-    Each alarm records the interval since the previous alarm (or the stream
-    start) and resets the statistic to zero. Over a stream generated wholly
-    under the pre-change law the intervals are false-alarm run lengths, and
-    their mean estimates the mean time between false alarms. Over a stream
-    generated wholly under the post-change law (the change active from the
-    first sample) each interval is one detection delay, and the mean
-    estimates the expected delay at this threshold.
-    """
-    intervals, residual = _kernels.run_lengths(
-        _finite(increments), config.threshold, config.truncation.clip
-    )
-    return RunLengthReport.from_intervals(intervals, residual)
-
-
-@dataclass(frozen=True)
-class SweepRow:
     threshold: float
-    mean_run_length: float
+    intervals: np.ndarray
+    residual: int
     count: int
+    mean: float
 
 
 @dataclass(frozen=True)
 class SweepReport(Sequence):
     """The rows of a threshold sweep, one per threshold in increasing order.
 
-    ``peak_statistic`` is the largest value of the no-reset statistic over the
-    stream (-inf for an empty stream): a threshold above it raises no alarm.
+    ``peak_statistic`` is the largest no-reset statistic (-inf for an empty
+    stream), ``clipped_fraction`` the share of increments the truncation
+    clipped and ``drift`` the mean of the clipped increments (both NaN for
+    an empty stream).
     """
 
-    rows: tuple[SweepRow, ...]
+    rows: tuple[RunLengthReport, ...]
     peak_statistic: float
+    clipped_fraction: float
+    drift: MonteCarloEstimate
 
     def __getitem__(self, index):
         return self.rows[index]
@@ -196,23 +166,38 @@ class SweepReport(Sequence):
         return len(self.rows)
 
 
-def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationSpec()) -> SweepReport:
-    """The detect-and-reset harness at every threshold of a grid, over one stream.
+def check_thresholds(thresholds) -> list[float]:
+    """``thresholds`` as floats, each positive and above the one before it.
 
-    ``stream`` is an increment array; one pass over it serves every
-    threshold, and each row equals ``measure_run_lengths`` at its threshold.
+    An error names the first element that breaks the rule as ``thresholds[i]``.
     """
     thresholds = [float(b) for b in thresholds]
-    if any(b2 <= b1 for b1, b2 in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly increasing")
-    for b in thresholds:
-        DetectorConfig(threshold=b, truncation=truncation)  # rejects b <= 0
-    runs, peak = _kernels.sweep_run_lengths(_finite(stream), thresholds, truncation.clip)
-    rows = []
-    for b, (intervals, residual) in zip(thresholds, runs):
-        report = RunLengthReport.from_intervals(intervals, residual)
-        rows.append(SweepRow(threshold=b, mean_run_length=report.mean, count=report.count))
-    return SweepReport(rows=tuple(rows), peak_statistic=peak)
+    for i, b in enumerate(thresholds):
+        if not b > 0 or (i and not b > thresholds[i - 1]):
+            raise ValueError(
+                f"thresholds[{i}] = {b!r}: thresholds must be positive and strictly increasing")
+    return thresholds
+
+
+def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationSpec()) -> SweepReport:
+    """The detect-and-reset scan at every threshold of a grid, over one increment stream.
+
+    Each alarm records the interval since the previous alarm (or the stream
+    start) and resets the statistic to zero. The stream is clipped once, and
+    one pass over it serves every threshold.
+    """
+    thresholds = check_thresholds(thresholds)
+    increments = _finite(stream)
+    phi = np.clip(increments, -truncation.clip, truncation.clip)
+    clipped, n = np.count_nonzero(phi != increments), increments.size
+    runs, peak = _kernels.sweep_run_lengths(phi, thresholds)
+    rows = tuple(
+        RunLengthReport(threshold=b, intervals=intervals, residual=residual, count=intervals.size,
+                        mean=float(intervals.mean()) if intervals.size else math.nan)
+        for b, (intervals, residual) in zip(thresholds, runs)
+    )
+    return SweepReport(rows=rows, peak_statistic=peak, clipped_fraction=clipped / n if n else math.nan,
+                       drift=MonteCarloEstimate.from_values(phi))
 
 
 def score_increments(field_p: ScoreField, field_q: ScoreField, states) -> np.ndarray:
@@ -290,10 +275,10 @@ def write_trace_csv(path, increments, trace, first_time: int = 1) -> None:
             _textio.write_rows(fh, [f"{n},{row}" for n, row in zip(times, rows)])
 
 
-def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
+def write_sweep_csv(path, rows: Sequence[RunLengthReport]) -> None:
     """Sweep summary: columns threshold, mean_run_length, count."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "mean_run_length", "count"])
         for row in rows:
-            writer.writerow([repr(row.threshold), repr(row.mean_run_length), row.count])
+            writer.writerow([repr(row.threshold), repr(row.mean), row.count])

@@ -35,6 +35,7 @@ Fields are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable
@@ -191,7 +192,7 @@ class MonteCarloEstimate:
         values = np.asarray(values, dtype=np.float64)
         n = values.size
         se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(mean=float(np.mean(values)), std_error=se, count=n)
+        return cls(mean=float(np.mean(values)) if n else math.nan, std_error=se, count=n)
 
     def __float__(self) -> float:
         return self.mean

@@ -300,16 +300,16 @@ def test_criterion_7_end_to_end_detection(pre_model, post_model):
     calib_states = markov.simulate_path(markov.TrajectoryConfig(pre=PRE, length=10_001, seed=717))
     calib = detector.score_increments(learned_p, learned_q, calib_states)
     b = 1.25 * float(np.max(detector.statistic_trace(calib, trunc)))
-    config = detector.DetectorConfig(threshold=b, truncation=trunc)
-    assert detector.run_detector(calib, config) is None  # calibration sanity
+    assert detector.threshold_sweep(calib, [b], trunc)[0].count == 0  # calibration sanity
 
     nu = 120
     states = markov.simulate_path(
         markov.TrajectoryConfig(pre=PRE, post=POST, change_point=nu, length=1000, seed=727)
     )
     increments = detector.score_increments(learned_p, learned_q, states)
-    stop = detector.run_detector(increments, config)
-    alarm_time = None if stop is None else stop + 1  # increment i covers state i+1
+    intervals = detector.threshold_sweep(increments, [b], trunc)[0].intervals
+    # the first interval is the first alarm's step; increment i covers state i+1
+    alarm_time = int(intervals[0]) + 1 if intervals.size else None
     ok = alarm_time is not None and alarm_time >= nu and (alarm_time - nu) < 200
     report(
         "criterion 7 (no alarm before the change, delay < 200 after it)",
@@ -348,10 +348,8 @@ def test_criterion_9_bound_validity(pre_increments, post_increments):
 
     ok = True
     details = [f"mu={mu:.0f}, empirical delta={delta:.1f}"]
-    for b in thresholds:
-        fa = detector.measure_run_lengths(
-            pre_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
-        )
+    for fa in detector.threshold_sweep(pre_increments, thresholds, trunc):
+        b = fa.threshold
         # with no alarm over the whole stream, its length is a lower bound
         # on the mean time between false alarms
         empirical = fa.mean if fa.count > 0 else float(len(pre_increments))
@@ -362,10 +360,8 @@ def test_criterion_9_bound_validity(pre_increments, post_increments):
     phi_post = np.clip(post_increments, -TRUNCATION_LEVEL, TRUNCATION_LEVEL)
     post_drift = float(phi_post.mean())
     assert post_drift > 0
-    for b in thresholds[-2:]:
-        delays = detector.measure_run_lengths(
-            post_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
-        )
+    for delays in detector.threshold_sweep(post_increments, thresholds[-2:], trunc):
+        b = delays.threshold
         _, delay_bound = bounds.delay_upper_bound(b, mu, post_drift)
         ok = ok and delays.count > 0 and delays.mean <= delay_bound
         details.append(f"b={b:.0f}: delay {delays.mean:.1f} vs bound {delay_bound:.1f}")
@@ -382,20 +378,18 @@ def test_criterion_10_truncation_comparison(pre_increments, post_increments):
     details = []
     for m in (TRUNCATION_LEVEL, 150.0):
         trunc = detector.TruncationSpec(m)
-        for b in (30.0, 60.0):  # chosen so the pre-change stream actually alarms
-            plain = detector.measure_run_lengths(pre_increments, detector.DetectorConfig(threshold=b))
-            clipped = detector.measure_run_lengths(
-                pre_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
-            )
+        fa_thresholds = (30.0, 60.0)  # chosen so the pre-change stream actually alarms
+        for plain, clipped in zip(detector.threshold_sweep(pre_increments, fa_thresholds),
+                                  detector.threshold_sweep(pre_increments, fa_thresholds, trunc)):
+            b = plain.threshold
             plain_mean = plain.mean if plain.count else float(len(pre_increments))
             clipped_mean = clipped.mean if clipped.count else float(len(pre_increments))
             ok = ok and clipped_mean >= plain_mean
             details.append(f"M={m:.0f} FA b={b:.0f}: {clipped_mean:.1f}>={plain_mean:.1f}")
-        for b in (1000.0, 2000.0):
-            plain = detector.measure_run_lengths(post_increments, detector.DetectorConfig(threshold=b))
-            clipped = detector.measure_run_lengths(
-                post_increments, detector.DetectorConfig(threshold=b, truncation=trunc)
-            )
+        delay_thresholds = (1000.0, 2000.0)
+        for plain, clipped in zip(detector.threshold_sweep(post_increments, delay_thresholds),
+                                  detector.threshold_sweep(post_increments, delay_thresholds, trunc)):
+            b = plain.threshold
             ok = ok and plain.count > 0 and clipped.count > 0 and clipped.mean >= plain.mean
             details.append(f"M={m:.0f} delay b={b:.0f}: {clipped.mean:.1f}>={plain.mean:.1f}")
     report("criterion 10 (truncated run lengths >= untruncated)", ok, "; ".join(details))

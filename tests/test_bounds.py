@@ -172,9 +172,11 @@ class TestBoundInputs:
 
 
 def test_bound_curve_csv(tmp_path):
-    curve = bound_curve(1.0, 2.0, [3.0, 4.0, 5.0])
+    # b = 2 is mu itself: the bound is undefined there, and the row keeps its place
+    curve = bound_curve(1.0, 2.0, [2.0, 3.0, 4.0, 5.0])
     path = tmp_path / "bounds.csv"
     write_bound_csv(path, curve)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "b,bound"
-    assert float(lines[2].split(",")[1]) == pytest.approx(6.96649, abs=1e-4)
+    assert lines[1] == "2.0,nan"
+    assert float(lines[3].split(",")[1]) == pytest.approx(6.96649, abs=1e-4)

@@ -13,7 +13,8 @@ import pytest
 
 from scusum import bounds, cli, markov
 from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from scusum.detector import TruncationSpec, score_increments, statistic_trace
+from scusum.detector import (DetectorConfig, DetectorState, TruncationSpec, detector_update,
+                             score_increments, statistic_trace)
 from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -294,6 +295,37 @@ class TestDetect:
         assert metrics["clipped_fraction"] == np.mean(np.abs(rows[:, 1]) > 10.0) > 0
         assert metrics["peak_statistic"] == rows[:, 2].max()
 
+    def test_alarm_times_follow_the_one_step_recursion_with_resets(self, tmp_path):
+        # a truncation that binds and several alarms: alarms.json must list the
+        # times at which detector_update over trace.csv's score_diff alarms,
+        # restarting from W = 0 after each alarm
+        payload = {
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "data": {"simulate": {"length": 400, "change_point": 120, "seed": 6}},
+            "detector": {"threshold": 100.0, "truncation": 10.0},
+        }
+        code, out = run(tmp_path, "detect", payload)
+        assert code == EXIT_OK
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+
+        def one_step_alarm_times(truncation):
+            config = DetectorConfig(threshold=100.0, truncation=truncation)
+            state, times = DetectorState(), []
+            for n, s in rows[:, :2]:
+                state = detector_update(state, s, config)
+                if state.alarmed:
+                    times.append(int(n))
+                    state = DetectorState()
+            return times
+
+        expected = one_step_alarm_times(TruncationSpec(10.0))
+        summary = json.loads((out / "alarms.json").read_text())
+        assert summary["alarm_times"] == expected
+        assert len(expected) >= 3
+        assert expected != one_step_alarm_times(TruncationSpec())  # the truncation binds
+        assert summary["false_alarm_times"] == [t for t in expected if t < 120]
+        assert summary["delays"] == [t - 120 for t in expected if t >= 120]
+
     def test_model_file_and_closed_form_mix(self, tmp_path, trained_model_dir):
         _, _, model_out = trained_model_dir
         payload = {
@@ -543,6 +575,17 @@ class TestBounds:
         code, _ = run(tmp_path, "bounds", payload)
         assert code == EXIT_OK
         assert "n0 = 22" in capsys.readouterr().out
+
+    def test_grid_across_mu_writes_nan_at_and_below_mu(self, tmp_path):
+        # the scalar threshold lies above mu; grid points at or below it have no bound
+        payload = {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "thresholds": [1.0, 2.0, 100.0]}
+        code, out = run(tmp_path, "bounds", payload)
+        assert code == EXIT_OK
+        assert (out / "bounds.csv").read_text().splitlines() == [
+            "b,bound", "1.0,nan", "2.0,nan",
+            f"100.0,{bounds.false_alarm_lower_bound(1.0, 2.0, 100.0)!r}"]
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "bounds.csv", "bounds.json"]
 
     def test_domain_error_mentions_condition(self, tmp_path, capsys):
         payload = {"delta": 1.0, "mu": 10.0, "threshold": 5.0}

@@ -186,6 +186,23 @@ DEFECTS = [
     ("sweep", with_leaf(VALID["sweep"], ("stream", "length"), 1), "stream: length"),
     ("detect", with_leaf(VALID["detect"], ("data", "simulate"), {"length": 1}),
      "data.simulate: length"),
+    # threshold and truncation ranges were checked only after the models were
+    # read and the stream scored: a missing model file exited 5 first
+    ("detect", with_leaf(with_leaf(VALID["detect"], ("detector", "threshold"), -5.0),
+                         ("models", "pre"), "no_such_model.bin"),
+     "detector.threshold must be positive, got -5.0"),
+    ("detect", with_leaf(with_leaf(VALID["detect"], ("detector", "truncation"), 0.0),
+                         ("models", "pre"), "no_such_model.bin"),
+     "detector.truncation must be positive, got 0.0"),
+    ("sweep", with_leaf(with_leaf(VALID["sweep"], ("thresholds",), [20.0, 10.0]),
+                        ("models", "pre"), "no_such_model.bin"),
+     "thresholds[1] = 10.0: thresholds must be positive and strictly increasing"),
+    ("sweep", with_leaf(with_leaf(VALID["sweep"], ("thresholds",), [-1.0]),
+                        ("models", "pre"), "no_such_model.bin"),
+     "thresholds[0] = -1.0: thresholds must be positive"),
+    ("sweep", with_leaf(with_leaf(VALID["sweep"], ("truncation",), 0.0),
+                        ("models", "pre"), "no_such_model.bin"),
+     "error: truncation must be positive, got 0.0"),
 ]
 
 

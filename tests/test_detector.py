@@ -1,4 +1,4 @@
-"""Stopping rules, run-length harnesses, and their brute-force oracles."""
+"""Stopping rules, the run-length harness, and their brute-force oracles."""
 
 import math
 import tracemalloc
@@ -16,8 +16,6 @@ from scusum.detector import (
     DetectorState,
     TruncationSpec,
     detector_update,
-    measure_run_lengths,
-    run_detector,
     score_increments,
     statistic_trace,
     stream_increments,
@@ -27,6 +25,7 @@ from scusum.detector import (
     write_trace_csv,
 )
 from scusum.exceptions import NumericsError
+from scusum.fields import MonteCarloEstimate
 from scusum.markov import (GaussianKernelSpec, TrajectoryConfig, closed_form_score, path_blocks,
                            simulate_path)
 from scusum.scorenet import MlpArchitecture, as_score_field, init_params
@@ -129,45 +128,69 @@ class TestRecursionEquivalence:
         assert np.allclose(seq, statistic_trace(s, config.truncation), atol=1e-9)
 
 
-class TestRunDetector:
+def scan(increments, b, truncation=TruncationSpec()):
+    """The single-threshold row of ``threshold_sweep``, as ``detect`` runs it."""
+    (row,) = threshold_sweep(increments, [b], truncation)
+    return row
+
+
+def first_alarm(increments, b):
+    """Smallest n (1-based) with W_n >= b, or None if never reached."""
+    intervals = scan(increments, b).intervals
+    return int(intervals[0]) if intervals.size else None
+
+
+def one_step_intervals(increments, config):
+    """(intervals, residual) of a ``detector_update`` loop that resets at each alarm."""
+    state, intervals, start = DetectorState(), [], 0
+    for i, inc in enumerate(increments):
+        state = detector_update(state, float(inc), config)
+        if state.alarmed:
+            intervals.append(i - start + 1)
+            start, state = i + 1, DetectorState()
+    return intervals, len(increments) - start
+
+
+class TestFirstAlarm:
     def test_empty_stream(self):
-        assert run_detector([], DetectorConfig(threshold=1.0)) is None
+        assert first_alarm([], 1.0) is None
 
     def test_immediate_alarm(self):
-        assert run_detector([2.5], DetectorConfig(threshold=1.5)) == 1
+        assert first_alarm([2.5], 1.5) == 1
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(13)
         s = rng.uniform(-1, 1.2, size=5000)
         stops = []
         for b in (1.0, 3.0, 9.0, 27.0):
-            stop = run_detector(s, DetectorConfig(threshold=b))
+            stop = first_alarm(s, b)
             stops.append(math.inf if stop is None else stop)
         assert stops == sorted(stops)
 
 
-class TestRunLengthHarnesses:
+class TestRunLengths:
     def test_all_negative_no_alarms(self):
-        report = measure_run_lengths(-np.ones(1000), DetectorConfig(threshold=5.0))
-        assert report.count == 0 and report.intervals == []
+        report = scan(-np.ones(1000), 5.0)
+        assert report.count == 0 and report.intervals.tolist() == []
         assert math.isnan(report.mean)
         assert report.residual == 1000
 
     def test_unit_increments_deterministic_intervals(self):
-        report = measure_run_lengths(np.ones(100), DetectorConfig(threshold=10.0))
-        assert report.intervals == [10] * 10
+        report = scan(np.ones(100), 10.0)
+        assert report.intervals.tolist() == [10] * 10
         assert report.mean == 10.0 and report.residual == 0
 
     def test_constant_increment_delays(self):
         c, b = 0.9, 7.0
-        report = measure_run_lengths(np.full(500, c), DetectorConfig(threshold=b))
-        assert set(report.intervals) == {math.ceil(b / c)}
+        report = scan(np.full(500, c), b)
+        assert set(report.intervals.tolist()) == {math.ceil(b / c)}
 
     def test_intervals_partition_stream(self):
         rng = np.random.default_rng(14)
         s = rng.uniform(-2, 3, size=20_000)
-        report = measure_run_lengths(s, DetectorConfig(threshold=25.0, truncation=TruncationSpec(2.5)))
-        assert sum(report.intervals) + report.residual == len(s)
+        report = scan(s, 25.0, TruncationSpec(2.5))
+        assert report.intervals.dtype == np.int64
+        assert report.intervals.sum() + report.residual == len(s)
         assert report.count == len(report.intervals)
 
     def test_mean_interval_nondecreasing_in_threshold(self):
@@ -175,7 +198,7 @@ class TestRunLengthHarnesses:
         s = rng.uniform(-1.5, 1.6, size=50_000)
         means = []
         for b in (2.0, 5.0, 10.0, 20.0):
-            means.append(measure_run_lengths(s, DetectorConfig(threshold=b)).mean)
+            means.append(scan(s, b).mean)
         assert all(m2 >= m1 for m1, m2 in zip(means, means[1:]))
 
     def test_mean_delay_nondecreasing_in_threshold(self):
@@ -183,22 +206,23 @@ class TestRunLengthHarnesses:
         s = rng.uniform(-1.0, 2.5, size=30_000)  # positive drift, post-change style
         means = []
         for b in (5.0, 15.0, 45.0, 135.0):
-            report = measure_run_lengths(s, DetectorConfig(threshold=b))
+            report = scan(s, b)
             assert report.count > 0
             means.append(report.mean)
         assert all(m2 >= m1 for m1, m2 in zip(means, means[1:]))
 
 
 class TestThresholdSweep:
-    def test_single_threshold_matches_harness(self):
+    def test_single_threshold_matches_one_step_loop(self):
         rng = np.random.default_rng(16)
         s = rng.uniform(-1, 1.5, size=10_000)
-        rows = threshold_sweep(s, [4.0])
-        direct = measure_run_lengths(s, DetectorConfig(threshold=4.0))
-        assert rows[0].mean_run_length == direct.mean
-        assert rows[0].count == direct.count
+        row = scan(s, 4.0)
+        intervals, residual = one_step_intervals(s, DetectorConfig(threshold=4.0))
+        assert (row.threshold, row.intervals.tolist(), row.residual) == (4.0, intervals, residual)
+        assert row.mean == float(np.mean(intervals))
+        assert row.count == len(intervals)
 
-    def test_rows_match_harness_at_every_threshold(self):
+    def test_rows_match_single_threshold_scans(self):
         rng = np.random.default_rng(18)
         s = rng.uniform(-1, 1.2, size=20_000)
         trunc = TruncationSpec(0.8)
@@ -206,19 +230,39 @@ class TestThresholdSweep:
         report = threshold_sweep(s, thresholds, trunc)
         assert len(report) == len(thresholds)
         for row, b in zip(report, thresholds):
-            direct = measure_run_lengths(s, DetectorConfig(threshold=b, truncation=trunc))
-            assert (row.threshold, row.count) == (b, direct.count)
-            assert row.mean_run_length == direct.mean or direct.count == 0
-        assert report[-1].count == 0 and math.isnan(report[-1].mean_run_length)
+            direct = scan(s, b, trunc)
+            assert (row.threshold, row.count, row.residual) == (b, direct.count, direct.residual)
+            assert np.array_equal(row.intervals, direct.intervals)
+            assert row.mean == direct.mean or direct.count == 0
+        assert report[-1].count == 0 and math.isnan(report[-1].mean)
         assert report.peak_statistic == pytest.approx(statistic_trace(s, trunc).max(), rel=1e-12)
 
+    def test_reports_the_clipped_stream(self):
+        rng = np.random.default_rng(19)
+        s = rng.uniform(-3, 2, size=5_000)
+        report = threshold_sweep(s, [5.0], TruncationSpec(1.5))
+        assert report.clipped_fraction == np.mean(np.abs(s) > 1.5) > 0
+        assert report.drift == MonteCarloEstimate.from_values(np.clip(s, -1.5, 1.5))
+        plain = threshold_sweep(s, [5.0])
+        assert plain.clipped_fraction == 0.0
+        assert plain.drift == MonteCarloEstimate.from_values(s)
+
+    def test_empty_stream(self):
+        report = threshold_sweep([], [1.0, 2.0], TruncationSpec(1.0))
+        assert [(r.count, r.residual, r.intervals.tolist()) for r in report] == [(0, 0, [])] * 2
+        assert report.peak_statistic == -math.inf
+        assert math.isnan(report.clipped_fraction) and math.isnan(report.drift.mean)
+        assert report.drift.count == 0
+
     def test_rejects_non_positive_threshold_and_non_finite_increments(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"thresholds\[0\] = 0.0: thresholds must be positive"):
             threshold_sweep(np.ones(5), [0.0, 1.0])
         with pytest.raises(NumericsError):
             threshold_sweep(np.array([1.0, np.nan]), [1.0])
 
     def test_requires_increasing_thresholds(self):
+        with pytest.raises(ValueError, match=r"thresholds\[2\] = 2.0: .*increasing"):
+            threshold_sweep(np.ones(10), [1.0, 2.0, 2.0])
         with pytest.raises(ValueError, match="increasing"):
             threshold_sweep(np.ones(10), [2.0, 1.0])
 
@@ -267,10 +311,8 @@ class TestSyntheticStreams:
     def test_truncated_delay_not_shorter(self, post_increments):
         # positive spikes get clipped, so the truncated statistic climbs no faster
         b = 2000.0
-        plain = measure_run_lengths(post_increments, DetectorConfig(threshold=b))
-        clipped = measure_run_lengths(
-            post_increments, DetectorConfig(threshold=b, truncation=TruncationSpec(150.0))
-        )
+        plain = scan(post_increments, b)
+        clipped = scan(post_increments, b, TruncationSpec(150.0))
         assert clipped.count > 0 and plain.count > 0
         assert clipped.mean >= plain.mean
 

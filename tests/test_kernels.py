@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scusum import _kernels
-from scusum.detector import DetectorConfig, DetectorState, TruncationSpec, detector_update, run_detector
+from scusum.detector import DetectorConfig, DetectorState, TruncationSpec, detector_update
 
 L = _kernels.BLOCK
 
@@ -45,6 +45,18 @@ def one_step_scan(increments, config):
 
 def _config(b, m):
     return DetectorConfig(threshold=b, truncation=TruncationSpec(None if m == np.inf else m))
+
+
+def sweep(increments, thresholds, m):
+    """``sweep_run_lengths`` over ``increments`` clipped to [-m, m]."""
+    return _kernels.sweep_run_lengths(np.clip(np.asarray(increments, dtype=np.float64), -m, m),
+                                      thresholds)
+
+
+def reset_scan(increments, b, m):
+    """(intervals, residual) of the detect-and-reset scan at one threshold ``b``."""
+    runs, _ = sweep(increments, [b], m)
+    return runs[0]
 
 
 def assert_bitwise(a, b):
@@ -90,13 +102,13 @@ class TestReferenceParity:
             _, _, stats = one_step_scan(s, _config(math.inf, m))
             assert np.allclose(_kernels.cusum_trace(s, m), stats, rtol=0, atol=1e-9)
 
-    def test_run_lengths(self):
+    def test_single_threshold_scan(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
             s = rng.uniform(-3, 5, size=int(rng.integers(10, 20000)))
             b = float(rng.uniform(0.5, 50))
             m = float(rng.choice([np.inf, 1.0, 4.0]))
-            intervals, residual = _kernels.run_lengths(s, b, m)
+            intervals, residual = reset_scan(s, b, m)
             ref_intervals, ref_residual, _ = one_step_scan(s, _config(b, m))
             assert intervals.tolist() == ref_intervals
             assert residual == ref_residual
@@ -107,29 +119,34 @@ class TestReferenceParity:
         for b in (0.5, 10.0, 1e9):
             config = _config(b, np.inf)
             ref_intervals, _, _ = one_step_scan(s, config)
-            expected = ref_intervals[0] if ref_intervals else None
-            assert run_detector(s, config) == expected
+            intervals, _ = reset_scan(s, b, np.inf)
+            assert intervals[:1].tolist() == ref_intervals[:1]
 
 
-def test_run_lengths_against_reference():
-    # detect-and-reset scan equals a literal one-step reference loop
-    rng = np.random.default_rng(6)
-    s = rng.uniform(-3, 4, size=2000)
-    b, m = 7.0, 2.5
-    intervals, residual = _kernels.run_lengths(s, b, m)
-
-    ref_intervals = []
+def literal_reset_scan(s, b, m):
+    """(intervals, residual) of the detect-and-reset recursion as a literal loop."""
+    intervals = []
     w = 0.0
     start = 0
     for i, inc in enumerate(s):
         phi = min(max(inc, -m), m)
         w = phi + max(0.0, w)
         if w >= b:
-            ref_intervals.append(i - start + 1)
+            intervals.append(i - start + 1)
             start = i + 1
             w = 0.0
+    return intervals, len(s) - start
+
+
+def test_single_threshold_scan_against_reference():
+    # detect-and-reset scan equals a literal one-step reference loop
+    rng = np.random.default_rng(6)
+    s = rng.uniform(-3, 4, size=2000)
+    b, m = 7.0, 2.5
+    intervals, residual = reset_scan(s, b, m)
+    ref_intervals, ref_residual = literal_reset_scan(s, b, m)
     assert list(intervals) == ref_intervals
-    assert residual == len(s) - start
+    assert residual == ref_residual
 
 
 def test_chain_steps_zero_noise_fixed_point():
@@ -181,8 +198,8 @@ def test_chain_steps_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, s
     b=st.floats(1e-3, 1e4),
     m=st.one_of(st.just(np.inf), st.floats(1e-3, 1e4)),
 )
-def test_run_lengths_equal_detector_update_loop(stream, b, m):
-    intervals, residual = _kernels.run_lengths(np.array(stream, dtype=np.float64), b, m)
+def test_single_threshold_scan_equals_detector_update_loop(stream, b, m):
+    intervals, residual = reset_scan(stream, b, m)
     ref_intervals, ref_residual, _ = one_step_scan(stream, _config(b, m))
     assert intervals.tolist() == ref_intervals
     assert residual == ref_residual
@@ -193,7 +210,7 @@ def test_run_lengths_equal_detector_update_loop(stream, b, m):
 # ---------------------------------------------------------------------------
 
 def assert_sweep_equals_one_step_scans(stream, thresholds, m):
-    runs, peak = _kernels.sweep_run_lengths(np.array(stream, dtype=np.float64), thresholds, m)
+    runs, peak = sweep(stream, thresholds, m)
     assert len(runs) == len(thresholds)
     for b, (intervals, residual) in zip(thresholds, runs):
         ref_intervals, ref_residual, _ = one_step_scan(stream, _config(b, m))
@@ -268,13 +285,14 @@ class TestSweepRunLengths:
         runs = assert_sweep_equals_one_step_scans(stream, [1e6, 2e6], 1.5)
         assert [(intervals.size, residual) for intervals, residual in runs] == [(0, 3000)] * 2
 
-    def test_matches_run_lengths_on_long_streams(self):
+    def test_matches_literal_scans_on_long_streams(self):
         rng = np.random.default_rng(10)
         for m in (np.inf, 2.5):
             s = rng.uniform(-3, 2.8, size=50_000)
             thresholds = [0.5, 4.0, 12.0, 30.0]
-            runs, _ = _kernels.sweep_run_lengths(s, thresholds, m)
+            runs, _ = sweep(s, thresholds, m)
             for b, (intervals, residual) in zip(thresholds, runs):
-                ref_intervals, ref_residual = _kernels.run_lengths(s, b, m)
-                assert np.array_equal(intervals, ref_intervals)
+                ref_intervals, ref_residual = literal_reset_scan(s, b, m)
+                assert intervals.tolist() == ref_intervals
                 assert residual == ref_residual
+                assert reset_scan(s, b, m)[0].tolist() == ref_intervals
