@@ -5,18 +5,19 @@ All kernels are plain numpy and Python; there is one backend.
 Chain stepping iterates x <- x - alpha*x + shift*tanh(x) + sigma*z and is
 bitwise equal to stepping one state at a time. Stepping one 10-wide state
 per call is bound by ufunc overhead, so ``chain_steps`` cuts the stream into
-blocks of ``BLOCK`` steps and advances all blocks together as one (R, d)
-state: block 0 from ``x0``, every other block from a guess. One correction
-sweep then re-steps each block from the previous block's end. A block is
-resolved from the first step at which its corrected state equals the stored
-state bitwise, because the map is deterministic from there on; a block whose
-end did not change hands an exact end to the next block. Blocks that are
-still unresolved after the sweep (the paths of a bistable kernel need not
-merge) and the tail past the last full block are stepped one state at a
-time, so the worst case stays close to the plain loop. Every loop makes no
-temporaries: a step is seven ``out=`` ufunc calls into two preallocated
-buffers of the state's shape, in the order and with the IEEE operations of
-the expression above, so it stays bitwise equal to it.
+R = n // BLOCK lanes of n // R steps each (at least ``BLOCK``) and advances
+all lanes together as one (R, d) state: lane 0 from ``x0``, every other lane
+from a guess. One correction sweep then re-steps each lane from the previous
+lane's end. A lane is resolved from the first step at which its corrected
+state equals the stored state bitwise, because the map is deterministic from
+there on; a lane whose end did not change hands an exact end to the next
+lane. Lanes that are still unresolved after the sweep (the paths of a
+bistable kernel need not merge) and the fewer than R steps past the last
+lane are stepped one state at a time, so the worst case stays close to the
+plain loop. Every loop makes no temporaries: a step is seven ``out=`` ufunc
+calls into two preallocated buffers of the state's shape, in the order and
+with the IEEE operations of the expression above, so it stays bitwise equal
+to it.
 
 The CUSUM statistic follows the recursion
 
@@ -26,12 +27,13 @@ which equals max_{1<=k<=n} sum_{i=k}^n phi(s_i). ``cusum_trace`` uses the
 algebraic identity W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running
 sum of phi(s); over very long streams the cumulative sums lose a few low bits
 relative to the recursion, so it matches the recursion to 1e-9 rather than
-bitwise.
+bitwise. It works in pieces of ``_PIECE`` steps, bitwise equal to one
+whole-stream pass.
 
 ``sweep_run_lengths`` is the one detect-and-reset scan: it gives the scans
-of one or many thresholds from one pass of the no-reset recursion, each
-bitwise equal to ``detector.detector_update`` run with resets. It rests on
-two facts about the IEEE operations the scan performs:
+of one or many thresholds, each bitwise equal to ``detector.detector_update``
+run with resets. It rests on two facts about the IEEE operations the scan
+performs:
 
 * Monotonicity. Round-to-nearest addition is monotone, so a lane that resets
   at its alarms carries max(0, w) <= max(0, W) at every step, where W is the
@@ -42,12 +44,28 @@ two facts about the IEEE operations the scan performs:
   whose threshold lies above the peak of W never alarms, hence performs
   exactly the operations of W and ends that stretch equal to it.
 
-So the stream splits into excursions of W, each running from the step after
-W <= 0 up to and including the next step at which W <= 0. The pass records
-every excursion whose peak reaches the smallest threshold; each threshold's
-reset recursion then runs over the recorded excursions that reach it only,
-carrying its interval start across them, and is bitwise equal to a full
-scan at that threshold.
+The scan finds such steps with the identity above in numpy, not with the
+scalar recursion. Its W-hat differs from the recursion's W by rounding, by at
+most a margin ``tol`` (derived in ``_margin``), so a step with W-hat < -tol
+is a certain regeneration. The stream splits into regions, each running
+from the step after a certain regeneration up to and including the next one
+(the last region may end with the stream). A threshold b skips a region
+whose top, the largest W-hat in it, satisfies top + tol < b: the region's W
+stays below b, so the scan at b cannot alarm there and leaves it at W <= 0.
+Each threshold's reset recursion then runs as one scalar loop over the
+regions it keeps, carrying its state and interval start across them, which
+is exact because every region it leaves ends at a certain regeneration; its
+intervals and residual are bitwise those of a full scan.
+
+The peak max W_n, reported bitwise as the recursion's first maximum in
+stream order, is computed the same way over the regions whose top lies
+within 2 tol of the largest W-hat. A region starts at a certain
+regeneration, so W there is phi, and ``np.cumsum`` of the region performs
+the recursion's own additions for as long as its sums stay above 0; only
+the steps after a sum <= 0 inside a region, and regions of at most
+``_SHORT`` steps, where a numpy call costs more than the steps, go through
+the scalar recursion. A stream whose margin is not finite (the sums can
+overflow) is one region that every threshold and the peak scan.
 
 ``cusum_trace`` takes the raw increments and a clip level ``m`` (``np.inf``
 disables truncation); ``sweep_run_lengths`` takes increments already
@@ -61,8 +79,16 @@ import math
 
 import numpy as np
 
-# steps per block of the lockstep chain stepper
+# least steps per lane of the lockstep chain stepper
 BLOCK = 1024
+
+# steps per piece of the scan's numpy passes: their scratch arrays have this
+# many elements, whatever the stream length
+_PIECE = 1 << 14
+
+# regions of the peak pass up to this many steps run the scalar recursion:
+# below it a np.cumsum call costs more than the Python steps it saves
+_SHORT = 64
 
 
 def _as_f64(a):
@@ -112,37 +138,38 @@ def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarr
         _step_sequential(x0, noise, out, alpha, shift, sigma)
         return out
 
-    z = noise[: R * BLOCK].reshape(R, BLOCK, d)
-    blocks = out[: R * BLOCK].reshape(R, BLOCK, d)
+    L = n // R  # steps per lane; the n - R*L < R steps after the last lane run sequentially
+    z = noise[: R * L].reshape(R, L, d)
+    lanes = out[: R * L].reshape(R, L, d)
     a, b = np.empty((R, d)), np.empty((R, d))
 
-    # lockstep pass: block 0 from x0 (exact), the others from x0 as a guess
+    # lockstep pass: lane 0 from x0 (exact), the others from x0 as a guess
     X = np.empty((R, d))
     X[:] = x0
-    for t in range(BLOCK):
+    for t in range(L):
         _step(X, z[:, t], alpha, shift, sigma, a, b, X)
-        blocks[:, t] = X
+        lanes[:, t] = X
     ends = X
 
-    # correction sweep: re-step blocks 1..R-1 from the stored end of the block
-    # before; stop early once every block has merged with its stored path
+    # correction sweep: re-step lanes 1..R-1 from the stored end of the lane
+    # before; stop early once every lane has merged with its stored path
     Y = ends[:-1].copy()
     a, b = a[1:], b[1:]
     same = np.empty((R - 1, d), dtype=bool)
     exact = R
-    for t in range(BLOCK):
+    for t in range(L):
         _step(Y, z[1:, t], alpha, shift, sigma, a, b, Y)
-        if np.equal(_bits(Y), _bits(blocks[1:, t]), out=same).all():
+        if np.equal(_bits(Y), _bits(lanes[1:, t]), out=same).all():
             break
-        blocks[1:, t] = Y
+        lanes[1:, t] = Y
     else:
-        # the first block whose end changed is exact (its start was), but the
-        # blocks after it were corrected from a stale end
+        # the first lane whose end changed is exact (its start was), but the
+        # lanes after it were corrected from a stale end
         changed = np.flatnonzero(np.any(_bits(Y) != _bits(ends[1:]), axis=1))
         if changed.size:
             exact = int(changed[0]) + 2
 
-    start = exact * BLOCK
+    start = exact * L
     _step_sequential(out[start - 1], noise[start:], out[start:], alpha, shift, sigma)
     return out
 
@@ -151,71 +178,190 @@ def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarr
 # CUSUM trace (no resets)
 # ---------------------------------------------------------------------------
 
+def _cumsum_pieces(phi):
+    """``np.cumsum(phi)`` in consecutive pieces of at most ``_PIECE`` steps: yields (offset, piece).
+
+    A piece is a view of one scratch array that the next piece overwrites.
+    Each piece's first sum adds the last sum of the piece before, the
+    addition ``np.cumsum`` makes there, so the pieces are bitwise the
+    one-call result.
+    """
+    n = phi.shape[0]
+    buf = np.empty(min(n, _PIECE))
+    total = 0.0
+    for a in range(0, n, _PIECE):
+        c = buf[: n - a]
+        np.copyto(c, phi[a : a + c.shape[0]])
+        if a:
+            c[0] += total
+        np.cumsum(c, out=c)
+        total = c[-1]
+        yield a, c
+
+
+def _trace_pieces(phi):
+    """W_n = S_n - min(0, S_1, ..., S_{n-1}) in pieces of at most ``_PIECE`` steps: yields (offset, piece).
+
+    The prefix minima chain from a literal 0.0 through S_1, S_2, ... in one
+    ``np.minimum.accumulate`` per piece, carried across pieces, so every
+    piece is bitwise the one-call identity.
+    """
+    low = np.empty(min(phi.shape[0], _PIECE) + 1)
+    low[0] = 0.0  # min(0, S_1, ..., S_{a-1}) before the piece at a
+    for a, s in _cumsum_pieces(phi):
+        m = low[: s.shape[0] + 1]
+        m[1:] = s
+        np.minimum.accumulate(m, out=m)
+        s -= m[:-1]
+        low[0] = m[-1]
+        yield a, s
+
+
 def cusum_trace(increments, m: float = np.inf) -> np.ndarray:
     """Per-step CUSUM statistic W_n, no resets."""
     phi = np.clip(_as_f64(increments), -m, m)
-    s = np.cumsum(phi)
-    prev_min = np.minimum.accumulate(np.concatenate(([0.0], s[:-1])))
-    return s - prev_min
+    for a, w in _trace_pieces(phi):
+        phi[a : a + w.shape[0]] = w
+    return phi
 
 
 # ---------------------------------------------------------------------------
 # detect-and-reset scan: alarm intervals over a whole stream
 # ---------------------------------------------------------------------------
 
-def _reset_scan(values, b: float, first: int, last: int, intervals: list) -> int:
-    """Detect-and-reset recursion over ``values``, entered with a zero carry.
+def _reset_scan(values, b: float, spans) -> tuple[list, int]:
+    """Detect-and-reset recursion at ``b`` over the steps of ``spans``, in one loop.
 
-    ``values`` are clipped increments whose first one is step ``first`` of the
-    stream, and ``last`` is the step the open interval started at. Appends
-    each alarm's interval to ``intervals`` and returns the open interval's start.
+    ``values`` are the clipped increments and ``spans`` (start, stop) pairs
+    in stream order, each entered with a carry <= 0. Returns the alarm
+    intervals and the step the open interval started at.
     """
+    intervals = []
+    last = 0
     w = 0.0
-    for i, phi in enumerate(values, first):
-        # w = phi + max(0, w); dropping the "+ 0.0" only changes the sign of a
-        # zero w, which neither branch nor the alarm test can see
-        if w > 0.0:
-            w += phi
-        else:
-            w = phi
-        if w >= b:
-            intervals.append(i - last + 1)
-            last = i + 1
-            w = 0.0
-    return last
+    for start, stop in spans:
+        for i, phi in enumerate(values[start:stop], start):
+            # w = phi + max(0, w); dropping the "+ 0.0" only changes the sign of a
+            # zero w, which neither branch nor the alarm test can see
+            if w > 0.0:
+                w += phi
+            else:
+                w = phi
+            if w >= b:
+                intervals.append(i - last + 1)
+                last = i + 1
+                w = 0.0
+    return intervals, last
 
 
-def _excursions(values, floor: float):
-    """The excursions of the no-reset statistic W that an alarm at ``floor`` needs.
+def _fold_top(values, spans) -> tuple[float, int]:
+    """First maximum of the no-reset recursion over the steps of ``spans``: (top, step).
 
-    Returns (excursions, peak). ``excursions`` lists (start, stop, top) for
-    every excursion whose top (the largest W in it) reaches ``floor``, and for
-    each one that reached the running maximum of W; ``peak`` is max W_n, or
-    -inf for an empty stream.
+    Each (start, stop) span is entered with a carry <= 0; (-inf, -1) when
+    the spans hold no step.
     """
-    found = []
-    w = 0.0
-    start = 0
-    top = math.nan  # no excursion open yet; NaN passes no comparison
-    peak = bar = -math.inf  # bar = min(floor, peak)
-    for i, phi in enumerate(values):
-        if w > 0.0:
-            w += phi
+    top, at = -math.inf, -1
+    for start, stop in spans:
+        w = 0.0
+        for i, phi in enumerate(values[start:stop], start):
+            if w > 0.0:
+                w += phi
+            else:
+                w = phi
             if w > top:
-                top = w
-        else:
-            # W was <= 0 at step i - 1, which closed the excursion [start, i)
-            if top >= bar:
-                found.append((start, i, top))
-                if top > peak:
-                    peak = top
-                    bar = min(floor, peak)
-            start = i
-            w = top = phi
-    if top >= bar:
-        found.append((start, len(values), top))
-        peak = max(peak, top)
-    return found, peak
+                top, at = w, i
+    return top, at
+
+
+def _cumsum_top(phi, values, start: int, stop: int) -> tuple[float, int]:
+    """``_fold_top`` of one region, through ``np.cumsum`` while its sums stay above 0.
+
+    The region is entered with a carry <= 0, so its first W is phi and each
+    later one adds phi to a positive W, as ``np.cumsum`` does. From the
+    first sum <= 0 on, the rest of the region runs the scalar recursion.
+    """
+    top, at = -math.inf, -1
+    for a, c in _cumsum_pieces(phi[start:stop]):
+        low = c <= 0.0
+        k = int(low.argmax()) if low.any() else c.shape[0] - 1
+        j = int(c[: k + 1].argmax())  # the first maximum
+        if c[j] > top:
+            top, at = float(c[j]), start + a + j
+        if low[k]:
+            rest, i = _fold_top(values, [(start + a + k + 1, stop)])
+            if rest > top:
+                top, at = rest, i
+            break
+    return top, at
+
+
+def _margin(phi) -> float:
+    """A bound on |W-hat_n - W_n| over ``phi``: tol = 4 n u A, or inf when the sums may overflow.
+
+    With u = 2**-53 and A = n max|phi_i| >= sum |phi_i| (two reductions, no
+    temporary), every partial sum, prefix minimum and W is at most A in
+    magnitude, to first order. Each rounding of an addition errs by at most u
+    times its result, and max(0, .) and min are exact and 1-Lipschitz, so:
+
+    * the scalar recursion W_n = fl(phi_n + max(0, W_{n-1})) rounds n times
+      and stays within n u A of the recursion in exact arithmetic, V_n;
+    * the running sums S-hat_j are within (j - 1) u A of the exact sums
+      (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
+      their prefix minima within (n - 2) u A of the exact minima;
+    * V_n = S_n - min(0, S_1, ..., S_{n-1}) exactly, and the subtraction
+      that forms W-hat_n rounds once more, by at most u A.
+
+    Hence |W-hat_n - W_n| <= (3n - 2) u A plus terms of order (n u)**2 A;
+    the slack of 4 n u A covers those terms and the roundings of A and tol
+    themselves while n u is small (n below about 1e14). The margin is inf
+    when 4 A overflows: then the sums the bound speaks of may overflow too.
+    """
+    n = phi.shape[0]
+    a = n * max(float(phi.max()), -float(phi.min()))
+    if not math.isfinite(4 * a):
+        return math.inf
+    return 4 * n * 2.0**-53 * a
+
+
+def _regions(phi, tol: float, floor: float):
+    """The regions a threshold >= ``floor`` or the peak may need: (starts, stops, tops, peak).
+
+    Regions end at the certain regenerations W-hat < -tol. Kept are those
+    with top + tol >= floor, and those within 2 tol of the running largest
+    W-hat, a superset of the regions within 2 tol of the final largest
+    ``peak``. Works piece by piece of ``_trace_pieces``, so nothing it
+    allocates grows with the stream beyond the kept regions. An infinite
+    ``tol`` decides nothing: the stream is one region with an infinite top.
+    """
+    n = phi.shape[0]
+    if not math.isfinite(tol):
+        return np.array([0]), np.array([n]), np.array([math.inf]), -math.inf
+    kept = []
+    start, top, peak = 0, -math.inf, -math.inf
+    for a, w in _trace_pieces(phi):
+        high = float(w.max())
+        peak = max(peak, high)
+        stops = np.flatnonzero(w < -tol)
+        if not stops.size:
+            top = max(top, high)
+            continue
+        stops += 1
+        firsts = np.empty_like(stops)  # region starts within the piece
+        firsts[0] = 0
+        firsts[1:] = stops[:-1]
+        tops = np.maximum.reduceat(w[: stops[-1]], firsts)
+        tops[0] = max(tops[0], top)
+        firsts += a
+        firsts[0] = start
+        stops += a
+        keep = (tops + tol >= floor) | (tops + 2 * tol >= peak)
+        kept.append((firsts[keep], stops[keep], tops[keep]))
+        start = int(stops[-1])
+        top = float(w[start - a :].max()) if start < a + w.shape[0] else -math.inf
+    if start < n:
+        kept.append(([start], [n], [top]))
+    starts, stops, tops = (np.concatenate(parts) for parts in zip(*kept))
+    return starts, stops, tops, peak
 
 
 def sweep_run_lengths(phi, thresholds):
@@ -227,15 +373,26 @@ def sweep_run_lengths(phi, thresholds):
     statistic max W_n (-inf for an empty stream).
     """
     phi = _as_f64(phi)
-    values = memoryview(phi)
+    n = phi.shape[0]
     thresholds = [float(b) for b in thresholds]
-    excursions, peak = _excursions(values, min(thresholds, default=math.inf))
+    if not n:
+        return [(np.zeros(0, dtype=np.int64), 0) for _ in thresholds], -math.inf
+    values = memoryview(phi)
+    tol = _margin(phi)
+    starts, stops, tops, peak = _regions(phi, tol, min(thresholds, default=math.inf))
     runs = []
     for b in thresholds:
-        intervals = []
-        last = 0
-        for start, stop, top in excursions:
-            if top >= b:
-                last = _reset_scan(values[start:stop], b, start, last, intervals)
-        runs.append((np.asarray(intervals, dtype=np.int64), phi.shape[0] - last))
-    return runs, peak
+        reach = tops + tol >= b
+        intervals, last = _reset_scan(values, b, zip(starts[reach].tolist(), stops[reach].tolist()))
+        runs.append((np.asarray(intervals, dtype=np.int64), n - last))
+
+    near = tops + 2 * tol >= peak
+    starts, stops = starts[near], stops[near]
+    short = stops - starts <= _SHORT
+    top, at = _fold_top(values, zip(starts[short].tolist(), stops[short].tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip(starts[~short].tolist(), stops[~short].tolist()):
+            t, i = _cumsum_top(phi, values, start, stop)
+            if t > top or (t == top and i < at):
+                top, at = t, i
+    return runs, top

@@ -349,6 +349,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     _write_json(metrics_path, {
         **stages.metrics(),
         "clipped_fraction": sweep.clipped_fraction,
+        "drift": asdict(sweep.drift),
         "peak_statistic": float(trace.max()),
     })
 

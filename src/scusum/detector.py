@@ -24,8 +24,9 @@ whatever its threshold, is <= 0 as well (rounding is monotone, and a reset
 only lowers the carry), so all of them restart together from the next
 increment. Between two such steps a threshold above the peak of W sees
 exactly W and no alarm. Each threshold's scan therefore runs only over the
-excursions of W that reach it. The same pass clips the stream once and
-reports the clipped fraction and the drift of the clipped increments.
+stretches of W that may reach it, found in numpy within a proven rounding
+margin. The same pass clips the stream once and reports the clipped
+fraction and the drift of the clipped increments.
 """
 
 from __future__ import annotations

@@ -162,7 +162,10 @@ class GaussianScoreField(ScoreField):
 
     score(y, x) = -(y - mean_fn(x)) / sigma^2 and the divergence is the
     constant -d / sigma^2. ``mean_fn`` must map (n, d) -> (n, d)
-    (elementwise maps qualify automatically).
+    (elementwise maps qualify automatically). ``score_batch`` writes the
+    score over the array ``mean_fn`` returns when that array owns its memory
+    and is not ``x``'s, so a ``mean_fn`` that keeps the arrays it returns
+    must return copies.
     """
 
     def __init__(self, mean_fn, sigma: float, dim: int):
@@ -173,7 +176,13 @@ class GaussianScoreField(ScoreField):
         self.dim = int(dim)
 
     def score_batch(self, Y, X):
-        return -(Y - self.mean_fn(X)) / self.sigma**2
+        m = self.mean_fn(X)
+        own = (isinstance(m, np.ndarray) and m.base is None and m.flags.writeable
+               and m.dtype == np.float64 and m.shape == np.shape(Y) and not np.may_share_memory(m, X))
+        s = np.subtract(Y, m, out=m if own else None)
+        # -(Y - m) / sigma^2 as (Y - m) / -sigma^2: the same IEEE quotient, zero signs included
+        s /= -self.sigma**2
+        return s
 
     def divergence_batch(self, Y, X):
         return np.full(Y.shape[0], -self.dim / self.sigma**2)
@@ -246,13 +255,18 @@ def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
     out = np.empty(len(batch))
     for block in _row_blocks(batch):
         Y, X = batch.x_next[block], batch.x_prev[block]
+        h = out[block]
         s = field.score_batch(Y, X)
-        if not np.all(np.isfinite(s)):
+        # a non-finite term makes its row of h non-finite, so the terms are
+        # checked only when h is (a finite score can still overflow its square)
+        np.einsum("ij,ij->i", s, s, out=h)
+        if not np.isfinite(h).all() and not np.isfinite(s).all():
             raise NumericsError("non-finite score term in Hyvarinen score")
         div = field.divergence_batch(Y, X)
-        if not np.all(np.isfinite(div)):
+        h *= 0.5
+        h += div
+        if not np.isfinite(h).all() and not np.all(np.isfinite(div)):
             raise NumericsError("non-finite divergence term in Hyvarinen score")
-        out[block] = 0.5 * np.einsum("ij,ij->i", s, s) + div
     return out
 
 

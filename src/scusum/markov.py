@@ -117,8 +117,9 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
 
 # Bytes in one (rows, d) float64 array of a simulated block: blocks of the
 # largest multiple of _kernels.BLOCK rows within budget // (8 d), 104,448 at
-# d=10, so a block has no short lockstep tail of its own (a last block or a
-# block cut at the change point still may). A block holds its noise and its
+# d=10, so its lockstep lanes cover it exactly (a last block or a block cut
+# at the change point leaves fewer steps than it has lanes to the one-state
+# loop). A block holds its noise and its
 # states; each block costs one lockstep warm-up. Peak RSS and wall time of
 # the benchmark's sweep_closed_form pass (perfbench/run.py, median of two
 # runs), and one in-process `sweep` call on its 201,000 x 10 false-alarm

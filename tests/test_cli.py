@@ -293,6 +293,9 @@ class TestDetect:
         assert_peak_stage(metrics)
         rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         assert metrics["clipped_fraction"] == np.mean(np.abs(rows[:, 1]) > 10.0) > 0
+        phi = np.clip(rows[:, 1], -10.0, 10.0)
+        assert metrics["drift"] == {"mean": float(np.mean(phi)), "count": 399,
+                                    "std_error": float(np.std(phi, ddof=1) / np.sqrt(399))}
         assert metrics["peak_statistic"] == rows[:, 2].max()
 
     def test_alarm_times_follow_the_one_step_recursion_with_resets(self, tmp_path):
@@ -506,7 +509,7 @@ class TestSweep:
         assert_stage_peaks(stages)
         assert_peak_stage(metrics)
         whole_metrics = json.loads((whole / "metrics.json").read_text())
-        for key in ("truncation_levels", "bounds", "clipped_fraction", "peak_statistic"):
+        for key in ("truncation_levels", "bounds", "clipped_fraction", "drift", "peak_statistic"):
             assert metrics.get(key) == whole_metrics.get(key)
 
     def test_delay_law_records_post_drift(self, tmp_path):

@@ -93,6 +93,27 @@ class TestHyvarinenScore:
         with pytest.raises(NumericsError, match="divergence"):
             hyvarinen_score(BrokenDiv(), TransitionPair(np.zeros(1), np.zeros(1)))
 
+    def test_finite_score_whose_square_overflows_names_no_term(self):
+        # only a non-finite term is an error; its square reaching inf is the increment's
+        out = hyvarinen_scores(standard_normal_field(), PairBatch(np.zeros((2, 1)), [[1e200], [1.0]]))
+        assert out.tolist() == [np.inf, -0.5]
+
+    @pytest.mark.parametrize("mean_fn", [np.tanh, lambda x: x, lambda x: x[:, ::-1][:, ::-1],
+                                         lambda x: np.asfortranarray(np.tanh(x))])
+    def test_gaussian_score_batch_is_the_closed_form_bitwise_and_keeps_its_inputs(self, mean_fn):
+        # the score is formed in the mean's own buffer where it may be: the quotient
+        # (y - m) / -sigma^2 has the bits of -(y - m) / sigma^2, zero signs included
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((40, 3))
+        Y = mean_fn(X).copy()  # zero scores
+        Y[::2] = rng.standard_normal((20, 3))
+        X0, Y0 = X.copy(), Y.copy()
+        s = GaussianScoreField(mean_fn, sigma=0.7, dim=3).score_batch(Y, X)
+        expected = -(Y0 - mean_fn(X0)) / 0.7**2
+        assert np.array_equal(s.view(np.int64), expected.view(np.int64))
+        assert np.signbit(s[1::2]).all()
+        assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
 
 # ---------------------------------------------------------------------------
 # row blocks: every block size gives the one-block result

@@ -1,13 +1,14 @@
 """The hot kernels against brute force and one-step reference loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scusum import _kernels
+from scusum import _kernels, detector, markov
 from scusum.detector import DetectorConfig, DetectorState, TruncationSpec, detector_update
 
 L = _kernels.BLOCK
@@ -149,6 +150,25 @@ def test_single_threshold_scan_against_reference():
     assert residual == ref_residual
 
 
+@pytest.mark.parametrize("n, tail", [(51_000, 40), (96_552, 14), (3 * L - 1, 1), (5 * L, 0)])
+def test_chain_steps_lanes_cover_all_but_fewer_than_lane_count_steps(monkeypatch, n, tail):
+    # R = n // L lanes of n // R steps: a merging kernel leaves n - R * (n // R) < R steps
+    # to the one-state loop (a lane of exactly L steps left up to L - 1)
+    stepped = []
+    original = _kernels._step_sequential
+
+    def counting(x, noise, *args):
+        stepped.append(noise.shape[0])
+        original(x, noise, *args)
+
+    monkeypatch.setattr(_kernels, "_step_sequential", counting)
+    noise = np.random.default_rng(12).standard_normal((n, 2))
+    out = _kernels.chain_steps(np.zeros(2), noise, 0.3, 0.2, 0.3)
+    assert stepped == [tail] and tail < n // L
+    monkeypatch.undo()
+    assert_bitwise(out[-L:], one_step_chain(out[-L - 1], noise[-L:], 0.3, 0.2, 0.3))
+
+
 def test_chain_steps_zero_noise_fixed_point():
     # with alpha=1, shift=0 the mean map sends everything to 0
     x0 = np.array([3.0, -2.0])
@@ -173,7 +193,8 @@ def test_chain_steps_leaves_inputs_untouched():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    length=st.sampled_from([0, 1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, 5 * L + 17]),
+    length=st.sampled_from([0, 1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, 3 * L - 1, 5 * L + 17,
+                            7 * L + 1000]),
     dim=st.integers(1, 6),
     alpha=st.floats(0.01, 1.99),
     shift=st.floats(-4.0, 4.0),
@@ -296,3 +317,132 @@ class TestSweepRunLengths:
                 assert intervals.tolist() == ref_intervals
                 assert residual == ref_residual
                 assert reset_scan(s, b, m)[0].tolist() == ref_intervals
+
+
+# ---------------------------------------------------------------------------
+# the rounding margin: decisions where W-hat and the recursion's W differ
+# ---------------------------------------------------------------------------
+
+def scalar_fold(phi):
+    """The no-reset recursion as the scan performs it: w = phi when w <= 0, else w + phi."""
+    w, out = 0.0, []
+    for p in phi:
+        w = w + p if w > 0.0 else p
+        out.append(w)
+    return out
+
+
+def first_maximum(values):
+    """The first maximum in stream order (-inf for none): -0.0 and 0.0 keep the first."""
+    top = -math.inf
+    for v in values:
+        if v > top:
+            top = v
+    return top
+
+
+def same_bits(a, b):
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+def assert_sweep_equals_scalar_rule(stream, thresholds, m):
+    phi = np.clip(np.asarray(stream, dtype=np.float64), -m, m)
+    runs, peak = _kernels.sweep_run_lengths(phi, thresholds)
+    for b, (intervals, residual) in zip(thresholds, runs):
+        ref_intervals, ref_residual, _ = one_step_scan(stream, _config(b, m))
+        assert intervals.tolist() == ref_intervals
+        assert residual == ref_residual
+    assert same_bits(peak, first_maximum(scalar_fold(phi.tolist())))
+
+
+# +-1e6 beside tenths: the running sums lose the tenths' low bits, so W-hat lands
+# within rounding of 0 where the recursion's W is a small positive or negative number
+_MIXED = st.sampled_from([1e6, -1e6, 0.1, 0.2, -0.3, 0.3, -0.1, -0.2, 0.7, -0.7, 1e-9, -1e-9, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), stream=st.lists(_MIXED, min_size=1, max_size=300),
+       m=st.sampled_from([np.inf, 0.5, 1e6]))
+def test_sweep_at_rounding_boundaries(data, stream, m):
+    # thresholds at the recursion's own positive values and one ulp either side put the
+    # alarm test within rounding of W-hat's region tops
+    fold = scalar_fold(np.clip(stream, -m, m).tolist())
+    near = sorted({v for w in fold if w > 0 for v in (w, np.nextafter(w, math.inf), np.nextafter(w, 0.0))
+                   if v > 0})
+    thresholds = sorted(data.draw(st.lists(st.sampled_from(near or [1.0]), min_size=1, max_size=6,
+                                           unique=True)))
+    assert_sweep_equals_scalar_rule(stream, thresholds, m)
+
+
+@pytest.mark.parametrize("stream", [
+    [-0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0] * 3 + [-1.0, -0.0], [-1.0, -0.0, -2.0, 0.0, -0.0],
+    [-2.0, -1.0, -1.0, -3.0], [0.1, 0.2, -0.30000000000000004, -0.0, 0.0],
+    # a region of more than _kernels._SHORT steps (the np.cumsum path) ties with an earlier one
+    [-0.0, -1.0] + [0.0] * 100, [0.0, -1.0] + [-0.0] * 100,
+    # W-hat ranks the regions the other way round: 0.30000000004656613 after -1e6 against
+    # 0.30000000000000004, where the recursion reads 0.3 and 0.30000000000000004
+    [0.1, 0.2, -1.0, -1e6, 0.3, -1.0],
+])
+def test_peak_keeps_the_first_maximum_and_its_zero_sign(stream):
+    assert_sweep_equals_scalar_rule(stream, [1.0], np.inf)
+
+
+_HUGE = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 5e307, -5e307, 1.0, -1.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=st.lists(_HUGE, min_size=1, max_size=200),
+       thresholds=st.lists(st.sampled_from([1.0, 1e300, 1.7e308, math.inf]), min_size=1, max_size=4,
+                           unique=True).map(sorted))
+def test_sweep_where_the_sums_overflow(stream, thresholds):
+    # finite increments whose running sums overflow: the margin is not finite, so the
+    # recursion runs everywhere, and numpy must warn about nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_sweep_equals_scalar_rule(stream, thresholds, np.inf)
+
+
+@pytest.mark.parametrize("n", [1, 100, 100_000])
+def test_sweep_on_overflowing_streams_of_any_length(n):
+    stream = np.resize([1e308, 1e308, -1.7e308, 2.0, -1.0], n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs, peak = _kernels.sweep_run_lengths(stream, [1.0, 1e308])
+    for b, (intervals, residual) in zip([1.0, 1e308], runs):
+        ref_intervals, ref_residual = literal_reset_scan(stream, b, np.inf)
+        assert intervals.tolist() == ref_intervals and residual == ref_residual
+    assert same_bits(peak, first_maximum(scalar_fold(stream.tolist())))
+
+
+def test_trace_pieces_are_bitwise_the_one_call_identity():
+    rng = np.random.default_rng(13)
+    s = rng.choice([-1.0, 1.0, 0.0, -0.0, 0.1, -0.1, 3e5, -3e5], size=3 * _kernels._PIECE + 77)
+    S = np.cumsum(s)
+    expected = S - np.minimum.accumulate(np.concatenate(([0.0], S[:-1])))
+    assert_bitwise(_kernels.cusum_trace(s), expected)
+
+
+def test_scalar_loops_see_a_small_part_of_a_pre_change_stream(monkeypatch):
+    # the benchmark's false-alarm kernels, truncation and thresholds on a seeded stream:
+    # the scalar recursion must run only in the regions the margin cannot skip, not over
+    # the stream (a silent fallback to a full scan would show here)
+    pre = markov.GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
+    post = markov.GaussianKernelSpec(dim=10, alpha=0.6, sigma=0.5, shift=0.9)
+    states = markov.simulate_path(markov.TrajectoryConfig(pre=pre, length=20_001, seed=14))
+    phi = np.clip(detector.score_increments(markov.closed_form_score(pre),
+                                            markov.closed_form_score(post), states), -50.0, 50.0)
+    thresholds = [30.0, 60.0, 90.0, 120.0, 150.0]
+    scalar_steps = []
+    for name in ("_reset_scan", "_fold_top"):
+        def counting(values, *args, original=getattr(_kernels, name)):
+            spans = list(args[-1])
+            scalar_steps.append(sum(stop - start for start, stop in spans))
+            return original(values, *args[:-1], spans)
+
+        monkeypatch.setattr(_kernels, name, counting)
+    runs, _ = _kernels.sweep_run_lengths(phi, thresholds)
+    assert runs[0][0].size > 0  # the smallest threshold alarms: there are regions to scan
+    assert sum(scalar_steps) < 0.15 * phi.size
+    monkeypatch.undo()
+    for b, (intervals, residual) in zip(thresholds, runs):
+        assert (intervals.tolist(), residual) == literal_reset_scan(phi, b, np.inf)
