@@ -112,7 +112,13 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.dim:
         raise ValueError(f"state dimension {x.shape[-1]} does not match spec dim {spec.dim}")
-    return x - spec.alpha * x + spec.shift * np.tanh(x)
+    # the expression's IEEE operations in its order, in two arrays of x's shape
+    mean = np.multiply(x, spec.alpha)
+    np.subtract(x, mean, out=mean)
+    bend = np.tanh(x)
+    bend *= spec.shift
+    mean += bend
+    return mean
 
 
 # Bytes in one (rows, d) float64 array of a simulated block: blocks of the

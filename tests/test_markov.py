@@ -38,6 +38,15 @@ class TestTransitionMean:
         assert value == pytest.approx(0.7 + 0.2 * math.tanh(1.0))
         assert value == pytest.approx(0.852319, abs=1e-6)
 
+    @pytest.mark.parametrize("shape", [(7,), (50, 7)])
+    def test_bitwise_the_expression(self, shape):
+        # computed in place, with the expression's IEEE operations in its order
+        spec = GaussianKernelSpec(dim=7, alpha=0.3, sigma=1.0, shift=-0.9)
+        x = np.random.default_rng(16).standard_normal(shape)
+        x.flat[:4] = [0.0, -0.0, 1e-310, -1e300]
+        expected = x - spec.alpha * x + spec.shift * np.tanh(x)
+        assert np.array_equal(transition_mean(spec, x).view(np.int64), expected.view(np.int64))
+
     def test_full_reversion(self):
         spec = GaussianKernelSpec(dim=3, alpha=1.0, sigma=1.0, shift=0.0)
         assert np.allclose(transition_mean(spec, np.array([5.0, -2.0, 0.1])), 0.0)
