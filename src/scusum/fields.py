@@ -265,7 +265,7 @@ def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
         div = field.divergence_batch(Y, X)
         h *= 0.5
         h += div
-        if not np.isfinite(h).all() and not np.all(np.isfinite(div)):
+        if not np.isfinite(h).all() and not np.isfinite(div).all():
             raise NumericsError("non-finite divergence term in Hyvarinen score")
     return out
 

@@ -125,8 +125,8 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
 # largest multiple of _kernels.BLOCK rows within budget // (8 d), 104,448 at
 # d=10, so its lockstep lanes cover it exactly (a last block or a block cut
 # at the change point leaves fewer steps than it has lanes to the one-state
-# loop). A block holds its noise and its
-# states; each block costs one lockstep warm-up. Peak RSS and wall time of
+# loop). A block holds its noise and its states; each block costs one
+# lockstep warm-up. Peak RSS and wall time of
 # the benchmark's sweep_closed_form pass (perfbench/run.py, median of two
 # runs), and one in-process `sweep` call on its 201,000 x 10 false-alarm
 # stream (median of 14, budgets interleaved); 2 vCPUs, numpy 2.4.6, about
