@@ -62,9 +62,10 @@ stream order, is computed the same way over the regions whose top lies
 within 2 tol of the largest W-hat. A region starts at a certain
 regeneration, so W there is phi, and ``np.cumsum`` of the region performs
 the recursion's own additions for as long as its sums stay above 0; only
-the steps after a sum <= 0 inside a region, and regions of at most
-``_SHORT`` steps, where a numpy call costs more than the steps, go through
-the scalar recursion. A stream whose margin is not finite (the sums can
+the steps after a sum <= 0 inside a region go through the scalar
+recursion. The regions are taken in stream order and a later maximum
+replaces an earlier one only when it is larger, so the first maximum, and
+its zero sign, is the one reported. A stream whose margin is not finite (the sums can
 overflow) is one region that every threshold and the peak scan.
 
 ``cusum_trace`` takes the raw increments and a clip level ``m`` (``np.inf``
@@ -85,10 +86,6 @@ BLOCK = 1024
 # steps per piece of the scan's numpy passes: their scratch arrays have this
 # many elements, whatever the stream length
 _PIECE = 1 << 14
-
-# regions of the peak pass up to this many steps run the scalar recursion:
-# below it a np.cumsum call costs more than the Python steps it saves
-_SHORT = 64
 
 
 def _as_f64(a):
@@ -254,54 +251,45 @@ def _reset_scan(values, b: float, spans) -> tuple[list, int]:
     return intervals, last
 
 
-def _fold_top(values, spans) -> tuple[float, int]:
-    """First maximum of the no-reset recursion over the steps of ``spans``: (top, step).
-
-    Each (start, stop) span is entered with a carry <= 0; (-inf, -1) when
-    the spans hold no step.
-    """
-    top, at = -math.inf, -1
-    for start, stop in spans:
-        w = 0.0
-        for i, phi in enumerate(values[start:stop], start):
-            if w > 0.0:
-                w += phi
-            else:
-                w = phi
-            if w > top:
-                top, at = w, i
-    return top, at
+def _fold_top(values, start: int, stop: int) -> float:
+    """First maximum of the no-reset recursion over steps start..stop-1, entered with a carry <= 0."""
+    top = -math.inf
+    w = 0.0
+    for phi in values[start:stop]:
+        if w > 0.0:
+            w += phi
+        else:
+            w = phi
+        if w > top:
+            top = w
+    return top
 
 
-def _cumsum_top(phi, values, start: int, stop: int) -> tuple[float, int]:
+def _cumsum_top(phi, values, start: int, stop: int) -> float:
     """``_fold_top`` of one region, through ``np.cumsum`` while its sums stay above 0.
 
     The region is entered with a carry <= 0, so its first W is phi and each
     later one adds phi to a positive W, as ``np.cumsum`` does. From the
     first sum <= 0 on, the rest of the region runs the scalar recursion.
     """
-    top, at = -math.inf, -1
+    top = -math.inf
     for a, c in _cumsum_pieces(phi[start:stop]):
         low = c <= 0.0
         k = int(low.argmax()) if low.any() else c.shape[0] - 1
-        j = int(c[: k + 1].argmax())  # the first maximum
-        if c[j] > top:
-            top, at = float(c[j]), start + a + j
+        top = max(top, float(c[int(c[: k + 1].argmax())]))  # the first maximum, zero sign kept
         if low[k]:
-            rest, i = _fold_top(values, [(start + a + k + 1, stop)])
-            if rest > top:
-                top, at = rest, i
-            break
-    return top, at
+            return max(top, _fold_top(values, start + a + k + 1, stop))
+    return top
 
 
 def _margin(phi) -> float:
     """A bound on |W-hat_n - W_n| over ``phi``: tol = 4 n u A, or inf when the sums may overflow.
 
-    With u = 2**-53 and A = n max|phi_i| >= sum |phi_i| (two reductions, no
-    temporary), every partial sum, prefix minimum and W is at most A in
-    magnitude, to first order. Each rounding of an addition errs by at most u
-    times its result, and max(0, .) and min are exact and 1-Lipschitz, so:
+    With u = 2**-53 and A = sum |phi_i| (summed piece by piece in one
+    ``_PIECE``-sized scratch array), every partial sum, prefix minimum and W
+    is at most A in magnitude, to first order. Each rounding of an addition
+    errs by at most u times its result, and max(0, .) and min are exact and
+    1-Lipschitz, so:
 
     * the scalar recursion W_n = fl(phi_n + max(0, W_{n-1})) rounds n times
       and stays within n u A of the recursion in exact arithmetic, V_n;
@@ -315,9 +303,20 @@ def _margin(phi) -> float:
     the slack of 4 n u A covers those terms and the roundings of A and tol
     themselves while n u is small (n below about 1e14). The margin is inf
     when 4 A overflows: then the sums the bound speaks of may overflow too.
+
+    tol grows as 4 u n**2 mean|phi|. Once it nears the thresholds, or the
+    depth of W's dips below 0, every threshold keeps every region and scans
+    the whole stream in Python, a few times slower than one scalar pass. On
+    the benchmark's false-alarm stream (clip 50, mean|phi| about 28) tol is
+    about 5e-4 at 2e5 steps and reaches 30, its smallest threshold, near
+    5e7 steps.
     """
     n = phi.shape[0]
-    a = n * max(float(phi.max()), -float(phi.min()))
+    buf = np.empty(min(n, _PIECE))
+    a = 0.0
+    with np.errstate(over="ignore"):
+        for i in range(0, n, _PIECE):
+            a += float(np.abs(phi[i : i + _PIECE], out=buf[: n - i]).sum())
     if not math.isfinite(4 * a):
         return math.inf
     return 4 * n * 2.0**-53 * a
@@ -386,13 +385,10 @@ def sweep_run_lengths(phi, thresholds):
         intervals, last = _reset_scan(values, b, zip(starts[reach].tolist(), stops[reach].tolist()))
         runs.append((np.asarray(intervals, dtype=np.int64), n - last))
 
+    # regions in stream order and a strict comparison keep the first maximum
     near = tops + 2 * tol >= peak
-    starts, stops = starts[near], stops[near]
-    short = stops - starts <= _SHORT
-    top, at = _fold_top(values, zip(starts[short].tolist(), stops[short].tolist()))
+    top = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in zip(starts[~short].tolist(), stops[~short].tolist()):
-            t, i = _cumsum_top(phi, values, start, stop)
-            if t > top or (t == top and i < at):
-                top, at = t, i
+        for start, stop in zip(starts[near].tolist(), stops[near].tolist()):
+            top = max(top, _cumsum_top(phi, values, start, stop))
     return runs, top

@@ -162,10 +162,7 @@ class GaussianScoreField(ScoreField):
 
     score(y, x) = -(y - mean_fn(x)) / sigma^2 and the divergence is the
     constant -d / sigma^2. ``mean_fn`` must map (n, d) -> (n, d)
-    (elementwise maps qualify automatically). ``score_batch`` writes the
-    score over the array ``mean_fn`` returns when that array owns its memory
-    and is not ``x``'s, so a ``mean_fn`` that keeps the arrays it returns
-    must return copies.
+    (elementwise maps qualify automatically).
     """
 
     def __init__(self, mean_fn, sigma: float, dim: int):
@@ -176,10 +173,7 @@ class GaussianScoreField(ScoreField):
         self.dim = int(dim)
 
     def score_batch(self, Y, X):
-        m = self.mean_fn(X)
-        own = (isinstance(m, np.ndarray) and m.base is None and m.flags.writeable
-               and m.dtype == np.float64 and m.shape == np.shape(Y) and not np.may_share_memory(m, X))
-        s = np.subtract(Y, m, out=m if own else None)
+        s = np.subtract(Y, self.mean_fn(X))
         # -(Y - m) / sigma^2 as (Y - m) / -sigma^2: the same IEEE quotient, zero signs included
         s /= -self.sigma**2
         return s

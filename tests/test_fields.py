@@ -101,8 +101,7 @@ class TestHyvarinenScore:
     @pytest.mark.parametrize("mean_fn", [np.tanh, lambda x: x, lambda x: x[:, ::-1][:, ::-1],
                                          lambda x: np.asfortranarray(np.tanh(x))])
     def test_gaussian_score_batch_is_the_closed_form_bitwise_and_keeps_its_inputs(self, mean_fn):
-        # the score is formed in the mean's own buffer where it may be: the quotient
-        # (y - m) / -sigma^2 has the bits of -(y - m) / sigma^2, zero signs included
+        # the quotient (y - m) / -sigma^2 has the bits of -(y - m) / sigma^2, zero signs included
         rng = np.random.default_rng(15)
         X = rng.standard_normal((40, 3))
         Y = mean_fn(X).copy()  # zero scores

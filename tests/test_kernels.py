@@ -377,7 +377,7 @@ def test_sweep_at_rounding_boundaries(data, stream, m):
 @pytest.mark.parametrize("stream", [
     [-0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0] * 3 + [-1.0, -0.0], [-1.0, -0.0, -2.0, 0.0, -0.0],
     [-2.0, -1.0, -1.0, -3.0], [0.1, 0.2, -0.30000000000000004, -0.0, 0.0],
-    # a region of more than _kernels._SHORT steps (the np.cumsum path) ties with an earlier one
+    # a long region ties with an earlier one
     [-0.0, -1.0] + [0.0] * 100, [0.0, -1.0] + [-0.0] * 100,
     # W-hat ranks the regions the other way round: 0.30000000004656613 after -1e6 against
     # 0.30000000000000004, where the recursion reads 0.3 and 0.30000000000000004
@@ -433,13 +433,19 @@ def test_scalar_loops_see_a_small_part_of_a_pre_change_stream(monkeypatch):
                                             markov.closed_form_score(post), states), -50.0, 50.0)
     thresholds = [30.0, 60.0, 90.0, 120.0, 150.0]
     scalar_steps = []
-    for name in ("_reset_scan", "_fold_top"):
-        def counting(values, *args, original=getattr(_kernels, name)):
-            spans = list(args[-1])
-            scalar_steps.append(sum(stop - start for start, stop in spans))
-            return original(values, *args[:-1], spans)
+    reset_scan, fold_top = _kernels._reset_scan, _kernels._fold_top
 
-        monkeypatch.setattr(_kernels, name, counting)
+    def counting_reset_scan(values, b, spans):
+        spans = list(spans)
+        scalar_steps.append(sum(stop - start for start, stop in spans))
+        return reset_scan(values, b, spans)
+
+    def counting_fold_top(values, start, stop):
+        scalar_steps.append(stop - start)
+        return fold_top(values, start, stop)
+
+    monkeypatch.setattr(_kernels, "_reset_scan", counting_reset_scan)
+    monkeypatch.setattr(_kernels, "_fold_top", counting_fold_top)
     runs, _ = _kernels.sweep_run_lengths(phi, thresholds)
     assert runs[0][0].size > 0  # the smallest threshold alarms: there are regions to scan
     assert sum(scalar_steps) < 0.15 * phi.size
