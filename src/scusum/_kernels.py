@@ -276,7 +276,7 @@ def _cumsum_top(phi, values, start: int, stop: int) -> float:
     for a, c in _cumsum_pieces(phi[start:stop]):
         low = c <= 0.0
         k = int(low.argmax()) if low.any() else c.shape[0] - 1
-        top = max(top, float(c[int(c[: k + 1].argmax())]))  # the first maximum, zero sign kept
+        top = max(top, float(c[: k + 1].max()))  # sums before c[k] are > 0: no zero sign to keep
         if low[k]:
             return max(top, _fold_top(values, start + a + k + 1, stop))
     return top
