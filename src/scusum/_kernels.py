@@ -65,8 +65,9 @@ the recursion's own additions for as long as its sums stay above 0; only
 the steps after a sum <= 0 inside a region go through the scalar
 recursion. The regions are taken in stream order and a later maximum
 replaces an earlier one only when it is larger, so the first maximum, and
-its zero sign, is the one reported. A stream whose margin is not finite (the sums can
-overflow) is one region that every threshold and the peak scan.
+its zero sign, is the one reported. A stream whose margin is not finite
+(the sums can overflow) is one region that every threshold and the peak
+scan.
 
 ``cusum_trace`` takes the raw increments and a clip level ``m`` (``np.inf``
 disables truncation); ``sweep_run_lengths`` takes increments already
@@ -306,7 +307,7 @@ def _margin(phi) -> float:
 
     tol grows as 4 u n**2 mean|phi|. Once it nears the thresholds, or the
     depth of W's dips below 0, every threshold keeps every region and scans
-    the whole stream in Python, a few times slower than one scalar pass. On
+    the whole stream in Python: one scalar pass per threshold. On
     the benchmark's false-alarm stream (clip 50, mean|phi| about 28) tol is
     about 5e-4 at 2e5 steps and reaches 30, its smallest threshold, near
     5e7 steps.
