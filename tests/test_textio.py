@@ -103,6 +103,34 @@ def _detect_trace(tmp):
     return (out / "trace.csv").read_bytes()
 
 
+def _sweep(tmp):
+    # truncation 5 puts the heuristic mu at 10.25, between the thresholds, so
+    # bounds.csv has NaN rows; no alarm at b = 1000 gives sweep.csv a NaN mean
+    return _cli(tmp, "sweep", {"kernels": {"pre": KERNEL, "post": POST},
+                               "stream": {"law": "pre", "length": 400, "seed": 3},
+                               "thresholds": [4.0, 10.25, 12.0, 1000.0], "truncation": 5.0,
+                               "compare_untruncated": True,
+                               "bounds": {"mu": {"heuristic": {}}}}, "sweep")
+
+
+def _sweep_sweep(tmp):
+    return (_sweep(tmp) / "sweep.csv").read_bytes()
+
+
+def _sweep_untruncated(tmp):
+    return (_sweep(tmp) / "sweep_untruncated.csv").read_bytes()
+
+
+def _sweep_bounds(tmp):
+    return (_sweep(tmp) / "bounds.csv").read_bytes()
+
+
+def _bounds_bounds(tmp):
+    out = _cli(tmp, "bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0,
+                               "thresholds": [1.0, 2.0, 2.5, 4.0, 10.0]}, "bounds")
+    return (out / "bounds.csv").read_bytes()
+
+
 PRODUCERS = {
     "trajectory_special.csv": _trajectory_special,
     "trajectory_empty.csv": _trajectory_empty,
@@ -114,6 +142,10 @@ PRODUCERS = {
     "mocap_states.csv": _mocap_states,
     "mocap_pairs.csv": _mocap_pairs,
     "detect_trace.csv": _detect_trace,
+    "sweep_sweep.csv": _sweep_sweep,
+    "sweep_sweep_untruncated.csv": _sweep_untruncated,
+    "sweep_bounds.csv": _sweep_bounds,
+    "bounds_bounds.csv": _bounds_bounds,
 }
 
 
@@ -126,6 +158,21 @@ def test_output_bytes_match_golden(tmp_path, monkeypatch, name, chunk_rows):
         monkeypatch.setattr(_textio, "CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(mocap, "_CONVERT_CELLS", chunk_rows)
     assert PRODUCERS[name](tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def test_loss_curve_is_csv_writer_rendering_of_the_epoch_losses(tmp_path):
+    # training bits depend on the BLAS build, so the run's own losses are the reference
+    out = _cli(tmp_path, "train", {"data": {"kernel": KERNEL, "pairs": 64, "seed": 2},
+                                   "architecture": {"hidden_widths": [4]},
+                                   "training": {"batch_size": 16, "epochs": 3}}, "train")
+    losses = [e["loss"] for e in json.loads((out / "metrics.json").read_text())["epochs"]]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["epoch", "loss"])
+    for i, loss in enumerate(losses):
+        writer.writerow([i, repr(loss)])
+    assert len(losses) == 3
+    assert (out / "loss_curve.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_regime_labels_are_quoted_as_csv_writer_quotes(tmp_path):
