@@ -55,14 +55,26 @@ from .detector import (
     truncate,
 )
 from .bounds import (
-    BoundInputs,
     DoeblinConstants,
     concentration_mu,
     delay_upper_bound,
     false_alarm_lower_bound,
     heuristic_mu,
-    hoeffding_tail,
 )
-from .mocap import AmcClip, ScenarioSpec, build_scenario, clip_to_vectors, parse_amc, serialize_amc
+from .mocap import AmcClip, ScenarioSpec, build_scenario, parse_amc, serialize_amc
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, module by module
+__all__ = [
+    "GaussianScoreField", "MonteCarloEstimate", "PairBatch", "ScoreField", "TransitionPair",
+    "estimate_drift", "estimate_fisher_divergence", "hyvarinen_score", "hyvarinen_scores",
+    "score_difference", "score_differences",
+    "GaussianKernelSpec", "TrajectoryConfig", "closed_form_score", "simulate_path",
+    "stationary_pairs", "transition_mean",
+    "AccuracyReport", "MlpArchitecture", "MlpParameters", "TrainConfig", "as_score_field",
+    "evaluate_accuracy", "init_params", "load_model", "save_model", "surrogate_loss", "train",
+    "DetectorConfig", "DetectorState", "RunLengthReport", "TruncationSpec", "detector_update",
+    "score_increments", "statistic_trace", "threshold_sweep", "truncate",
+    "DoeblinConstants", "concentration_mu", "delay_upper_bound", "false_alarm_lower_bound",
+    "heuristic_mu",
+    "AmcClip", "ScenarioSpec", "build_scenario", "parse_amc", "serialize_amc",
+]

@@ -1,4 +1,4 @@
-"""CSV rows of float64 arrays, formatted a chunk of rows per C-level call.
+"""The dialect of every CSV file the package writes, and its one row writer.
 
 Every value is written with ``repr``, the shortest text that ``float()``
 parses back to the same double, and every row ends in ``\\r\\n``, the

@@ -9,7 +9,10 @@ alarms satisfies
 
 and with post-change drift I > 0 the mean detection delay is asymptotically
 at most 1 + n0 with n0 = floor((b + mu) / I). Both rest on a Hoeffding-type
-inequality for uniformly ergodic Markov chains, also exposed here.
+inequality for uniformly ergodic Markov chains: for a bounded statistic with
+concentration scale mu_f, a deviation eps of its n-step average has
+probability at most 2*exp(-2*(n*eps - mu_f)^2 / (n * mu_f^2)) once
+n > mu_f / eps.
 
 The Doeblin constants are user inputs: they are hard to estimate from data,
 which is why the pragmatic route multiplies the truncation level by a
@@ -19,20 +22,18 @@ produced mu; the CLI does so.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
+from . import _textio
 from .exceptions import BoundDomainError
 
 __all__ = [
     "DoeblinConstants",
-    "BoundInputs",
     "concentration_mu",
     "heuristic_mu",
     "false_alarm_lower_bound",
     "delay_upper_bound",
-    "hoeffding_tail",
     "bound_curve",
     "write_bound_csv",
 ]
@@ -52,37 +53,6 @@ class DoeblinConstants:
             raise ValueError("l must be a positive integer")
         if not 0 < self.lam <= 1:
             raise ValueError("lam must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the two run-length bounds consume.
-
-    delta is the magnitude of the (negative) pre-change drift of the
-    truncated increments, post_drift their positive post-change mean, b the
-    detector threshold, mu the concentration scale, and truncation_level the
-    clip M (so drifts can be sanity-checked against it).
-    """
-
-    delta: float
-    mu: float
-    b: float
-    post_drift: float | None = None
-    truncation_level: float | None = None
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive (pre-change drift must be negative)")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.b <= 0:
-            raise ValueError("b must be positive")
-        if self.truncation_level is not None:
-            m = self.truncation_level
-            if self.delta > m:
-                raise ValueError("delta cannot exceed the truncation level")
-            if self.post_drift is not None and self.post_drift > m:
-                raise ValueError("post_drift cannot exceed the truncation level")
 
 
 def concentration_mu(norm_phi: float, constants: DoeblinConstants) -> float:
@@ -129,25 +99,6 @@ def delay_upper_bound(b: float, mu: float, post_drift: float) -> tuple[int, floa
     return n0, 1.0 + n0
 
 
-def hoeffding_tail(n: int, eps: float, mu_f: float) -> float:
-    """Two-sided deviation bound 2*exp(-2*(n*eps - mu_f)^2 / (n * mu_f^2)).
-
-    Valid for uniformly ergodic chains and bounded statistics once
-    n > mu_f / eps.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if mu_f <= 0:
-        raise ValueError("mu_f must be positive")
-    if n <= mu_f / eps:
-        raise BoundDomainError(
-            f"tail bound requires n > mu_f/eps (got n={n}, mu_f/eps={mu_f / eps})"
-        )
-    return 2.0 * math.exp(-2.0 * (n * eps - mu_f) ** 2 / (n * mu_f**2))
-
-
 def bound_curve(delta: float, mu: float, thresholds) -> list[tuple[float, float]]:
     """False-alarm lower bound over a threshold grid, for overlay plots; NaN where b <= mu."""
     return [(b, false_alarm_lower_bound(delta, mu, b) if b > mu else math.nan)
@@ -157,7 +108,4 @@ def bound_curve(delta: float, mu: float, thresholds) -> list[tuple[float, float]
 def write_bound_csv(path, curve) -> None:
     """Bound curve as CSV with columns b, bound."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "bound"])
-        for b, value in curve:
-            writer.writerow([repr(float(b)), repr(float(value))])
+        _textio.write_rows(fh, ["b,bound", *(f"{float(b)!r},{float(v)!r}" for b, v in curve)])

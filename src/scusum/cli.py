@@ -9,9 +9,12 @@ starts, and a bad one is rejected with its dotted key: unknown and missing
 keys; integers that are not JSON integers (``2.0`` is not one); numbers that
 are ``true``/``false``, ``NaN`` or ``Infinity`` (Python's ``json`` accepts
 the last two); lists (``thresholds``, ``hidden_widths``) with a bad element;
-strings outside their sets. The string sentinels are ``"infinity"`` (a
-change point that never comes), ``"closed_form"`` (a kernel's exact score)
-and ``"empirical"`` (a drift estimated from the stream).
+strings outside their sets; a ``data`` section with both sources or none;
+bound inputs that are not positive, a heuristic mu without a truncation
+level, and a number drift above the truncation. The string sentinels are
+``"infinity"`` (a change point that never comes), ``"closed_form"`` (a
+kernel's exact score) and ``"empirical"`` (a drift estimated from the
+stream).
 
 Each command writes its outputs (CSV series; plotting is left to external
 tooling) and a ``manifest.json`` echoing the config as read, with every
@@ -216,11 +219,9 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
     oracle = None
     if data.csv is not None:
         pairs = markov.PairBatch.from_states(_read_states_csv(data.csv))
-    elif data.kernel is not None:
+    else:
         pairs = markov.stationary_pairs(data.kernel, data.pairs, seed=data.seed, burn_in=data.burn_in)
         oracle = markov.closed_form_score(data.kernel)
-    else:
-        raise ValueError("train needs data.kernel or data.csv")
     stages.end("data", pairs=len(pairs))
 
     arch = scorenet.MlpArchitecture(
@@ -243,10 +244,7 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
     scorenet.save_model(params, model_path)
     curve_path = out_dir / "loss_curve.csv"
     with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for i, loss in enumerate(history):
-            writer.writerow([i, repr(loss)])
+        _textio.write_rows(fh, ["epoch,loss", *(f"{i},{loss!r}" for i, loss in enumerate(history))])
     stages.end("write")
 
     print(f"trained {len(history)} epochs; final loss {history[-1]:.6g}")
@@ -299,8 +297,6 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     data = config.data
     trajectory = None
     if data.csv is None:
-        if data.simulate is None:
-            raise ValueError("detect needs data.simulate or data.csv")
         if config.kernels.pre is None:
             raise ValueError("data.simulate requires kernels.pre")
         # checks change_point <= length, like the rules above, before any model file is read
@@ -375,8 +371,6 @@ def _resolve_mu(mu, truncation_level):
     level = mu.heuristic.truncation_level
     if level is None:
         level = truncation_level
-    if level is None:
-        raise ValueError("heuristic mu needs a truncation level")
     factor = mu.heuristic.factor
     return bounds.heuristic_mu(level, factor), f"heuristic ({factor} * truncation level)"
 
@@ -530,12 +524,12 @@ def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
     stages.end("parse", lines=sum(clip.n_lines for clip in (pre_clip, post_clip) if clip is not None))
     result = mocap.build_scenario(mocap.ScenarioSpec(
         pre_clip, post_clip, config.splice_index, config.stride, config.standardize))
-    stages.end("build", frames=int(result.states.shape[0]))
+    n_frames, d = result.states.shape
+    stages.end("build", frames=n_frames)
 
     # each state row is formatted once; pair row i is state rows i and i+1
     states_path = out_dir / "states.csv"
     pairs_path = out_dir / "pairs.csv"
-    d = result.pairs.dim
     state_lines = markov.trajectory_csv_lines(result.states)
     header = next(state_lines)
     names = header[0].split(",")
@@ -549,12 +543,12 @@ def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
             _textio.write_rows(states_fh, rows)
             _textio.write_rows(pairs_fh, [a + "," + b for a, b in pairwise(chain(last, rows))])
             last = rows[-1:]
-    stages.end("write", rows=int(result.states.shape[0]) + len(result.pairs))
+    stages.end("write", rows=n_frames + n_frames - 1)  # state rows and pair rows
 
     scenario = {
         "dimension": d,
-        "n_frames": int(result.states.shape[0]),
-        "n_pairs": len(result.pairs),
+        "n_frames": n_frames,
+        "n_pairs": n_frames - 1,
         "change_index": None if result.change_index == math.inf else int(result.change_index),
         "standardized": result.state_mean is not None,
     }

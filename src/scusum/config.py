@@ -103,6 +103,11 @@ def _load_section(cls, raw: dict, path: str, seed):
         built[f.name], echo[f.name] = _load(hints[f.name], value, here, seed)
         if f.name in _MINIMUM and value < _MINIMUM[f.name]:
             raise ValueError(f"{here} must be >= {_MINIMUM[f.name]}, got {value}")
+    if hasattr(cls, "one_of"):  # a section that takes exactly one of these fields
+        given = [name for name in cls.one_of if built[name] is not None]
+        if len(given) != 1:
+            keys = " and ".join(f"{path}.{name}" for name in cls.one_of)
+            raise ValueError(f"give exactly one of {keys}, got {'both' if given else 'neither'}")
     try:
         return cls(**built), echo
     except _FieldError as err:
@@ -163,6 +168,7 @@ class TrainDataConfig:
     seed: int = 1
     burn_in: int = markov.TrajectoryConfig.burn_in
     csv: str | None = None
+    one_of: typing.ClassVar[tuple[str, ...]] = ("kernel", "csv")
 
 
 @_section
@@ -196,6 +202,7 @@ class KernelsConfig:
 class DetectDataConfig:
     simulate: ChangeStreamConfig | None = None
     csv: str | None = None
+    one_of: typing.ClassVar[tuple[str, ...]] = ("simulate", "csv")
 
 
 @_section
@@ -233,10 +240,17 @@ class HeuristicMu:
     truncation_level: float | None = None
     factor: float = bounds.HEURISTIC_MU_FACTOR
 
+    def __post_init__(self):
+        _positive(self, "truncation_level", "factor")
+
 
 @_section
 class DoeblinMu(bounds.DoeblinConstants):
     norm_phi: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        _positive(self, "norm_phi")
 
 
 @_section
@@ -245,13 +259,25 @@ class MuSpec:
 
     heuristic: HeuristicMu | None = None
     doeblin: DoeblinMu | None = None
-
-    def __post_init__(self):
-        if (self.heuristic is None) == (self.doeblin is None):
-            raise ValueError("give exactly one of 'heuristic' and 'doeblin'")
+    one_of: typing.ClassVar[tuple[str, ...]] = ("heuristic", "doeblin")
 
 
 Mu = float | MuSpec
+
+
+def _positive(section, *names) -> None:
+    """Reject a number among the ``names`` fields of ``section`` that is not positive."""
+    for name in names:
+        value = getattr(section, name)
+        if isinstance(value, (int, float)) and not value > 0:
+            raise _FieldError(f"{name} must be positive, got {value!r}")
+
+
+def _check_mu(mu: Mu, truncation: float | None, key: str) -> None:
+    """A heuristic ``mu`` needs a truncation level: its own, or ``truncation``."""
+    heuristic = getattr(mu, "heuristic", None)
+    if heuristic is not None and heuristic.truncation_level is None and truncation is None:
+        raise _FieldError(f"{key}.heuristic.truncation_level is required without a truncation")
 
 
 @_section
@@ -259,6 +285,9 @@ class SweepBoundsConfig:
     mu: Mu
     delta: float | Literal["empirical"] = "empirical"
     post_drift: float | Literal["empirical"] = "empirical"
+
+    def __post_init__(self):
+        _positive(self, "mu", "delta", "post_drift")
 
 
 @_section
@@ -277,6 +306,14 @@ class SweepConfig:
             detector.TruncationSpec(self.truncation)
         except ValueError as err:
             raise _FieldError(err) from None
+        if self.bounds is None:
+            return
+        _check_mu(self.bounds.mu, self.truncation, "bounds.mu")
+        for name in ("delta", "post_drift"):  # a drift of clipped increments is within the clip
+            drift = getattr(self.bounds, name)
+            if drift != "empirical" and self.truncation is not None and drift > self.truncation:
+                raise _FieldError(f"bounds.{name} must be at most truncation = "
+                                  f"{self.truncation!r}, got {drift!r}")
 
 
 @_section
@@ -286,6 +323,10 @@ class BoundsConfig:
     threshold: float
     post_drift: float | None = None
     thresholds: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _positive(self, "mu")
+        _check_mu(self.mu, None, "mu")
 
 
 @_section

@@ -31,7 +31,6 @@ fraction and the drift of the clipped increments.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -279,7 +278,5 @@ def write_trace_csv(path, increments, trace, first_time: int = 1) -> None:
 def write_sweep_csv(path, rows: Sequence[RunLengthReport]) -> None:
     """Sweep summary: columns threshold, mean_run_length, count."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "mean_run_length", "count"])
-        for row in rows:
-            writer.writerow([repr(row.threshold), repr(row.mean), row.count])
+        _textio.write_rows(fh, ["threshold,mean_run_length,count",
+                                *(f"{row.threshold!r},{row.mean!r},{row.count}" for row in rows)])

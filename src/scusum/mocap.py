@@ -9,7 +9,7 @@ in bone order yields one joint-angle vector per frame (90-100 dimensions for
 the usual CMU skeleton, including root translation).
 
 On top of parsing, ``build_scenario`` splices a pre-activity segment onto a
-post-activity clip to create a change-point stream of transition pairs, with
+post-activity clip to create a change-point stream of states, with
 optional per-dimension z-scoring computed from the pre-change segment
 (degenerate dimensions keep a unit divisor).
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AmcParseError, AmcStructureError
-from .fields import PairBatch
 
 __all__ = [
     "AmcClip",
@@ -34,7 +33,6 @@ __all__ = [
     "ScenarioResult",
     "parse_amc",
     "serialize_amc",
-    "clip_to_vectors",
     "build_scenario",
 ]
 
@@ -199,15 +197,6 @@ def serialize_amc(clip: AmcClip) -> str:
     return "\n".join(lines) + "\n"
 
 
-def clip_to_vectors(clip: AmcClip, stride: int = 1) -> np.ndarray:
-    """Per-frame joint-angle vectors, keeping every ``stride``-th frame."""
-    if clip.n_frames < 1:
-        raise ValueError("clip has no frames")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return clip.values[::stride].copy()
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Splice a pre-activity segment onto a post-activity clip.
@@ -233,7 +222,6 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    pairs: PairBatch
     change_index: float  # position of the first post-change frame, inf if none
     states: np.ndarray
     state_mean: np.ndarray | None
@@ -241,8 +229,10 @@ class ScenarioResult:
 
 
 def build_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Assemble the change-point pair stream for one activity transition."""
-    pre = clip_to_vectors(spec.pre_clip, spec.stride)
+    """Assemble the change-point stream for one activity transition; consecutive states pair up."""
+    if spec.pre_clip.n_frames < 1:
+        raise ValueError("clip has no frames")
+    pre = spec.pre_clip.values[:: spec.stride]
     if spec.splice_index > pre.shape[0]:
         raise ValueError(
             f"splice_index {spec.splice_index} exceeds pre segment length {pre.shape[0]}"
@@ -253,7 +243,7 @@ def build_scenario(spec: ScenarioSpec) -> ScenarioResult:
         states = pre
         change_index = math.inf
     else:
-        post = clip_to_vectors(spec.post_clip, spec.stride)
+        post = spec.post_clip.values[:: spec.stride]
         if post.shape[1] != pre.shape[1]:
             raise ValueError(
                 f"clip dimensions differ: pre {pre.shape[1]} vs post {post.shape[1]}"
@@ -267,11 +257,12 @@ def build_scenario(spec: ScenarioSpec) -> ScenarioResult:
         scale = pre.std(axis=0)
         scale = np.where(scale == 0.0, 1.0, scale)  # unit divisor for flat dims
         states = (states - mean) / scale
+    elif states is pre:
+        states = pre.copy()  # not a view of the clip
 
     if states.shape[0] < 2:
         raise ValueError("scenario needs at least 2 frames to form a transition pair")
     return ScenarioResult(
-        pairs=PairBatch.from_states(states),
         change_index=change_index,
         states=states,
         state_mean=mean,

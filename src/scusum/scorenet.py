@@ -87,6 +87,7 @@ __all__ = [
 
 _MAGIC = b"SCUSUMNET"
 _FORMAT_VERSION = 1
+_ACTIVATION = "silu"  # the one activation; a model file names it in its header
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,6 @@ class MlpArchitecture:
     input_dim: int
     hidden_widths: tuple[int, ...]
     output_dim: int
-    activation: str = "silu"
 
     def __post_init__(self):
         widths = tuple(self.hidden_widths)
@@ -114,8 +114,6 @@ class MlpArchitecture:
             raise ValueError("input_dim must equal 2 * output_dim")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be positive")
-        if self.activation != "silu":
-            raise ValueError("only the silu activation is supported")
 
     @property
     def layer_sizes(self) -> list[tuple[int, int]]:
@@ -162,15 +160,6 @@ class MlpParameters:
     @property
     def standardized(self) -> bool:
         return self.state_mean is not None
-
-    def copy(self) -> "MlpParameters":
-        return MlpParameters(
-            self.arch,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            None if self.state_mean is None else self.state_mean.copy(),
-            None if self.state_scale is None else self.state_scale.copy(),
-        )
 
 
 @dataclass
@@ -826,7 +815,7 @@ def save_model(params: MlpParameters, path) -> None:
         "input_dim": params.arch.input_dim,
         "hidden_widths": list(params.arch.hidden_widths),
         "output_dim": params.arch.output_dim,
-        "activation": params.arch.activation,
+        "activation": _ACTIVATION,
         "standardized": params.standardized,
     }
     blob = json.dumps(header).encode("utf-8")
@@ -872,13 +861,14 @@ def load_model(path) -> MlpParameters:
             and all(type(header[k]) is t for k, t in _HEADER_KEYS.items())):
         raise ModelFileError(path, f"header does not hold the keys {sorted(_HEADER_KEYS)} "
                                    "with their types")
+    if header["activation"] != _ACTIVATION:
+        raise ModelFileError(path, f"header: only the {_ACTIVATION} activation is supported")
     off += hlen
     try:
         arch = MlpArchitecture(
             input_dim=header["input_dim"],
             hidden_widths=tuple(header["hidden_widths"]),
             output_dim=header["output_dim"],
-            activation=header["activation"],
         )
     except ValueError as err:
         raise ModelFileError(path, f"header: {err}") from None

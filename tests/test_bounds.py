@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from scusum.bounds import (
-    BoundInputs,
     DoeblinConstants,
     bound_curve,
     concentration_mu,
     delay_upper_bound,
     false_alarm_lower_bound,
     heuristic_mu,
-    hoeffding_tail,
     write_bound_csv,
 )
 from scusum.exceptions import BoundDomainError
@@ -131,44 +129,6 @@ class TestDelayUpperBound:
     def test_requires_positive_drift(self):
         with pytest.raises(ValueError, match="positive"):
             delay_upper_bound(10.0, 1.0, 0.0)
-
-
-class TestHoeffdingTail:
-    def test_substitution_at_twice_mu(self):
-        # n*eps = 2*mu_f gives 2*exp(-2/n)
-        for n, mu_f in ((10, 1.0), (100, 3.0)):
-            eps = 2 * mu_f / n
-            assert hoeffding_tail(n, eps, mu_f) == pytest.approx(2 * math.exp(-2 / n))
-
-    def test_decays_with_eps(self):
-        values = [hoeffding_tail(100, eps, 1.0) for eps in (0.05, 0.1, 1.0, 10.0)]
-        assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
-        assert values[-1] < 1e-100
-
-    def test_never_exceeds_two(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            mu_f = rng.uniform(0.1, 10)
-            n = int(rng.integers(1, 1000))
-            eps = rng.uniform(mu_f / n * 1.01, mu_f / n * 100)
-            # the exponential may underflow to exactly 0.0 for extreme eps
-            assert 0.0 <= hoeffding_tail(n, eps, mu_f) <= 2.0
-
-    def test_domain_error(self):
-        with pytest.raises(BoundDomainError, match="mu_f/eps"):
-            hoeffding_tail(10, 0.1, 1.0)
-
-
-class TestBoundInputs:
-    def test_drift_cannot_exceed_truncation(self):
-        with pytest.raises(ValueError, match="truncation"):
-            BoundInputs(delta=700.0, mu=1230.0, b=2000.0, truncation_level=600.0)
-        with pytest.raises(ValueError, match="truncation"):
-            BoundInputs(delta=1.0, mu=1230.0, b=2000.0, post_drift=700.0, truncation_level=600.0)
-
-    def test_valid_inputs(self):
-        inputs = BoundInputs(delta=513.1, mu=1230.0, b=2000.0, post_drift=80.0, truncation_level=600.0)
-        assert inputs.delta == 513.1
 
 
 def test_bound_curve_csv(tmp_path):

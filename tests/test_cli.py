@@ -539,6 +539,28 @@ class TestSweep:
         assert capsys.readouterr().err.strip() == "error: stream.law = post requires kernels.post"
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("train", {"kernel": SMALL_KERNEL, "csv": "no_such.csv"},
+     "give exactly one of data.kernel and data.csv, got both"),
+    ("train", {}, "give exactly one of data.kernel and data.csv, got neither"),
+    ("detect", {"simulate": {"length": 50}, "csv": "no_such.csv"},
+     "give exactly one of data.simulate and data.csv, got both"),
+    ("detect", {}, "give exactly one of data.simulate and data.csv, got neither"),
+])
+def test_data_sources_are_exactly_one(tmp_path, capsys, command, data, message):
+    # both sources ran on the CSV alone, and train then skipped the accuracy
+    # report that data.kernel turns on
+    payload = {
+        "train": {"architecture": {"hidden_widths": [4]}, "training": {"epochs": 1}},
+        "detect": {"kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+                   "detector": {"threshold": 10.0}},
+    }[command]
+    code, out = run(tmp_path, command, {**payload, "data": data})
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (out / "metrics.json").exists()
+
+
 class TestBounds:
     def test_prints_values(self, tmp_path, capsys):
         payload = {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "post_drift": 5.0}

@@ -203,6 +203,29 @@ DEFECTS = [
     ("sweep", with_leaf(with_leaf(VALID["sweep"], ("truncation",), 0.0),
                         ("models", "pre"), "no_such_model.bin"),
      "error: truncation must be positive, got 0.0"),
+    # the bounds section was checked only after the whole stream was scanned,
+    # and an explicit negative delta exited 4 as an estimate
+    *(("sweep", with_leaf(with_leaf(VALID["sweep"], key, value), ("models", "pre"),
+                          "no_such_model.bin"), message)
+      for key, value, message in [
+          (("truncation",), None,
+           "bounds.mu.heuristic.truncation_level is required without a truncation"),
+          (("bounds", "mu"), -5.0, "bounds.mu must be positive, got -5.0"),
+          (("bounds", "mu", "heuristic", "factor"), 0.0,
+           "bounds.mu.heuristic.factor must be positive, got 0.0"),
+          (("bounds", "mu", "heuristic", "truncation_level"), -1.0,
+           "bounds.mu.heuristic.truncation_level must be positive, got -1.0"),
+          (("bounds", "mu"), {"doeblin": {"l": 1, "lam": 0.5, "norm_phi": 0.0}},
+           "bounds.mu.doeblin.norm_phi must be positive, got 0.0"),
+          (("bounds", "delta"), -1.0, "bounds.delta must be positive, got -1.0"),
+          (("bounds", "post_drift"), 0, "bounds.post_drift must be positive, got 0"),
+          (("bounds", "delta"), 700.0, "bounds.delta must be at most truncation = 600.0, got 700.0"),
+          (("bounds", "post_drift"), 601,
+           "bounds.post_drift must be at most truncation = 600.0, got 601"),
+      ]),
+    ("bounds", with_leaf(VALID["bounds"], ("mu",), {"heuristic": {}}),
+     "mu.heuristic.truncation_level is required without a truncation"),
+    ("bounds", with_leaf(VALID["bounds"], ("mu",), -2.0), "mu must be positive, got -2.0"),
 ]
 
 
@@ -224,7 +247,7 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, command, payload, ke
      'change_point must be an integer or "infinity" or null, got "inf"'),
     ("train", ("training", "epochs"), 1.5, "training.epochs must be an integer, got 1.5"),
     ("train", ("training", "epochs"), 2.0, "training.epochs must be an integer, got 2.0"),
-    ("bounds", ("mu",), {}, "mu: give exactly one of 'heuristic' and 'doeblin'"),
+    ("bounds", ("mu",), {}, "give exactly one of mu.heuristic and mu.doeblin, got neither"),
     ("bounds", ("thresholds", 1), "x", 'thresholds[1] must be a number, got "x"'),
     ("simulate", ("bogus",), 1, "unknown config key 'bogus'"),
     ("detect", ("kernels", "pre", "bogus"), 1, "unknown config key 'kernels.pre.bogus'"),

@@ -11,7 +11,6 @@ from scusum.mocap import (
     AmcClip,
     ScenarioSpec,
     build_scenario,
-    clip_to_vectors,
     parse_amc,
     serialize_amc,
 )
@@ -91,11 +90,22 @@ class TestRoundTrip:
         assert np.array_equal(again.values, clip.values)
 
 
-class TestClipToVectors:
-    def test_stride_one_keeps_all(self):
+class TestBuildScenario:
+    def test_splice_arithmetic(self):
+        pre, post = load("walk_ten_frames.amc"), load("jump_eight_frames.amc")
+        result = build_scenario(
+            ScenarioSpec(pre_clip=pre, post_clip=post, splice_index=6, standardize=False)
+        )
+        assert result.states.shape == (6 + 8, 9)
+        assert result.change_index == 6
+
+    def test_stride_one_keeps_every_frame_in_a_copy(self):
         clip = load("walk_ten_frames.amc")
-        vectors = clip_to_vectors(clip)
-        assert vectors.shape == (10, 9)
+        result = build_scenario(
+            ScenarioSpec(pre_clip=clip, post_clip=None, splice_index=10, standardize=False)
+        )
+        assert np.array_equal(result.states, clip.values)
+        assert not np.shares_memory(result.states, clip.values)
 
     def test_stride_four_on_nine_frames(self):
         clip = load("walk_ten_frames.amc")
@@ -105,30 +115,14 @@ class TestClipToVectors:
             values=clip.values[:9],
             frame_indices=clip.frame_indices[:9],
         )
-        vectors = clip_to_vectors(nine, stride=4)
-        assert vectors.shape == (3, 9)
-        assert np.array_equal(vectors, nine.values[[0, 4, 8]])
-
-    def test_dimension_constant_across_frames(self):
-        clip = load("jump_eight_frames.amc")
-        vectors = clip_to_vectors(clip)
-        assert len({row.shape[0] for row in vectors}) == 1
-
-    def test_empty_clip_rejected(self):
-        clip = parse_amc("")
-        with pytest.raises(ValueError, match="no frames"):
-            clip_to_vectors(clip)
-
-
-class TestBuildScenario:
-    def test_splice_arithmetic(self):
-        pre, post = load("walk_ten_frames.amc"), load("jump_eight_frames.amc")
         result = build_scenario(
-            ScenarioSpec(pre_clip=pre, post_clip=post, splice_index=6, standardize=False)
+            ScenarioSpec(pre_clip=nine, post_clip=None, splice_index=3, stride=4, standardize=False)
         )
-        assert result.states.shape == (6 + 8, 9)
-        assert len(result.pairs) == 6 + 8 - 1
-        assert result.change_index == 6
+        assert np.array_equal(result.states, nine.values[[0, 4, 8]])
+
+    def test_empty_pre_clip_rejected(self):
+        with pytest.raises(ValueError, match="no frames"):
+            build_scenario(ScenarioSpec(pre_clip=parse_amc(""), post_clip=None, splice_index=1))
 
     def test_empty_post_gives_infinite_change(self):
         pre = load("walk_ten_frames.amc")
