@@ -72,7 +72,7 @@ def heuristic_mu(truncation_level: float, factor: float = HEURISTIC_MU_FACTOR) -
 
 
 def false_alarm_lower_bound(delta: float, mu: float, b: float) -> float:
-    """Exponential lower bound on the mean time between false alarms."""
+    """Exponential lower bound on the mean time between false alarms; inf past the float range."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if mu <= 0:
@@ -81,7 +81,11 @@ def false_alarm_lower_bound(delta: float, mu: float, b: float) -> float:
         raise BoundDomainError(
             f"false-alarm bound requires b > mu (got b={b}, mu={mu})"
         )
-    return (2.0 * math.sqrt(2.0) / 3.0) * math.exp(4.0 * delta * (b - mu) / mu**2)
+    try:
+        growth = math.exp(4.0 * delta * (b - mu) / mu**2)
+    except OverflowError:
+        return math.inf
+    return (2.0 * math.sqrt(2.0) / 3.0) * growth
 
 
 def delay_upper_bound(b: float, mu: float, post_drift: float) -> tuple[int, float]:

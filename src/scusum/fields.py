@@ -124,9 +124,7 @@ class PairBatch:
     def coerce(cls, pairs) -> "PairBatch":
         if isinstance(pairs, cls):
             return pairs
-        if isinstance(pairs, tuple) and len(pairs) == 2:
-            return cls(pairs[0], pairs[1])
-        raise TypeError("expected PairBatch or (X_prev, X_next) arrays")
+        raise TypeError(f"expected a PairBatch, got {type(pairs).__name__}")
 
 
 class ScoreField(ABC):

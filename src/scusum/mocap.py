@@ -204,7 +204,7 @@ class ScenarioSpec:
     The stream keeps the first ``splice_index`` (post-stride) frames of the
     pre clip and then the whole post clip, so the true change sits at stream
     position ``splice_index`` (0-based). ``post_clip=None`` builds a pure
-    pre-change stream.
+    pre-change stream; a clip with no frames is rejected.
     """
 
     pre_clip: AmcClip
@@ -230,8 +230,9 @@ class ScenarioResult:
 
 def build_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Assemble the change-point stream for one activity transition; consecutive states pair up."""
-    if spec.pre_clip.n_frames < 1:
-        raise ValueError("clip has no frames")
+    for name, clip in (("pre", spec.pre_clip), ("post", spec.post_clip)):
+        if clip is not None and clip.n_frames < 1:
+            raise ValueError(f"{name} clip has no frames")
     pre = spec.pre_clip.values[:: spec.stride]
     if spec.splice_index > pre.shape[0]:
         raise ValueError(
@@ -239,7 +240,7 @@ def build_scenario(spec: ScenarioSpec) -> ScenarioResult:
         )
     pre = pre[: spec.splice_index]
 
-    if spec.post_clip is None or spec.post_clip.n_frames == 0:
+    if spec.post_clip is None:
         states = pre
         change_index = math.inf
     else:

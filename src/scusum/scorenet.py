@@ -20,9 +20,9 @@ Everything here is plain numpy in double precision:
 * the hot path evaluates one sigmoid per hidden layer and derives silu,
   silu' and silu'' from it; keeps the two pair-independent tangent
   quantities (the layer-0 tangent and the output cotangent) as (d, h)
-  arrays that broadcast; and reads only the diagonal of the output tangent
-  (one GEMV in ``divergence_batch``, a contraction of the last
-  pre-activation tangent in the loss);
+  arrays that broadcast; and reads only the diagonal of the output tangent,
+  through one contraction of the last pre-activation tangent
+  (``_divergence``) that ``divergence_batch`` and the loss share;
 * the (B, d, h) tangent stacks live in one pool of buffers that one call
   reuses for all its minibatches or chunks and drops when it returns. A
   divergence pass holds at most two stacks. A gradient pass keeps only the
@@ -33,24 +33,22 @@ Everything here is plain numpy in double precision:
 * one byte budget, ``_STACK_BYTES`` (1 MiB), sizes every array of a pass
   over many pairs: ``forward_batch`` runs its rows in chunks whose
   (rows, width) activations fit it, and the tangent passes of
-  ``divergence_batch``, ``surrogate_loss``, ``loss_gradient`` and each
-  ``train`` minibatch in chunks whose (rows, d, width) stacks fit it, so
-  memory grows neither with the number of pairs nor with ``batch_size``;
+  ``divergence_batch``, ``loss_gradient`` and each ``train`` minibatch in
+  chunks whose (rows, d, width) stacks fit it, so memory grows neither
+  with the number of pairs nor with ``batch_size``;
 * optimization is deterministic given the config seed (init and shuffling
   use separate PCG64 streams spawned from it).
 
-Optionally a model carries per-dimension standardization statistics
-(mean/scale of the raw state vectors, computed from the training data). Such
-a model standardizes inputs internally and rescales outputs so that
-``forward_batch`` and ``divergence_batch`` always speak raw coordinates;
-training happens in standardized space, where score magnitudes are
-comparable across dimensions.
+A network speaks raw coordinates only. ``train(..., standardize=True)``
+fits it to pairs z-scored per dimension, where score magnitudes are
+comparable across dimensions, and then folds the mean and scale into the
+first and last layers (``_fold_standardization``), so the trained weights
+take and give raw coordinates like any others.
 
 Model files: magic ``SCUSUMNET``, little-endian uint32 version and header
-length, a JSON header (architecture, activation, standardization flag),
-then the standardization vectors (if any) and the parameters in layer order
-(W1, b1, W2, b2, ...) as little-endian float64. Loading validates shapes and
-finiteness.
+length, a JSON header (architecture, activation), then the parameters in
+layer order (W1, b1, W2, b2, ...) as little-endian float64. Loading
+validates shapes and finiteness.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SCUSUMNET"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 1 also stored standardization vectors
 _ACTIVATION = "silu"  # the one activation; a model file names it in its header
 
 
@@ -122,15 +120,9 @@ class MlpArchitecture:
 
 
 class MlpParameters:
-    """Weights/biases of one network, plus optional standardization stats.
+    """Weights/biases of one network; weights are stored (fan_in, fan_out), biases are vectors."""
 
-    Weights are stored (fan_in, fan_out); biases are vectors. When
-    ``state_mean``/``state_scale`` are set the model consumes and produces
-    raw coordinates, standardizing internally.
-    """
-
-    def __init__(self, arch: MlpArchitecture, weights, biases,
-                 state_mean=None, state_scale=None):
+    def __init__(self, arch: MlpArchitecture, weights, biases):
         self.arch = arch
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
@@ -144,22 +136,6 @@ class MlpParameters:
                 raise ValueError(f"layer {k} bias shape {b.shape}, expected {(fout,)}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {k} contains non-finite parameters")
-        if (state_mean is None) != (state_scale is None):
-            raise ValueError("state_mean and state_scale must be given together")
-        if state_mean is not None:
-            state_mean = np.asarray(state_mean, dtype=np.float64)
-            state_scale = np.asarray(state_scale, dtype=np.float64)
-            d = arch.output_dim
-            if state_mean.shape != (d,) or state_scale.shape != (d,):
-                raise ValueError("standardization vectors must have shape (output_dim,)")
-            if np.any(state_scale <= 0):
-                raise ValueError("standardization scales must be positive")
-        self.state_mean = state_mean
-        self.state_scale = state_scale
-
-    @property
-    def standardized(self) -> bool:
-        return self.state_mean is not None
 
 
 @dataclass
@@ -267,44 +243,39 @@ def _silu_parts(z, want_d2: bool):
 # ---------------------------------------------------------------------------
 # fused primal + tangent pass and its exact backward pass
 #
-# a0:    (B, 2d) network inputs (already standardized when applicable)
-# inv_s: (d,) output/tangent scaling (ones when not standardized)
+# a0: (B, 2d) network inputs, the pairs (y, x)
 #
-# Direction i of the d tangent passes is seeded with inv_s[i] * e_i on the y
-# half of the input. Hidden layer l maps the tangent t_{l-1} to the
-# pre-activation tangent p_l = t_{l-1} @ W_l and t_l = p_l * silu'(z_l), all
-# (B, d, h_l) stacks, and the divergence of the raw-coordinate model only
-# needs the diagonal of the output tangent:
+# Direction i of the d tangent passes is seeded with e_i on the y half of the
+# input. Hidden layer l maps the tangent t_{l-1} to the pre-activation tangent
+# p_l = t_{l-1} @ W_l and t_l = p_l * silu'(z_l), all (B, d, h_l) stacks, and
+# the divergence only needs the diagonal of the output tangent:
 #
-#     sum_i inv_s[i] (t_last @ W_out)[b, i, i]
-#         = t_last[b].ravel() @ (W_out.T * inv_s[:, None]).ravel()
+#     sum_i (t_last @ W_out)[b, i, i]
 #         = sum_h silu'(z_last)[b, h] q[b, h],
-#     q[b, h] = sum_i p_last[b, i, h] V[i, h],  V = W_out.T * inv_s[:, None].
+#     q[b, h] = sum_i p_last[b, i, h] V[i, h],  V = W_out.T,
 #
-# divergence_batch forms t_last over p_last's buffer and takes the first
-# form, one GEMV over the batch. The loss takes the last form and never
-# forms t_last: its backward pass reads p_last too. Two tangent quantities do
-# not depend on the pair and stay (d, h) arrays that broadcast:
-# p_0 = inv_s[:, None] * W_0[:d], and V, whose ravel is the GEMV vector v and
-# which over B is the cotangent of t_last. Both are formed once per call
-# (_shared_tangents).
+# so neither divergence_batch nor the loss forms t_last: both take this
+# contraction of p_last (_divergence), and the loss's backward pass reads
+# p_last and q too. Two tangent quantities do not depend on the pair and stay
+# (d, h) arrays that broadcast: p_0 = W_0[:d], and V, which over B is the
+# cotangent of t_last. Both are formed once per call (_shared_tangents).
 # ---------------------------------------------------------------------------
 
 class _TangentStacks:
     """A pool of float64 (B, d, width) buffers for the tangent passes of one call.
 
-    One ``train``, ``divergence_batch`` or loss call makes it and reuses its
-    buffers for each of its minibatches or chunks; they are dropped with the
-    call. ``take`` hands out the leading part of a free buffer, making one
-    only when none is free, and ``give`` returns it; every buffer is free
-    again when a pass starts (``reset``). ``for_pairs`` sizes the buffers for
-    n pairs split into the fewest equal chunks within ``_STACK_BYTES``: a
-    128-pair minibatch of a width-128 network runs as 2 x 64 rows at d=10
-    and 8 x 16 at d=62.
+    One ``train``, ``divergence_batch`` or ``loss_gradient`` call makes it
+    and reuses its buffers for each of its minibatches or chunks; they are
+    dropped with the call. ``take`` hands out the leading part of a free
+    buffer, making one only when none is free, and ``give`` returns it;
+    every buffer is free again when a pass starts (``reset``). ``for_pairs``
+    sizes the buffers for n pairs split into the fewest equal chunks within
+    ``_STACK_BYTES``: a 128-pair minibatch of a width-128 network runs as
+    2 x 64 rows at d=10 and 8 x 16 at d=62.
 
-    A divergence or loss pass holds at most two stacks at once, and a pass
-    with gradients L for L >= 2 hidden layers (none for one hidden layer), so
-    the pool makes no more buffers than that.
+    A divergence pass holds at most two stacks at once and a gradient pass L,
+    for L >= 2 hidden layers (neither holds any for one hidden layer), so the
+    pool makes no more buffers than that.
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
@@ -346,26 +317,26 @@ def _equal_chunk(n: int, limit: int) -> int:
     return -(-n // -(-n // limit))
 
 
-def _shared_tangents(params: MlpParameters, inv_s):
+def _shared_tangents(params: MlpParameters):
     """(p_0, V): the layer-0 tangent and the divergence's (d, h) weights, the same for every pair."""
-    p0 = inv_s[:, None] * params.weights[0][: params.arch.output_dim]
+    p0 = params.weights[0][: params.arch.output_dim]
     # C order, so the contractions over V and V / B stream it along h
-    return p0, np.multiply(params.weights[-1].T, inv_s[:, None], order="C")
+    return p0, np.ascontiguousarray(params.weights[-1].T)
 
 
 def _times_d1(p, d1, out):
     """p * d1[:, None, :] into ``out``, for a (B, d, h) stack p or the shared (d, h) p_0.
 
     einsum's loop runs these products 20-45% faster than np.multiply's
-    broadcasting loop at the chunk shapes of a training step; it differs from
-    np.multiply only in giving +0.0 where the product is -0.0, so the
-    divergence_batch path, whose outputs stay bitwise fixed, keeps
-    np.multiply.
+    broadcasting loop at the chunk shapes of a training step, and differs
+    from it only in giving +0.0 where the product is -0.0. The
+    divergence-only pass multiplies in place over p's own stack and keeps
+    np.multiply: einsum makes no promise for an output that overlaps an input.
     """
     return np.einsum("bih,bh->bih" if p.ndim == 3 else "ih,bh->bih", p, d1, out=out)
 
 
-def _tangent_pass(params: MlpParameters, a0, inv_s, p0, stacks: _TangentStacks, keep: bool):
+def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: bool):
     """Primal pass plus the d tangent passes over one batch, up to the last hidden layer.
 
     ``p0`` is the layer-0 tangent of ``_shared_tangents``. Returns the last
@@ -375,7 +346,7 @@ def _tangent_pass(params: MlpParameters, a0, inv_s, p0, stacks: _TangentStacks, 
     p_0 is the shared (d, h) array, and each t_l is made in a scratch stack
     (in place over p_l without ``keep``) and dropped once p_{l+1} is formed.
     Without hidden layers it returns a0, the shared (d, 2d) input tangent
-    and None.
+    [I, 0] and None.
     """
     stacks.reset()
     B = a0.shape[0]
@@ -403,28 +374,23 @@ def _tangent_pass(params: MlpParameters, a0, inv_s, p0, stacks: _TangentStacks, 
             layers.append((a, d1, d2, p))
         a = a_next
     if p is None:
-        p = np.zeros((d, params.arch.input_dim))
-        p[np.arange(d), np.arange(d)] = inv_s
+        p = np.eye(d, params.arch.input_dim)
     return a, p, d1, layers
 
 
-def _divergence(t, V):
-    # (B,) from a (B, d, h) tangent stack, a scalar from a shared (d, h) one;
-    # V is the (d, h) divergence weights of _shared_tangents
-    return t.reshape(*t.shape[:-2], -1) @ V.ravel()
+def _divergence(p, d1, V):
+    """(div, q): the (B,) divergence sum_h silu'(z_last) q and q = einsum("bih,ih->bh", p_last, V).
 
-
-def _net_inputs(params: MlpParameters, Y, X):
-    if params.standardized:
-        Y = (Y - params.state_mean) / params.state_scale
-        X = (X - params.state_mean) / params.state_scale
-    return np.concatenate([Y, X], axis=1)
-
-
-def _inv_s(params: MlpParameters):
-    if params.standardized:
-        return 1.0 / params.state_scale
-    return np.ones(params.arch.output_dim)
+    ``p`` is the last pre-activation tangent, a (B, d, h) stack or the shared
+    (d, h) p_0 of a one-hidden-layer network, and ``d1`` silu'(z_last).
+    Without hidden layers (``d1`` None) ``p`` is the input tangent and the
+    divergence the scalar trace of W_out[:d], the same for every pair; q is
+    then None.
+    """
+    if d1 is None:
+        return p.ravel() @ V.ravel(), None
+    q = np.einsum("bih,ih->bh", np.broadcast_to(p, (len(d1), *p.shape[-2:])), V)
+    return np.einsum("bh,bh->b", q, d1), q
 
 
 # Bytes in one float64 array of a network pass, the one budget every pass over
@@ -436,11 +402,12 @@ def _inv_s(params: MlpParameters):
 # * divergence_batch takes max(1, _STACK_BYTES // (8 * d * max width)) rows
 #   at a time for its (rows, d, width) tangent stacks, 102 at d=10 and 16 at
 #   d=62 for width 128, and holds two stacks;
-# * surrogate_loss, loss_gradient and each train minibatch split their pairs
-#   into the fewest equal chunks of at most that many rows: a 128-pair
-#   minibatch runs as 2 x 64 rows at d=10 and 8 x 16 at d=62. A loss chunk
-#   holds two stacks, a gradient chunk L for L >= 2 hidden layers. The loss
-#   and gradient of one 128-pair minibatch of a 128x3 network peak
+# * surrogate_loss reads its pairs through divergence_batch;
+# * loss_gradient and each train minibatch split their pairs into the fewest
+#   equal chunks of at most that many rows: a 128-pair minibatch runs as
+#   2 x 64 rows at d=10 and 8 x 16 at d=62. A gradient chunk holds L stacks
+#   for L >= 2 hidden layers. The loss and gradient of one 128-pair
+#   minibatch of a 128x3 network peak
 #   (tracemalloc, stacks made fresh) at 3.6 MB at d=10 and 5.1 MB at d=62,
 #   against 9.9 and 51.4 MB with 2L stacks sized by batch_size.
 #
@@ -454,9 +421,12 @@ def _inv_s(params: MlpParameters):
 #     31    4096   208 / 211 / 228        51.2 / 44.8 / 41.6
 #     62    4096   422 / 407 / 410        53.0 / 46.7 / 43.4
 #
-# The rows move results in the last bits only (the GEMM and GEMV kernels
-# treat tail rows differently): chunkings agree to 1e-12 relative, not bit
-# for bit.
+# The table timed a divergence taken as one GEMV over t_last; _divergence's
+# contraction of p_last runs as fast (1 MiB, medians of 5 alternating fresh
+# processes: 401 against 414 ms at d=10, 433 against 438 ms at d=62).
+#
+# The rows move results in the last bits only (the GEMM kernels treat tail
+# rows differently): chunkings agree to 1e-12 relative, not bit for bit.
 _STACK_BYTES = 1 << 20
 
 
@@ -473,7 +443,7 @@ def _pair_arrays(params: MlpParameters, Y, X):
 
 
 def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
-    """Network outputs for (n, d) batches of y and x; raw coordinates.
+    """Network outputs for (n, d) batches of y and x.
 
     Rows go through the network in chunks of ``_STACK_BYTES`` per (rows,
     width) activation and land in one (n, d) output. Each hidden layer adds
@@ -486,11 +456,10 @@ def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
     n = Y.shape[0]
     rows = max(1, _STACK_BYTES // (8 * max((arch.input_dim, *arch.hidden_widths))))
     g = np.empty(min(rows, n) * max(arch.hidden_widths, default=0))
-    inv_s = _inv_s(params)
     out = np.empty(Y.shape)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        a = _net_inputs(params, Y[block], X[block])
+        a = np.concatenate([Y[block], X[block]], axis=1)
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             a = a @ w
             a += b
@@ -498,55 +467,45 @@ def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
             a *= _sigmoid(a, out=g[: a.size].reshape(a.shape))
         psi = np.matmul(a, params.weights[-1], out=out[block])
         psi += params.biases[-1]
-        psi *= inv_s
     return out
 
 
 def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
     """Exact sum_i d(psi_i)/dy_i per row, via d tangent passes."""
     Y, X = _pair_arrays(params, Y, X)
-    inv_s = _inv_s(params)
     n = Y.shape[0]
     stacks = _TangentStacks(params.arch, max(1, min(n, _stack_rows(params.arch))))
-    p0, V = _shared_tangents(params, inv_s)
+    p0, V = _shared_tangents(params)
     out = np.empty(n)
     for start in range(0, n, stacks.rows):
         block = slice(start, start + stacks.rows)
-        a0 = _net_inputs(params, Y[block], X[block])
-        _, t, d1, _ = _tangent_pass(params, a0, inv_s, p0, stacks, keep=False)
-        if d1 is not None:
-            # t_last = p_last * silu'(z_last), over p_last's stack (p_0 has none)
-            into = t if t.ndim == 3 else stacks.take(len(a0), t.shape[-1])
-            t = np.multiply(t, d1[:, None, :], out=into)
-        out[block] = _divergence(t, V)
+        a0 = np.concatenate([Y[block], X[block]], axis=1)
+        _, p, d1, _ = _tangent_pass(params, a0, p0, stacks, keep=False)
+        out[block], _ = _divergence(p, d1, V)
     return out
 
 
-def surrogate_loss(model, pairs) -> float:
-    """Mean of sum_i [0.5 psi_i^2 + d(psi_i)/dy_i] over a pair batch.
-
-    ``model`` may be MlpParameters or any ScoreField (a fixed field can be
-    plugged in to evaluate the objective it would achieve).
-    """
+def surrogate_loss(params: MlpParameters, pairs) -> float:
+    """Mean of sum_i [0.5 psi_i^2 + d(psi_i)/dy_i] over a pair batch: the mean Hyvarinen score."""
     batch = PairBatch.coerce(pairs)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if isinstance(model, ScoreField):
-        return float(np.mean(hyvarinen_scores(model, batch)))
-    loss, _ = _chunked_loss_and_grads(model, batch.x_next, batch.x_prev, want_grads=False)
+    loss = float(np.mean(hyvarinen_scores(as_score_field(params), batch)))
+    if not math.isfinite(loss):
+        raise NumericsError("non-finite surrogate loss")
     return loss
 
 
-def loss_gradient(model: MlpParameters, pairs) -> MlpGradients:
+def loss_gradient(params: MlpParameters, pairs) -> MlpGradients:
     """Exact gradient of ``surrogate_loss`` in every weight and bias."""
     batch = PairBatch.coerce(pairs)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    _, grads = _chunked_loss_and_grads(model, batch.x_next, batch.x_prev, want_grads=True)
+    _, grads = _chunked_loss_and_grads(params, batch.x_next, batch.x_prev)
     return grads
 
 
-def _chunked_loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks=None):
+def _chunked_loss_and_grads(params: MlpParameters, Y, X, stacks=None):
     """``_loss_and_grads`` over the fewest equal chunks of at most ``stacks.rows`` pairs, weighted by size.
 
     The chunks share one pool of tangent stacks, ``_TangentStacks.for_pairs``
@@ -561,11 +520,9 @@ def _chunked_loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stack
     loss, grads = 0.0, None
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        part_loss, part = _loss_and_grads(params, Y[start:stop], X[start:stop], want_grads, stacks)
+        part_loss, part = _loss_and_grads(params, Y[start:stop], X[start:stop], stacks)
         weight = (stop - start) / n
         loss += weight * part_loss
-        if part is None:
-            continue
         for g in part.weights + part.biases:
             g *= weight
         if grads is None:
@@ -574,18 +531,14 @@ def _chunked_loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stack
             for acc, g in zip(grads.weights + grads.biases, part.weights + part.biases):
                 acc += g
     # checked once over the chunks: a non-finite chunk leaves its sum non-finite
-    if grads is None:
-        if not np.isfinite(loss):
-            raise NumericsError("non-finite surrogate loss")
-        return loss, None
     for k, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise NumericsError(f"non-finite gradient in layer {k}")
     return loss, grads
 
 
-def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _TangentStacks):
-    """Surrogate loss and (optionally) its exact parameter gradient, unchecked for finiteness.
+def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
+    """Surrogate loss and its exact parameter gradient, unchecked for finiteness.
 
     Backpropagates through the primal pass and through all d tangent passes;
     see the layer-local rules inline. Gradients are averaged over the batch.
@@ -597,26 +550,15 @@ def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _Tang
     """
     B = Y.shape[0]
     d = params.arch.output_dim
-    a0 = _net_inputs(params, Y, X)
-    inv_s = _inv_s(params)
-    p0, V = _shared_tangents(params, inv_s)
-    a, p, d1, layers = _tangent_pass(params, a0, inv_s, p0, stacks, keep=want_grads)
+    p0, V = _shared_tangents(params)
+    a, p, d1, layers = _tangent_pass(params, np.concatenate([Y, X], axis=1), p0, stacks, keep=True)
 
     w_out = params.weights[-1]
     psi = a @ w_out
     psi += params.biases[-1]
-    psi_scaled = psi * inv_s
-    if d1 is None:  # no hidden layer: the divergence is the same for every pair
-        div = _divergence(p, V)
-    else:
-        p = np.broadcast_to(p, (B, *p.shape[-2:]))  # p_0 is shared with one hidden layer
-        q = np.einsum("bih,ih->bh", p, V)
-        div = np.einsum("bh,bh->b", q, d1)
-    loss_terms = 0.5 * np.einsum("bj,bj->b", psi_scaled, psi_scaled) + div
+    div, q = _divergence(p, d1, V)
+    loss_terms = 0.5 * np.einsum("bj,bj->b", psi, psi) + div
     loss = float(np.mean(loss_terms))
-
-    if not want_grads:
-        return loss, None
 
     n_hidden = len(layers)
     g_w = [None] * (n_hidden + 1)
@@ -625,13 +567,13 @@ def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _Tang
     # output layer: psi = a @ W + b; the divergence reads t_last @ W, whose
     # cotangent d_t = V / B is the same (d, h) for every pair, and W's
     # gradient through it is the batch mean of t_last = p_last * silu'(z_last)
-    d_psi = psi_scaled * inv_s / B
+    d_psi = psi / B
     if d1 is None:
         t_mean = p
     else:
-        t_mean = np.einsum("bih,bh->ih", p, d1)
+        t_mean = np.einsum("bih,bh->ih", np.broadcast_to(p, (B, *p.shape[-2:])), d1)
         t_mean /= B
-    g_w[-1] = a.T @ d_psi + (t_mean * inv_s[:, None]).T
+    g_w[-1] = a.T @ d_psi + t_mean.T
     g_b[-1] = d_psi.sum(axis=0)
     d_a = d_psi @ w_out.T
     d_t = V / B
@@ -649,10 +591,10 @@ def _loss_and_grads(params: MlpParameters, Y, X, want_grads: bool, stacks: _Tang
         g_b[l] = d_z.sum(axis=0)
         g_w[l] = a_in.T @ d_z
         if l == 0:
-            # t_prev is the input tangent, inv_s[i] on input i < d and 0
-            # elsewhere, so only the batch sum of d_p = d_t * d1 is needed
+            # t_prev is the input tangent, 1 on input i < d and 0 elsewhere,
+            # so only the batch sum of d_p = d_t * d1 is needed
             d_t = np.broadcast_to(d_t, (B, d, h))
-            g_w[0][:d] += inv_s[:, None] * np.einsum("bih,bh->ih", d_t, d1)
+            g_w[0][:d] += np.einsum("bih,bh->ih", d_t, d1)
             break
         stacks.give(p)  # p_l is read no more
         # d_p over d_t's stack; the last layer's d_t is shared and gets one
@@ -683,6 +625,21 @@ def _compute_standardization(pairs: PairBatch):
     return mean, scale
 
 
+def _fold_standardization(params: MlpParameters, mean, scale) -> MlpParameters:
+    """The raw-coordinate network psi(y, x) = params((y - m) / s, (x - m) / s) / s.
+
+    The first layer takes the z-scoring (W0 / tile(s, 2)[:, None] and
+    b0 - tile(m / s, 2) @ W0), the output layer the rescaling (W_out / s and
+    b_out / s); the divergence in y is then the raw one as well.
+    """
+    weights, biases = list(params.weights), list(params.biases)
+    biases[0] = biases[0] - np.tile(mean / scale, 2) @ weights[0]
+    weights[0] = weights[0] / np.tile(scale, 2)[:, None]
+    weights[-1] = weights[-1] / scale
+    biases[-1] = biases[-1] / scale
+    return MlpParameters(params.arch, weights, biases)
+
+
 def train(
     arch: MlpArchitecture,
     dataset,
@@ -692,8 +649,10 @@ def train(
 ) -> tuple[MlpParameters, list[float]]:
     """Minibatch optimization of the surrogate loss.
 
-    Returns the final parameters and the per-epoch mean training loss.
-    Reproducible from ``config.seed``; raises TrainingError (with the epoch
+    Returns the final parameters and the per-epoch mean training loss. With
+    ``standardize`` the network is fit to the pairs z-scored per dimension
+    and returned with that map folded into its weights, so it too takes raw
+    coordinates. Reproducible from ``config.seed``; raises TrainingError (with the epoch
     index) if the loss stops being finite. ``on_epoch(epoch, loss, seconds)``,
     if given, is called after each epoch with its mean loss and wall time.
     """
@@ -703,7 +662,6 @@ def train(
         raise ValueError(f"dataset size {n} smaller than batch_size {config.batch_size}")
 
     Y, X = batch.x_next, batch.x_prev
-    mean = scale = None
     if standardize:
         mean, scale = _compute_standardization(batch)
         Y = (Y - mean) / scale
@@ -730,7 +688,7 @@ def train(
         for start in range(0, n, config.batch_size):
             sel = order[start : start + config.batch_size]
             try:
-                loss, grads = _chunked_loss_and_grads(params, Y[sel], X[sel], True, stacks)
+                loss, grads = _chunked_loss_and_grads(params, Y[sel], X[sel], stacks)
             except NumericsError as err:
                 raise TrainingError(f"loss diverged at epoch {epoch}: {err}", epoch=epoch) from err
             if not np.isfinite(loss):
@@ -764,19 +722,16 @@ def train(
             on_epoch(epoch, epoch_loss, time.perf_counter() - started)
 
     if standardize:
-        params = MlpParameters(arch, params.weights, params.biases, mean, scale)
+        params = _fold_standardization(params, mean, scale)
     return params, history
 
 
-def evaluate_accuracy(model, oracle: ScoreField, eval_pairs) -> AccuracyReport:
-    """MSE of the model scores against an oracle, normalized by score power."""
+def evaluate_accuracy(params: MlpParameters, oracle: ScoreField, eval_pairs) -> AccuracyReport:
+    """MSE of the network's scores against an oracle, normalized by score power."""
     batch = PairBatch.coerce(eval_pairs)
     if len(batch) == 0:
         raise ValueError("empty evaluation set")
-    if isinstance(model, ScoreField):
-        predicted = model.score_batch(batch.x_next, batch.x_prev)
-    else:
-        predicted = forward_batch(model, batch.x_next, batch.x_prev)
+    predicted = forward_batch(params, batch.x_next, batch.x_prev)
     truth = oracle.score_batch(batch.x_next, batch.x_prev)
     err = predicted - truth
     mse = float(np.mean(np.einsum("ij,ij->i", err, err)))
@@ -816,7 +771,6 @@ def save_model(params: MlpParameters, path) -> None:
         "hidden_widths": list(params.arch.hidden_widths),
         "output_dim": params.arch.output_dim,
         "activation": _ACTIVATION,
-        "standardized": params.standardized,
     }
     blob = json.dumps(header).encode("utf-8")
     buf = io.BytesIO()
@@ -824,9 +778,6 @@ def save_model(params: MlpParameters, path) -> None:
     buf.write(np.array(_FORMAT_VERSION, "<u4").tobytes())
     buf.write(np.array(len(blob), "<u4").tobytes())
     buf.write(blob)
-    if params.standardized:
-        buf.write(params.state_mean.astype("<f8").tobytes())
-        buf.write(params.state_scale.astype("<f8").tobytes())
     for w, b in zip(params.weights, params.biases):
         buf.write(w.astype("<f8").tobytes())
         buf.write(b.astype("<f8").tobytes())
@@ -836,7 +787,7 @@ def save_model(params: MlpParameters, path) -> None:
 
 # the header keys save_model writes, each with its JSON type
 _HEADER_KEYS = {"format": str, "input_dim": int, "hidden_widths": list, "output_dim": int,
-                "activation": str, "standardized": bool}
+                "activation": str}
 
 
 def load_model(path) -> MlpParameters:
@@ -882,10 +833,6 @@ def load_model(path) -> MlpParameters:
         off += count * 8
         return arr
 
-    mean = scale = None
-    if header["standardized"]:
-        mean = take((arch.output_dim,))
-        scale = take((arch.output_dim,))
     weights, biases = [], []
     for fin, fout in arch.layer_sizes:
         weights.append(take((fin, fout)))
@@ -893,6 +840,6 @@ def load_model(path) -> MlpParameters:
     if off != len(data):
         raise ModelFileError(path, "trailing bytes after parameters")
     try:
-        return MlpParameters(arch, weights, biases, mean, scale)
-    except ValueError as err:  # non-finite parameters or scales
+        return MlpParameters(arch, weights, biases)
+    except ValueError as err:  # non-finite parameters
         raise ModelFileError(path, str(err)) from None

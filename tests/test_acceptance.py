@@ -133,7 +133,8 @@ def test_criterion_1b_score_power_reference_targets(pre_report, post_report):
         half = dataclasses.replace(spec, sigma=spec.sigma / math.sqrt(2))
         oracle = markov.closed_form_score(half)
         half_pairs = markov.stationary_pairs(half, 20_000, seed=seed)
-        half_var_scale = scorenet.evaluate_accuracy(oracle, oracle, half_pairs).var_scale
+        scores = oracle.score_batch(half_pairs.x_next, half_pairs.x_prev)
+        half_var_scale = float(np.mean(np.einsum("ij,ij->i", scores, scores)))
         ok = ok and abs(measured - analytic) <= 0.15 * analytic
         ok = ok and abs(half_var_scale - reference) <= 0.15 * reference
         lines.append(

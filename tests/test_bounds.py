@@ -72,6 +72,11 @@ class TestFalseAlarmLowerBound:
         assert slope == pytest.approx(4 * delta / mu**2, rel=1e-9)
         assert slope == pytest.approx(1.3565e-3, rel=1e-3)
 
+    def test_inf_past_the_float_range(self):
+        # the exponent 4 * delta * (b - mu) / mu^2 passes log(DBL_MAX) ~ 709.78
+        assert false_alarm_lower_bound(1.0, 2.0, 1000.0) == math.inf
+        assert math.isfinite(false_alarm_lower_bound(1.0, 2.0, 2.0 + 709.0))
+
     def test_domain_error_below_mu(self):
         with pytest.raises(BoundDomainError, match="b > mu"):
             false_alarm_lower_bound(delta=1.0, mu=2.0, b=2.0)

@@ -588,6 +588,15 @@ class TestBounds:
             "delay": {"post_drift": 2.5, "n0": n0, "upper_bound": delay, "asymptotic": True},
         }
 
+    def test_bound_past_the_float_range_writes_inf(self, tmp_path):
+        # exp(4 * 998 / 4) overflows a double: the bound is inf, not an internal error
+        payload = {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "thresholds": [4.0, 1000.0]}
+        code, out = run(tmp_path, "bounds", payload)
+        assert code == EXIT_OK
+        lower = bounds.false_alarm_lower_bound(1.0, 2.0, 4.0)
+        assert (out / "bounds.csv").read_text().splitlines() == [
+            "b,bound", f"4.0,{lower!r}", "1000.0,inf"]
+
     def test_without_post_drift_writes_no_delay(self, tmp_path):
         code, out = run(tmp_path, "bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0})
         assert code == EXIT_OK
@@ -675,6 +684,16 @@ class TestMocap:
         assert code == EXIT_DATA
         message = capsys.readouterr().err
         assert "bad_value.amc" in message and "line 6" in message
+
+    def test_post_file_without_frames_usage_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.amc"
+        empty.write_text("# empty\n:FULLY-SPECIFIED\n")
+        payload = {"pre": str(FIXTURES / "walk_ten_frames.amc"), "post": str(empty),
+                   "splice_index": 8}
+        code, out = run(tmp_path, "mocap", payload)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: post clip has no frames\n"
+        assert not (out / "scenario.json").exists()
 
     def test_dimension_mismatch_usage_error(self, tmp_path):
         bad = tmp_path / "tiny.amc"

@@ -300,10 +300,15 @@ class TestFisherDivergence:
         batch = PairBatch(rng.standard_normal((500, 2)), rng.standard_normal((500, 2)))
         assert estimate_fisher_divergence(p, q, batch).mean >= 0.0
 
+    def test_array_tuple_rejected(self):
+        with pytest.raises(TypeError, match="expected a PairBatch, got tuple"):
+            estimate_fisher_divergence(standard_normal_field(), standard_normal_field(),
+                                       (np.zeros((2, 1)), np.zeros((2, 1))))
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_fisher_divergence(standard_normal_field(), standard_normal_field(),
-                                       (np.empty((0, 1)), np.empty((0, 1))))
+                                       PairBatch(np.empty((0, 1)), np.empty((0, 1))))
 
 
 class TestDrift:

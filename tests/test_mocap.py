@@ -124,6 +124,13 @@ class TestBuildScenario:
         with pytest.raises(ValueError, match="no frames"):
             build_scenario(ScenarioSpec(pre_clip=parse_amc(""), post_clip=None, splice_index=1))
 
+    def test_post_clip_without_frames_rejected(self):
+        # a post file of comments and directives only is not a pure pre-change stream
+        empty = parse_amc("# empty\n:FULLY-SPECIFIED\n")
+        with pytest.raises(ValueError, match="post clip has no frames"):
+            build_scenario(ScenarioSpec(pre_clip=load("walk_ten_frames.amc"), post_clip=empty,
+                                        splice_index=8))
+
     def test_empty_post_gives_infinite_change(self):
         pre = load("walk_ten_frames.amc")
         result = build_scenario(

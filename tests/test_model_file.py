@@ -10,19 +10,13 @@ from hypothesis import strategies as st
 
 from scusum.cli import EXIT_DATA, main
 from scusum.exceptions import ModelFileError
-from scusum.scorenet import MlpArchitecture, MlpParameters, init_params, load_model, save_model
+from scusum.scorenet import MlpArchitecture, init_params, load_model, save_model
 
 MAGIC_LEN = 9  # b"SCUSUMNET"
 HEADER_START = MAGIC_LEN + 8  # then the uint32 format version and header length
 
 
-def standardized_params():
-    base = init_params(MlpArchitecture(input_dim=4, hidden_widths=(3, 5), output_dim=2), 4)
-    return MlpParameters(base.arch, base.weights, base.biases,
-                         np.array([0.5, -1.0]), np.array([2.0, 0.25]))
-
-
-PARAMS = standardized_params()
+PARAMS = init_params(MlpArchitecture(input_dim=4, hidden_widths=(3, 5), output_dim=2), 4)
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +33,7 @@ def header_length(data):
 def same_parameters(loaded, params):
     return (loaded.arch == params.arch
             and all(np.array_equal(a, b) for a, b in zip(loaded.weights, params.weights))
-            and all(np.array_equal(a, b) for a, b in zip(loaded.biases, params.biases))
-            and np.array_equal(loaded.state_mean, params.state_mean)
-            and np.array_equal(loaded.state_scale, params.state_scale))
+            and all(np.array_equal(a, b) for a, b in zip(loaded.biases, params.biases)))
 
 
 def load_bytes(tmp_path, data):
@@ -68,8 +60,11 @@ def test_error_carries_the_path_and_stays_a_value_error(tmp_path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d[:MAGIC_LEN + 2], "ends inside the header"),
-    (lambda d: d[:MAGIC_LEN] + (2).to_bytes(4, "little") + d[MAGIC_LEN + 4:],
-     "unsupported model format version 2"),
+    # version 1 stored standardization vectors before the parameters
+    (lambda d: d[:MAGIC_LEN] + (1).to_bytes(4, "little") + d[MAGIC_LEN + 4:],
+     "unsupported model format version 1"),
+    (lambda d: d[:MAGIC_LEN] + (3).to_bytes(4, "little") + d[MAGIC_LEN + 4:],
+     "unsupported model format version 3"),
     (lambda d: d[:MAGIC_LEN + 4] + (10**6).to_bytes(4, "little") + d[HEADER_START:],
      "runs past the end"),
     (lambda d: d[:HEADER_START] + b"\xff" + d[HEADER_START + 1:], "not UTF-8 JSON"),
@@ -86,11 +81,11 @@ def test_corruption_is_named(tmp_path, model_bytes, edit, message):
 
 @pytest.mark.parametrize("change", [
     {"input_dim": "4"}, {"hidden_widths": [3.5, 5]}, {"hidden_widths": [True, 5]},
-    {"standardized": 1}, {"output_dim": 3}, {"activation": "relu"}, {"extra": 1},
+    {"standardized": False}, {"output_dim": 3}, {"activation": "relu"}, {"extra": 1},
 ])
 def test_header_keys_and_types_are_checked(tmp_path, model_bytes, change):
     header = {"format": "scusum score network", "input_dim": 4, "hidden_widths": [3, 5],
-              "output_dim": 2, "activation": "silu", "standardized": True}
+              "output_dim": 2, "activation": "silu"}
     assert same_parameters(load_bytes(tmp_path, with_header(model_bytes, header)), PARAMS)
     with pytest.raises(ModelFileError):
         load_bytes(tmp_path, with_header(model_bytes, {**header, **change}))
@@ -125,9 +120,14 @@ def test_benign_header_edit_loads(tmp_path, model_bytes):
     assert same_parameters(load_bytes(tmp_path, edited), PARAMS)
 
 
-def test_cli_exits_3_on_a_corrupt_model(tmp_path, model_bytes, capsys):
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d[:-3], "ends inside the parameters"),
+    (lambda d: d[:MAGIC_LEN] + (1).to_bytes(4, "little") + d[MAGIC_LEN + 4:],
+     "unsupported model format version 1"),
+])
+def test_cli_exits_3_on_a_corrupt_or_version_1_model(tmp_path, model_bytes, capsys, edit, message):
     model = tmp_path / "model.bin"
-    model.write_bytes(model_bytes[:-3])
+    model.write_bytes(edit(model_bytes))
     config = tmp_path / "detect.json"
     config.write_text(json.dumps({
         "models": {"pre": str(model), "post": str(model)},
@@ -136,7 +136,7 @@ def test_cli_exits_3_on_a_corrupt_model(tmp_path, model_bytes, capsys):
     }))
     assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert str(model) in err and "ends inside the parameters" in err
+    assert str(model) in err and message in err
 
 
 @pytest.mark.parametrize("widths", [(4.5,), (True,), (4.0,), ("4",)])

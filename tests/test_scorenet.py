@@ -51,13 +51,14 @@ def random_batch(rng, d, n):
     return PairBatch(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
 
 
-def standardized(params, rng):
-    """The same weights with a random per-dimension standardization."""
-    d = params.arch.output_dim
-    return MlpParameters(
-        params.arch, params.weights, params.biases,
-        rng.standard_normal(d), rng.uniform(0.3, 3.0, size=d),
-    )
+def standardization(rng, d):
+    """A random per-dimension (mean, scale)."""
+    return rng.standard_normal(d), rng.uniform(0.3, 3.0, size=d)
+
+
+def folded(params, rng):
+    """The same weights with a random per-dimension standardization folded in."""
+    return scorenet._fold_standardization(params, *standardization(rng, params.arch.output_dim))
 
 
 def finite_diff_loss_grad(params, batch, h=1e-5):
@@ -165,7 +166,7 @@ class TestForward:
         rng = np.random.default_rng(seed)
         params = init_params(tiny_arch(d, widths), seed)
         if standardize:
-            params = standardized(params, rng)
+            params = folded(params, rng)
         batch = random_batch(rng, d, n)
         row_bytes = 8 * max((2 * d, *widths))
         with mock.patch.object(scorenet, "_STACK_BYTES", n * row_bytes):
@@ -205,11 +206,11 @@ class TestDivergence:
         assert check_divergence_consistency(field, probes) <= 1e-6
 
     @pytest.mark.parametrize("widths", [(5,), (6, 5, 4)])
-    def test_standardized_matches_finite_differences(self, widths):
+    def test_folded_standardization_matches_finite_differences(self, widths):
         rng = np.random.default_rng(8)
-        params = standardized(init_params(tiny_arch(3, widths), 4), rng)
-        probes = [(params.state_mean + params.state_scale * rng.standard_normal(3),
-                   params.state_mean + params.state_scale * rng.standard_normal(3))
+        mean, scale = standardization(rng, 3)
+        params = scorenet._fold_standardization(init_params(tiny_arch(3, widths), 4), mean, scale)
+        probes = [(mean + scale * rng.standard_normal(3), mean + scale * rng.standard_normal(3))
                   for _ in range(10)]
         assert check_divergence_consistency(as_score_field(params), probes) <= 1e-6
 
@@ -231,19 +232,22 @@ class TestSurrogateLoss:
         batch = random_batch(np.random.default_rng(1), 2, 10)
         assert surrogate_loss(params, batch) == 0.0
 
+    def test_is_the_mean_hyvarinen_score_of_the_network(self):
+        rng = np.random.default_rng(2)
+        params = init_params(tiny_arch(3, (6, 5)), 3)
+        batch = random_batch(rng, 3, 50)
+        assert surrogate_loss(params, batch) == np.mean(hyvarinen_scores(as_score_field(params), batch))
+
     def test_oracle_field_attains_negative_half_score_power(self):
-        # at the true score the objective equals -0.5 * E||grad log p||^2
+        # at the true score the objective, the mean Hyvarinen score, equals
+        # -0.5 * E||grad log p||^2
         spec = GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
         pairs = stationary_pairs(spec, 20_000, seed=9)
-        value = surrogate_loss(closed_form_score(spec), pairs)
-        target = -spec.dim / (2 * spec.sigma**2)
-        se = 0.0
-        # standard error of the empirical mean of the per-pair objective
-        from scusum.fields import hyvarinen_scores
-
         terms = hyvarinen_scores(closed_form_score(spec), pairs)
+        target = -spec.dim / (2 * spec.sigma**2)
+        # standard error of the empirical mean of the per-pair objective
         se = terms.std(ddof=1) / math.sqrt(len(terms))
-        assert abs(value - target) <= 3 * se
+        assert abs(terms.mean() - target) <= 3 * se
 
     def test_empty_batch_rejected(self):
         params = init_params(tiny_arch(), 0)
@@ -265,12 +269,12 @@ class TestLossGradient:
                 assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-6)) <= 1e-4
 
     @pytest.mark.parametrize("widths", [(), (5,), (6, 5, 4)])
-    def test_standardized_matches_finite_differences(self, widths):
+    def test_folded_standardization_matches_finite_differences(self, widths):
         rng = np.random.default_rng(17)
-        params = standardized(init_params(tiny_arch(3, widths), 6), rng)
+        mean, scale = standardization(rng, 3)
+        params = scorenet._fold_standardization(init_params(tiny_arch(3, widths), 6), mean, scale)
         raw = random_batch(rng, 3, 6)
-        batch = PairBatch(raw.x_prev * params.state_scale + params.state_mean,
-                          raw.x_next * params.state_scale + params.state_mean)
+        batch = PairBatch(raw.x_prev * scale + mean, raw.x_next * scale + mean)
         grads = loss_gradient(params, batch)
         fd_w, fd_b = finite_diff_loss_grad(params, batch)
         for g, f in zip(grads.weights + grads.biases, fd_w + fd_b):
@@ -298,10 +302,10 @@ class TestLossGradient:
         # equal chunks of at most 64 pairs (65 = 33 + 32, 200 = 4 x 50)
         # against one tangent pass over all pairs
         rng = np.random.default_rng(23)
-        params = standardized(init_params(tiny_arch(3, (6, 5, 4)), 9), rng)
+        params = folded(init_params(tiny_arch(3, (6, 5, 4)), 9), rng)
         batch = random_batch(rng, 3, n)
         stacks = scorenet._TangentStacks(params.arch, n)
-        one_loss, one = scorenet._loss_and_grads(params, batch.x_next, batch.x_prev, True, stacks)
+        one_loss, one = scorenet._loss_and_grads(params, batch.x_next, batch.x_prev, stacks)
         monkeypatch.setattr(scorenet, "_STACK_BYTES", 64 * 3 * 6 * 8)  # 64 rows of d=3, width 6
         loss = surrogate_loss(params, batch)
         grads = loss_gradient(params, batch)
@@ -357,7 +361,7 @@ class TestChunking:
         rng = np.random.default_rng(seed)
         params = init_params(tiny_arch(d, widths), seed)
         if standardize:
-            params = standardized(params, rng)
+            params = folded(params, rng)
         batch = random_batch(rng, d, n)
         ref_div, ref_loss, ref = self._chunked(params, batch, n)
         rows = {"1": 1, "7": 7, "budget": None, "n": n, "n+1": n + 1}[rows]
@@ -370,10 +374,12 @@ class TestChunking:
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
     @pytest.mark.parametrize("widths, counts", [
-        # divergence_batch and surrogate_loss hold two stacks; loss_gradient
-        # one per hidden layer, L of them for L >= 2 hidden layers
-        ((128, 8), (2, 2, 2)),
-        ((128, 128, 128), (2, 2, 3)),
+        # divergence_batch holds two stacks, and so does each of its three
+        # calls from surrogate_loss, one per 2114-row block of
+        # fields.hyvarinen_scores; loss_gradient one per hidden layer, L of
+        # them for L >= 2 hidden layers
+        ((128, 8), (2, 2, 2, 2, 2)),
+        ((128, 128, 128), (2, 2, 2, 2, 3)),
     ])
     def test_stacks_stay_within_the_byte_budget_at_the_mocap_dimension(
             self, monkeypatch, widths, counts):
@@ -391,7 +397,7 @@ class TestChunking:
         scorenet.divergence_batch(params, batch.x_next, batch.x_prev)
         surrogate_loss(params, batch)
         loss_gradient(params, batch)
-        assert len(stacks) == 3
+        assert len(stacks) == 5
         for made, count in zip(stacks, counts):
             assert made.rows == 16  # 1 MiB // (62 * 128 * 8 B)
             assert len(made.buffers) == count
@@ -494,9 +500,8 @@ class TestTrain:
         _, history = train(tiny_arch(3, (8, 8, 8)), pairs, config, standardize=standardize)
         assert history == pytest.approx(expected, rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("standardize", [False, True])
     @pytest.mark.parametrize("widths", [(), (5,), (5, 3), (5, 3, 7), (5, 3, 7, 4)])
-    def test_step_gradient_matches_finite_differences(self, widths, standardize):
+    def test_step_gradient_matches_finite_differences(self, widths):
         # one SGD step at learning rate 1 over one minibatch of 13 pairs moves
         # the parameters by minus the gradient train computed, in chunks of
         # 5 + 5 + 3 pairs (stacks of at most 5 rows); the finite differences
@@ -507,13 +512,9 @@ class TestTrain:
         config = TrainConfig(learning_rate=1.0, batch_size=n, epochs=1, seed=seed,
                              optimizer="sgd", shuffle=False)
         with mock.patch.object(scorenet, "_STACK_BYTES", 5 * d * max(widths, default=1) * 8):
-            trained, _ = train(arch, pairs, config, standardize=standardize)
+            trained, _ = train(arch, pairs, config)
         start = init_params(arch, np.random.SeedSequence(seed).spawn(2)[0])
-        batch = pairs
-        if standardize:
-            mean, scale = scorenet._compute_standardization(pairs)
-            batch = PairBatch((pairs.x_prev - mean) / scale, (pairs.x_next - mean) / scale)
-        fd_w, fd_b = finite_diff_loss_grad(start, batch)
+        fd_w, fd_b = finite_diff_loss_grad(start, pairs)
         steps = [a - b for a, b in zip(start.weights + start.biases,
                                        trained.weights + trained.biases)]
         for g, f in zip(steps, fd_w + fd_b):
@@ -558,12 +559,15 @@ class TestTrain:
 
 
 class TestEvaluateAccuracy:
-    def test_oracle_against_itself(self):
-        spec = GaussianKernelSpec(dim=3, alpha=0.4, sigma=0.5, shift=0.1)
-        oracle = closed_form_score(spec)
-        pairs = stationary_pairs(spec, 500, seed=3)
-        report = evaluate_accuracy(oracle, oracle, pairs)
-        assert report.mse == 0.0 and report.rel_error == 0.0
+    def test_network_equal_to_the_oracle(self):
+        # without shift the oracle -(y - (1 - alpha) x) / sigma^2 is linear,
+        # so a network without hidden layers is the oracle up to rounding
+        d = 3
+        spec = GaussianKernelSpec(dim=d, alpha=0.4, sigma=0.5)
+        w = np.concatenate([-np.eye(d), (1 - spec.alpha) * np.eye(d)]) / spec.sigma**2
+        params = MlpParameters(tiny_arch(d, ()), [w], [np.zeros(d)])
+        report = evaluate_accuracy(params, closed_form_score(spec), stationary_pairs(spec, 500, seed=3))
+        assert report.rel_error <= 1e-28
 
     def test_rel_error_definition(self):
         spec = GaussianKernelSpec(dim=3, alpha=0.4, sigma=0.5, shift=0.1)
@@ -628,21 +632,6 @@ class TestSerialization:
         assert loaded.arch == params.arch
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, params.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, params.biases))
-        assert not loaded.standardized
-
-    def test_round_trip_with_standardization(self, tmp_path):
-        base = init_params(tiny_arch(2, (4,)), 1)
-        params = MlpParameters(
-            base.arch, base.weights, base.biases, np.array([0.5, -1.0]), np.array([2.0, 0.25])
-        )
-        path = tmp_path / "model.bin"
-        save_model(params, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.state_mean, params.state_mean)
-        assert np.array_equal(loaded.state_scale, params.state_scale)
-        y, x = np.array([0.3, 1.4]), np.array([-0.2, 0.8])
-        assert np.array_equal(forward(loaded, y, x), forward(params, y, x))
-        assert divergence(loaded, y, x) == divergence(params, y, x)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -671,7 +660,6 @@ class TestStandardizedTraining:
         raw = PairBatch(pairs.x_prev * scale + offset, pairs.x_next * scale + offset)
         config = TrainConfig(batch_size=64, epochs=12, seed=4)
         params, _ = train(tiny_arch(2, (32, 32)), raw, config, standardize=True)
-        assert params.standardized
         # oracle for the transformed process: y = mu(x) in raw coords
         from scusum.fields import GaussianScoreField
         from scusum.markov import transition_mean
@@ -686,3 +674,38 @@ class TestStandardizedTraining:
         truth = -(eval_raw.x_next - raw_mean(eval_raw.x_prev)) / (spec.sigma * scale) ** 2
         rel = np.mean(np.sum((psi - truth) ** 2, axis=1)) / np.mean(np.sum(truth**2, axis=1))
         assert rel <= 0.15
+
+    @pytest.mark.parametrize("widths", [(), (8,), (8, 8, 8)])
+    def test_is_the_zscored_fit_with_standardization_folded_in(self, widths):
+        spec = GaussianKernelSpec(dim=3, alpha=0.3, sigma=0.5, shift=0.2)
+        pairs = stationary_pairs(spec, 300, seed=77)
+        raw = PairBatch(pairs.x_prev * 0.2 + 50.0, pairs.x_next * 0.2 + 50.0)
+        config = TrainConfig(learning_rate=1e-2, batch_size=128, epochs=2, seed=13)
+        params, history = train(tiny_arch(3, widths), raw, config, standardize=True)
+        mean, scale = scorenet._compute_standardization(raw)
+        zscored = PairBatch((raw.x_prev - mean) / scale, (raw.x_next - mean) / scale)
+        fit, fit_history = train(tiny_arch(3, widths), zscored, config)
+        assert history == fit_history
+        folded_fit = scorenet._fold_standardization(fit, mean, scale)
+        assert all(np.array_equal(a, b) for a, b in zip(params.weights + params.biases,
+                                                        folded_fit.weights + folded_fit.biases))
+
+    @pytest.mark.parametrize("widths", [(), (8,), (8, 8, 8)])
+    def test_folded_network_matches_zscore_then_rescale(self, widths):
+        # the folded first-layer bias carries m / s = 250 times the weights,
+        # yet the raw-coordinate outputs stay within rounding of the
+        # standardized evaluation
+        d = 3
+        rng = np.random.default_rng(43)
+        params = init_params(tiny_arch(d, widths), 14)
+        mean, scale = 50.0, 0.2
+        batch = random_batch(rng, d, 200)
+        Y, X = batch.x_next * scale + mean, batch.x_prev * scale + mean
+        folded_params = scorenet._fold_standardization(params, np.full(d, mean), np.full(d, scale))
+        Yz, Xz = (Y - mean) / scale, (X - mean) / scale
+        for out, ref in (
+            (forward_batch(folded_params, Y, X), forward_batch(params, Yz, Xz) / scale),
+            (scorenet.divergence_batch(folded_params, Y, X),
+             scorenet.divergence_batch(params, Yz, Xz) / scale**2),
+        ):
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
