@@ -1,5 +1,6 @@
 """Score network: forward/divergence exactness, gradients, training, I/O."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -709,3 +710,49 @@ class TestStandardizedTraining:
              scorenet.divergence_batch(params, Yz, Xz) / scale**2),
         ):
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestPinnedBits:
+    """The exact bits of training, ``model.bin``, forward_batch and
+    divergence_batch, recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
+    (Haswell kernels). A refactor of the parameter layout or the tangent pass
+    must leave every one unchanged; a different BLAS build may not."""
+
+    @pytest.mark.parametrize("optimizer, standardize, shuffle, digest, expected", [
+        ("adam", True, True,
+         "4867dd45512314b73e53b45d22596e96950a1124bc854cbb7bf7858da488d7dd",
+         [0.011932792592210667, -0.010460868628225874, -0.034511539934020945]),
+        ("sgd", False, False,
+         "642380a75b8b1c1fbaff4b6ff06bc8bf1c402f156af085f616104280f86326a0",
+         [0.016922660233904086, 0.016636738739544646, 0.016353369798151864]),
+    ])
+    def test_model_file_and_losses_of_a_tiny_fit(self, tmp_path, optimizer, standardize,
+                                                  shuffle, digest, expected):
+        spec = GaussianKernelSpec(dim=3, alpha=0.3, sigma=0.5, shift=0.2)
+        pairs = stationary_pairs(spec, 300, seed=77)
+        config = TrainConfig(learning_rate=1e-2, batch_size=128, epochs=3, seed=13,
+                             optimizer=optimizer, shuffle=shuffle)
+        params, history = train(tiny_arch(3, (8, 8, 8)), pairs, config, standardize=standardize)
+        save_model(params, tmp_path / "model.bin")
+        assert hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest() == digest
+        assert history == expected
+
+    def test_forward_and_divergence_bits_on_fixed_networks(self):
+        rng = np.random.default_rng(5)
+        digests = {}
+        for widths in [(), (8,), (8, 8, 8)]:
+            params = scorenet._fold_standardization(init_params(tiny_arch(3, widths), 6),
+                                                    rng.standard_normal(3),
+                                                    rng.uniform(0.3, 3.0, 3))
+            batch = random_batch(rng, 3, 40)
+            digests[widths] = tuple(
+                hashlib.sha256(call(params, batch.x_next, batch.x_prev).tobytes()).hexdigest()
+                for call in (forward_batch, scorenet.divergence_batch))
+        assert digests == {
+            (): ("2b203dc91029eea4f7a1f9a931ac7481ada1e8834be486f836f384010ca117f9",
+                 "1314b50ccfdfac9b23cd26b4dc6dc14e81e2ef7795f612d624bbd5862a9782e4"),
+            (8,): ("175fab39c1f92ffd0d78686f7aef6760ee397b5f0447797c52ecc88a445df8b9",
+                   "13cf8155dd4055999e8e1329582991816d450de48a9bc4eac093402b8d2fcbbd"),
+            (8, 8, 8): ("b346a54aee0526f94b32cd1c57ffb829f1ed6b80a47c2810e0baaa0e106580c7",
+                        "454c62e3eba440da72b72dd570d54927c87fbd5e50e3652c4bba3bf6cccddfda"),
+        }
