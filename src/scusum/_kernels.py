@@ -25,10 +25,11 @@ The CUSUM statistic follows the recursion
 
 which equals max_{1<=k<=n} sum_{i=k}^n phi(s_i). ``cusum_trace`` uses the
 algebraic identity W_n = S_n - min(0, S_1, ..., S_{n-1}) with S the running
-sum of phi(s); over very long streams the cumulative sums lose a few low bits
-relative to the recursion, so it matches the recursion to 1e-9 rather than
-bitwise. It works in pieces of ``_PIECE`` steps, bitwise equal to one
-whole-stream pass.
+sum of phi(s). Its sums lose low bits against the recursion, so it stays
+within ``_margin(phi)`` of it, a bound that grows as n**2, not bitwise (8.3e-9
+apart at 10**6 steps of the benchmark's pre-change stream, clip 50, where the
+margin is 0.0125; ROADMAP item 3 would stop the growth). It works in pieces
+of ``_PIECE`` steps, bitwise equal to one whole-stream pass.
 
 ``sweep_run_lengths`` is the one detect-and-reset scan: it gives the scans
 of one or many thresholds, each bitwise equal to ``detector.detector_update``

@@ -9,9 +9,6 @@ chunk of text.
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
 # Rows per chunk: a chunk of 62-dimensional pair rows is about 0.6 MB of text,
@@ -30,10 +27,3 @@ def write_rows(fh, rows: list[str]) -> None:
     """Write rows as CSV lines with one ``write`` call."""
     if rows:
         fh.write("\r\n".join([*rows, ""]))
-
-
-def csv_cell(value) -> str:
-    """``value`` as ``csv.writer`` writes it beside other cells (quoted if needed)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(("", value))
-    return buf.getvalue()[1:-2]

@@ -9,7 +9,9 @@ starts, and a bad one is rejected with its dotted key: unknown and missing
 keys; integers that are not JSON integers (``2.0`` is not one); numbers that
 are ``true``/``false``, ``NaN`` or ``Infinity`` (Python's ``json`` accepts
 the last two); lists (``thresholds``, ``hidden_widths``) with a bad element;
-strings outside their sets; a ``data`` section with both sources or none;
+strings outside their sets; a ``data`` section with both sources or none,
+or ``train``'s ``csv`` beside ``pairs``, ``seed`` or ``burn_in``; a
+``detect`` ``change_point`` other than ``data.simulate.change_point``;
 bound inputs that are not positive, a heuristic mu without a truncation
 level, and a number drift above the truncation. The string sentinels are
 ``"infinity"`` (a change point that never comes), ``"closed_form"`` (a
@@ -160,21 +162,16 @@ def _staged_blocks(stages: _Stages, blocks, make: str, use: str):
         first = False
 
 
-def _change_point(value) -> float:
-    """A config's ``change_point`` as a time: ``"infinity"`` and ``null`` are ``math.inf``."""
-    return math.inf if value in ("infinity", None) else value
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: SimulateConfig, out_dir: Path) -> list[str]:
-    cp = _change_point(config.change_point)
+    cp = config.change_time
     states = markov.simulate_path(config.trajectory(config.kernel, config.post_kernel, cp))
-    regime = ["pre" if n < cp else "post" for n in range(1, config.length + 1)]
     path = out_dir / "trajectory.csv"
-    markov.write_trajectory_csv(path, states, regime=regime)
+    # state n (row n - 1) is the first post-change one from n = cp on
+    markov.write_trajectory_csv(path, states, post_from=cp - 1)
     print(f"wrote {path} ({states.shape[0]} steps, dim {config.kernel.dim})")
     return [path.name]
 
@@ -301,9 +298,9 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
             raise ValueError("data.simulate requires kernels.pre")
         # checks change_point <= length, like the rules above, before any model file is read
         trajectory = data.simulate.trajectory(config.kernels.pre, config.kernels.post,
-                                              _change_point(data.simulate.change_point))
+                                              data.simulate.change_time)
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
-    declared_cp = _change_point(config.change_point)
+    declared_cp = config.change_time
     stages = _Stages()
     if trajectory is None:
         states = _read_states_csv(data.csv)
@@ -312,8 +309,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
         # a simulated stream is scored one block at a time, as it is stepped
         n_states, dim = trajectory.length, trajectory.pre.dim
         blocks = markov.path_blocks(trajectory)
-        if declared_cp == math.inf:
-            declared_cp = trajectory.change_point
+        declared_cp = trajectory.change_point  # a declared one equals it (checked at load)
     if dim != field_pre.dim:
         raise ValueError(f"data dimension {dim} does not match model dimension {field_pre.dim}")
     blocks = _staged_blocks(stages, blocks, "read", "score")

@@ -108,6 +108,9 @@ def _load_section(cls, raw: dict, path: str, seed):
         if len(given) != 1:
             keys = " and ".join(f"{path}.{name}" for name in cls.one_of)
             raise ValueError(f"give exactly one of {keys}, got {'both' if given else 'neither'}")
+    for name, needed in getattr(cls, "needs", {}).items():  # keys read only beside another
+        if name in raw and built[needed] is None:
+            raise ValueError(f"{path}.{name} applies only with {path}.{needed}, which is not given")
     try:
         return cls(**built), echo
     except _FieldError as err:
@@ -151,6 +154,11 @@ class ChangeStreamConfig(StreamConfig):
 
     change_point: ChangePoint = "infinity"
 
+    @property
+    def change_time(self) -> float:
+        """``change_point`` as a time: ``"infinity"`` and ``null`` are ``math.inf``."""
+        return math.inf if self.change_point in ("infinity", None) else self.change_point
+
 
 @_section
 class SimulateConfig(ChangeStreamConfig):
@@ -161,7 +169,7 @@ class SimulateConfig(ChangeStreamConfig):
 
 @_section
 class TrainDataConfig:
-    """Training pairs: from ``csv`` (a trajectory) or simulated from ``kernel``."""
+    """Training pairs: every pair of ``csv`` (a trajectory), or ``pairs`` simulated from ``kernel``."""
 
     kernel: markov.GaussianKernelSpec | None = None
     pairs: int = 50000
@@ -169,6 +177,8 @@ class TrainDataConfig:
     burn_in: int = markov.TrajectoryConfig.burn_in
     csv: str | None = None
     one_of: typing.ClassVar[tuple[str, ...]] = ("kernel", "csv")
+    # a csv source is read whole: a simulation's settings would be ignored there
+    needs: typing.ClassVar[dict[str, str]] = dict.fromkeys(("pairs", "seed", "burn_in"), "kernel")
 
 
 @_section
@@ -224,6 +234,14 @@ class DetectConfig:
     data: DetectDataConfig
     detector: DetectorSettings
     change_point: ChangePoint = None
+
+    def __post_init__(self):
+        simulate = self.data.simulate
+        if simulate and self.change_point is not None and self.change_time != simulate.change_time:
+            raise _FieldError(f"change_point = {json.dumps(self.change_point)} contradicts "
+                              f"data.simulate.change_point = {json.dumps(simulate.change_point)}")
+
+    change_time = ChangeStreamConfig.change_time  # math.inf when none is declared
 
 
 @_section

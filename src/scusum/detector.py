@@ -15,7 +15,8 @@ run-length guarantees in ``bounds`` assume.
 Long scans run through the numpy kernels in ``_kernels``. ``detector_update``
 is the one-step reference implementation they are property-tested against:
 the detect-and-reset scan behind ``threshold_sweep`` is bitwise equal to it,
-and ``statistic_trace`` agrees to 1e-9.
+and ``statistic_trace`` agrees within ``_kernels._margin``, a bound that
+grows as the square of the stream length (8.3e-9 apart at 10**6 steps).
 
 ``threshold_sweep`` is the one run-length harness: ``detect`` runs it at its
 one threshold and ``sweep`` at a grid, each over one pass of the stream.

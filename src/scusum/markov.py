@@ -241,33 +241,31 @@ def log_likelihood_ratios(
     return out
 
 
-def trajectory_csv_lines(states: np.ndarray, regime: list[str] | None = None):
+def trajectory_csv_lines(states: np.ndarray, post_from: float | None = None):
     """Yield the lines of a trajectory CSV, without terminators, a list at a time.
 
-    The first list holds the header (columns x0..x{d-1}, then ``regime`` if
-    labels are given); each later one holds a chunk of formatted rows.
+    The first list holds the header (columns x0..x{d-1}, then ``regime``
+    unless ``post_from`` is None); each later one holds a chunk of formatted
+    rows. The regime reads ``pre`` before row ``post_from`` (0-based;
+    ``math.inf`` for a change that never comes) and ``post`` from it on.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2:
         raise ValueError("states must be a (n, d) array")
     header = [f"x{i}" for i in range(states.shape[1])]
-    if regime is not None:
-        if len(regime) != states.shape[0]:
-            raise ValueError("regime labels must match the number of rows")
+    if post_from is not None:
         header.append("regime")
-        cells = {label: _textio.csv_cell(label) for label in set(regime)}
-        regime = list(map(cells.__getitem__, regime))
     yield [",".join(header)]
     for start, rows in _textio.row_chunks(states):
-        if regime is not None:
-            labels = regime[start : start + len(rows)]
-            rows = [row + "," + cell for row, cell in zip(rows, labels)]
+        if post_from is not None:
+            k = min(max(post_from - start, 0), len(rows))
+            rows = [row + ",pre" for row in rows[:k]] + [row + ",post" for row in rows[k:]]
         yield rows
 
 
-def write_trajectory_csv(path, states: np.ndarray, regime: list[str] | None = None) -> None:
-    """One row per step, columns x0..x{d-1}, optional trailing regime column."""
-    lines = trajectory_csv_lines(states, regime)
+def write_trajectory_csv(path, states: np.ndarray, post_from: float | None = None) -> None:
+    """One row per step, columns x0..x{d-1}, and a regime column unless ``post_from`` is None."""
+    lines = trajectory_csv_lines(states, post_from)
     header = next(lines)  # checks the arguments before the file is opened
     with open(path, "w", newline="") as fh:
         _textio.write_rows(fh, header)

@@ -45,15 +45,15 @@ comparable across dimensions, and then folds the mean and scale into the
 first and last layers (``_fold_standardization``), so the trained weights
 take and give raw coordinates like any others.
 
-Model files: magic ``SCUSUMNET``, little-endian uint32 version and header
-length, a JSON header (architecture, activation), then the parameters in
-layer order (W1, b1, W2, b2, ...) as little-endian float64. Loading
-validates shapes and finiteness.
+Parameters, gradients and Adam's moments are each one float64 vector laid out
+W1, b1, W2, b2, ... (``_layer_views``), with per-layer views into it. A model
+file holds the magic ``SCUSUMNET``, little-endian uint32 version and header
+length, a JSON header (architecture, activation), then the parameter vector
+as little-endian float64; loading validates its length and finiteness.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -120,30 +120,49 @@ class MlpArchitecture:
 
 
 class MlpParameters:
-    """Weights/biases of one network; weights are stored (fan_in, fan_out), biases are vectors."""
+    """One network's parameters as one float64 vector, ``flat``, in model-file order,
+    with per-layer views into it: ``weights`` (fan_in, fan_out) and ``biases``."""
 
     def __init__(self, arch: MlpArchitecture, weights, biases):
-        self.arch = arch
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         expected = arch.layer_sizes
-        if len(self.weights) != len(expected) or len(self.biases) != len(expected):
+        if len(weights) != len(expected) or len(biases) != len(expected):
             raise ValueError("parameter count does not match architecture")
-        for k, ((fin, fout), w, b) in enumerate(zip(expected, self.weights, self.biases)):
-            if w.shape != (fin, fout):
-                raise ValueError(f"layer {k} weight shape {w.shape}, expected {(fin, fout)}")
-            if b.shape != (fout,):
-                raise ValueError(f"layer {k} bias shape {b.shape}, expected {(fout,)}")
+        for k, ((fin, fout), w, b) in enumerate(zip(expected, weights, biases)):
+            if np.shape(w) != (fin, fout):
+                raise ValueError(f"layer {k} weight shape {np.shape(w)}, expected {(fin, fout)}")
+            if np.shape(b) != (fout,):
+                raise ValueError(f"layer {k} bias shape {np.shape(b)}, expected {(fout,)}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {k} contains non-finite parameters")
+        self.arch = arch
+        self.flat = np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer],
+                                   dtype=np.float64)
+        self.weights, self.biases = _layer_views(arch, self.flat)
 
 
-@dataclass
 class MlpGradients:
-    """Gradient of the surrogate loss, shaped like the parameters."""
+    """Gradient of the surrogate loss: ``flat`` in the parameters' layout, with their views."""
 
-    weights: list
-    biases: list
+    def __init__(self, arch: MlpArchitecture):
+        self.flat = np.empty(_n_parameters(arch))
+        self.weights, self.biases = _layer_views(arch, self.flat)
+
+
+def _n_parameters(arch: MlpArchitecture) -> int:
+    return sum((fin + 1) * fout for fin, fout in arch.layer_sizes)
+
+
+def _layer_views(arch: MlpArchitecture, flat: np.ndarray):
+    """(weights, biases): the layers' views into ``flat``, laid out W1, b1, W2, b2, ... in turn.
+
+    The one parameter layout, of parameters, gradients, Adam's moments and model files.
+    """
+    weights, biases, start = [], [], 0
+    for fin, fout in arch.layer_sizes:
+        weights.append(flat[start : start + fin * fout].reshape(fin, fout))
+        biases.append(flat[start + fin * fout : start + (fin + 1) * fout])
+        start += (fin + 1) * fout
+    return weights, biases
 
 
 @dataclass(frozen=True)
@@ -275,7 +294,8 @@ class _TangentStacks:
 
     A divergence pass holds at most two stacks at once and a gradient pass L,
     for L >= 2 hidden layers (neither holds any for one hidden layer), so the
-    pool makes no more buffers than that.
+    pool makes no more buffers than that. Fresh ``np.empty`` stacks give the
+    same bits but train slower (README, "Score-network hot path").
     """
 
     def __init__(self, arch: MlpArchitecture, rows: int):
@@ -329,9 +349,9 @@ def _times_d1(p, d1, out):
 
     einsum's loop runs these products 20-45% faster than np.multiply's
     broadcasting loop at the chunk shapes of a training step, and differs
-    from it only in giving +0.0 where the product is -0.0. The
-    divergence-only pass multiplies in place over p's own stack and keeps
-    np.multiply: einsum makes no promise for an output that overlaps an input.
+    from it only in giving +0.0 where the product is -0.0. ``out`` must not
+    overlap ``p``: einsum makes no promise for an output that overlaps an
+    input, so every pass makes its products into a fresh stack.
     """
     return np.einsum("bih,bh->bih" if p.ndim == 3 else "ih,bh->bih", p, d1, out=out)
 
@@ -343,8 +363,9 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
     hidden activation, that layer's pre-activation tangent p_last and
     silu'(z_last), and with ``keep`` the ``(a_in, silu', silu'', p)`` of
     each hidden layer for the backward pass. Only p_1.. live in ``stacks``:
-    p_0 is the shared (d, h) array, and each t_l is made in a scratch stack
-    (in place over p_l without ``keep``) and dropped once p_{l+1} is formed.
+    p_0 is the shared (d, h) array, and each t_l is made in a fresh stack and
+    given back once p_{l+1} is formed. Without ``keep`` p_l is given back as
+    soon as t_l is made, so the pass holds at most two stacks.
     Without hidden layers it returns a0, the shared (d, 2d) input tangent
     [I, 0] and None.
     """
@@ -360,10 +381,9 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
         if l == 0:
             p = p0
         else:
-            if keep:
-                t = _times_d1(p, d1, stacks.take(B, p.shape[-1]))
-            else:  # over p_{l-1}'s own stack; p_0 is shared and has none
-                t = np.multiply(p, d1[:, None, :], out=stacks.take(B, p.shape[-1]) if l == 1 else p)
+            t = _times_d1(p, d1, stacks.take(B, p.shape[-1]))
+            if not keep and l > 1:  # p_{l-1} is read no more; p_0 is shared and has no stack
+                stacks.give(p)
             p = np.matmul(t.reshape(B * d, -1), w, out=stacks.take(B, h).reshape(B * d, h))
             p = p.reshape(B, d, h)
             stacks.give(t)
@@ -523,17 +543,16 @@ def _chunked_loss_and_grads(params: MlpParameters, Y, X, stacks=None):
         part_loss, part = _loss_and_grads(params, Y[start:stop], X[start:stop], stacks)
         weight = (stop - start) / n
         loss += weight * part_loss
-        for g in part.weights + part.biases:
-            g *= weight
+        part.flat *= weight
         if grads is None:
             grads = part
         else:
-            for acc, g in zip(grads.weights + grads.biases, part.weights + part.biases):
-                acc += g
+            grads.flat += part.flat
     # checked once over the chunks: a non-finite chunk leaves its sum non-finite
-    for k, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericsError(f"non-finite gradient in layer {k}")
+    if not np.all(np.isfinite(grads.flat)):
+        bad = [np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+               for w, b in zip(grads.weights, grads.biases)].index(False)
+        raise NumericsError(f"non-finite gradient in layer {bad}")
     return loss, grads
 
 
@@ -542,6 +561,7 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
 
     Backpropagates through the primal pass and through all d tangent passes;
     see the layer-local rules inline. Gradients are averaged over the batch.
+    Every gradient is written into its view of one new ``MlpGradients``.
     ``stacks`` is the pool of tangent buffers, which the caller reuses for
     all its minibatches or chunks. The pass keeps the pre-activation tangents
     p_l only; the backward pass rebuilds t_{l-1} = p_{l-1} * silu'(z_{l-1})
@@ -561,8 +581,8 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
     loss = float(np.mean(loss_terms))
 
     n_hidden = len(layers)
-    g_w = [None] * (n_hidden + 1)
-    g_b = [None] * (n_hidden + 1)
+    grads = MlpGradients(params.arch)
+    g_w, g_b = grads.weights, grads.biases
 
     # output layer: psi = a @ W + b; the divergence reads t_last @ W, whose
     # cotangent d_t = V / B is the same (d, h) for every pair, and W's
@@ -573,8 +593,9 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
     else:
         t_mean = np.einsum("bih,bh->ih", np.broadcast_to(p, (B, *p.shape[-2:])), d1)
         t_mean /= B
-    g_w[-1] = a.T @ d_psi + t_mean.T
-    g_b[-1] = d_psi.sum(axis=0)
+    np.matmul(a.T, d_psi, out=g_w[-1])
+    g_w[-1] += t_mean.T
+    np.sum(d_psi, axis=0, out=g_b[-1])
     d_a = d_psi @ w_out.T
     d_t = V / B
 
@@ -588,8 +609,8 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
         d_tp = q / B if l == n_hidden - 1 else np.einsum("...ih,...ih->...h", d_t, p)
         d_z = d_a * d1
         d_z += d_tp * d2
-        g_b[l] = d_z.sum(axis=0)
-        g_w[l] = a_in.T @ d_z
+        np.sum(d_z, axis=0, out=g_b[l])
+        np.matmul(a_in.T, d_z, out=g_w[l])
         if l == 0:
             # t_prev is the input tangent, 1 on input i < d and 0 elsewhere,
             # so only the batch sum of d_p = d_t * d1 is needed
@@ -610,7 +631,7 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
         np.matmul(d_p.reshape(B * d, h), w.T, out=t_prev.reshape(B * d, -1))
         d_t = t_prev
         stacks.give(d_p)
-    return loss, MlpGradients(weights=g_w, biases=g_b)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +693,8 @@ def train(
     shuffle_rng = np.random.default_rng(ss_shuffle)
 
     use_adam = config.optimizer == "adam"
-    if use_adam:
-        m_w = [np.zeros_like(w) for w in params.weights]
-        v_w = [np.zeros_like(w) for w in params.weights]
-        m_b = [np.zeros_like(b) for b in params.biases]
-        v_b = [np.zeros_like(b) for b in params.biases]
+    if use_adam:  # the first and second moments, in the parameters' layout
+        m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         step_count = 0
 
     stacks = _TangentStacks.for_pairs(arch, config.batch_size)
@@ -700,20 +718,13 @@ def train(
                 step_count += 1
                 c1 = 1.0 - config.beta1**step_count
                 c2 = 1.0 - config.beta2**step_count
-                for k in range(len(params.weights)):
-                    for g, p, m_, v_ in (
-                        (grads.weights[k], params.weights[k], m_w[k], v_w[k]),
-                        (grads.biases[k], params.biases[k], m_b[k], v_b[k]),
-                    ):
-                        m_ *= config.beta1
-                        m_ += (1 - config.beta1) * g
-                        v_ *= config.beta2
-                        v_ += (1 - config.beta2) * g * g
-                        p -= config.learning_rate * (m_ / c1) / (np.sqrt(v_ / c2) + config.eps)
+                m *= config.beta1
+                m += (1 - config.beta1) * grads.flat
+                v *= config.beta2
+                v += (1 - config.beta2) * grads.flat * grads.flat
+                params.flat -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
             else:
-                for k in range(len(params.weights)):
-                    params.weights[k] -= config.learning_rate * grads.weights[k]
-                    params.biases[k] -= config.learning_rate * grads.biases[k]
+                params.flat -= config.learning_rate * grads.flat
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
@@ -773,16 +784,9 @@ def save_model(params: MlpParameters, path) -> None:
         "activation": _ACTIVATION,
     }
     blob = json.dumps(header).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(np.array(_FORMAT_VERSION, "<u4").tobytes())
-    buf.write(np.array(len(blob), "<u4").tobytes())
-    buf.write(blob)
-    for w, b in zip(params.weights, params.biases):
-        buf.write(w.astype("<f8").tobytes())
-        buf.write(b.astype("<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(b"".join([_MAGIC, np.array([_FORMAT_VERSION, len(blob)], "<u4").tobytes(), blob,
+                           params.flat.astype("<f8").tobytes()]))
 
 
 # the header keys save_model writes, each with its JSON type
@@ -824,22 +828,13 @@ def load_model(path) -> MlpParameters:
     except ValueError as err:
         raise ModelFileError(path, f"header: {err}") from None
 
-    def take(shape):
-        nonlocal off
-        count = math.prod(shape)
-        if off + 8 * count > len(data):
-            raise ModelFileError(path, "file ends inside the parameters")
-        arr = np.frombuffer(data, "<f8", count=count, offset=off).reshape(shape).copy()
-        off += count * 8
-        return arr
-
-    weights, biases = [], []
-    for fin, fout in arch.layer_sizes:
-        weights.append(take((fin, fout)))
-        biases.append(take((fout,)))
-    if off != len(data):
+    count = _n_parameters(arch)
+    if off + 8 * count > len(data):
+        raise ModelFileError(path, "file ends inside the parameters")
+    if off + 8 * count != len(data):
         raise ModelFileError(path, "trailing bytes after parameters")
-    try:
-        return MlpParameters(arch, weights, biases)
+    flat = np.frombuffer(data, "<f8", count=count, offset=off)
+    try:  # MlpParameters copies the read-only buffer into its own flat vector
+        return MlpParameters(arch, *_layer_views(arch, flat))
     except ValueError as err:  # non-finite parameters
         raise ModelFileError(path, str(err)) from None

@@ -354,6 +354,59 @@ def test_seed_flag_overrides_defaulted_seeds(tmp_path):
     assert echoed["data"]["seed"] == echoed["training"]["seed"] == 9
 
 
+@pytest.mark.parametrize("key, value", [("pairs", 5), ("seed", 9), ("burn_in", 3)])
+def test_simulation_keys_beside_a_csv_source_exit_2(tmp_path, capsys, key, value):
+    # a csv source is read whole, so these keys would be echoed and ignored
+    payload = {"data": {"csv": str(tmp_path / "unread.csv"), key: value},
+               "architecture": {"hidden_widths": [4]}, "training": {"epochs": 1, "batch_size": 16}}
+    code, out = run(tmp_path, "train", payload)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == (
+        f"error: data.{key} applies only with data.kernel, which is not given")
+    assert not out.exists()
+
+
+def test_seed_flag_with_a_csv_source_trains(tmp_path):
+    # --seed sets every seed without the config naming data.seed
+    (tmp_path / "sim").mkdir()
+    code, sim = run(tmp_path / "sim", "simulate", {"kernel": KERNEL, "length": 40, "seed": 1})
+    assert code == EXIT_OK
+    payload = {"data": {"csv": str(sim / "trajectory.csv")}, "architecture": {"hidden_widths": [4]},
+               "training": {"epochs": 1, "batch_size": 16}}
+    code, out = run(tmp_path, "train", payload, extra=("--seed", "9"))
+    assert code == EXIT_OK
+    assert json.loads((out / "metrics.json").read_text())["pairs"] == 39
+
+
+@pytest.mark.parametrize("declared, simulated, message", [
+    (400, 20, "change_point = 400 contradicts data.simulate.change_point = 20"),
+    ("infinity", 20, 'change_point = "infinity" contradicts data.simulate.change_point = 20'),
+    (20, "infinity", 'change_point = 20 contradicts data.simulate.change_point = "infinity"'),
+    (20, None, "change_point = 20 contradicts data.simulate.change_point = null"),
+])
+def test_declared_change_point_contradicting_the_simulated_one_exits_2(
+        tmp_path, capsys, declared, simulated, message):
+    # the stream changes at data.simulate.change_point: alarms.json would
+    # count false alarms and delays from another time
+    payload = with_leaf(with_leaf(VALID["detect"], ("change_point",), declared),
+                        ("data", "simulate", "change_point"), simulated)
+    code, out = run(tmp_path, "detect", payload)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("declared, simulated",
+                         [("infinity", None), ("infinity", "infinity"), (None, 20)])
+def test_declared_change_point_equal_to_the_simulated_one_runs(tmp_path, declared, simulated):
+    payload = with_leaf(with_leaf(VALID["detect"], ("change_point",), declared),
+                        ("data", "simulate", "change_point"), simulated)
+    code, out = run(tmp_path, "detect", payload)
+    assert code == EXIT_OK
+    expected = None if simulated in ("infinity", None) else simulated
+    assert json.loads((out / "alarms.json").read_text())["change_point"] == expected
+
+
 # ---------------------------------------------------------------------------
 # committed configs and golden manifests
 # ---------------------------------------------------------------------------

@@ -87,6 +87,25 @@ def test_trace_with_carry_matches_sequential():
         assert np.allclose(tail, full[cut:], atol=1e-9)
 
 
+def test_trace_stays_within_the_margin_on_a_long_stream():
+    # 10^6 closed-form increments of the benchmark's pre-change law, clip 50:
+    # the identity's error is about 8.3e-9 here, above 1e-9, and grows with
+    # the stream; the bound that holds is _margin, 0.0125 here, growing as n^2
+    pre = markov.GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
+    post = markov.GaussianKernelSpec(dim=10, alpha=0.6, sigma=0.5, shift=0.9)
+    n = 10**6 + 1
+    s = detector.stream_increments(
+        markov.closed_form_score(pre), markov.closed_form_score(post),
+        markov.path_blocks(markov.TrajectoryConfig(pre=pre, length=n, seed=11)), n)
+    trace = detector.statistic_trace(s, TruncationSpec(50.0))
+    phi = np.clip(s, -50.0, 50.0)
+    recursion, w = np.empty_like(phi), 0.0
+    for i, p in enumerate(phi.tolist()):
+        w = p + max(0.0, w)
+        recursion[i] = w
+    assert np.max(np.abs(trace - recursion)) <= _kernels._margin(phi)
+
+
 class TestReferenceParity:
     def test_chain_steps(self):
         rng = np.random.default_rng(0)

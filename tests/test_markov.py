@@ -366,10 +366,11 @@ class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
         states = np.random.default_rng(0).standard_normal((5, 3))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, states, regime=["pre"] * 3 + ["post"] * 2)
+        write_trajectory_csv(path, states, post_from=3)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,x2,regime"
         assert len(lines) == 6
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["pre"] * 3 + ["post"] * 2
         body = np.array([[float(v) for v in line.split(",")[:3]] for line in lines[1:]])
         assert np.array_equal(body, states)
 

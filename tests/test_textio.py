@@ -8,6 +8,7 @@ before they were moved out of per-value Python loops (``csv.writer`` rows of
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,12 @@ def _cli(tmp, command, payload, out):
 
 
 def _trajectory_special(tmp):
-    markov.write_trajectory_csv(tmp / "t.csv", SPECIAL, regime=["pre", "pre", "post", "post"])
+    markov.write_trajectory_csv(tmp / "t.csv", SPECIAL, post_from=2)
     return (tmp / "t.csv").read_bytes()
 
 
 def _trajectory_empty(tmp):
-    markov.write_trajectory_csv(tmp / "t.csv", np.empty((0, 3)), regime=[])
+    markov.write_trajectory_csv(tmp / "t.csv", np.empty((0, 3)), post_from=math.inf)
     return (tmp / "t.csv").read_bytes()
 
 
@@ -175,20 +176,7 @@ def test_loss_curve_is_csv_writer_rendering_of_the_epoch_losses(tmp_path):
     assert (out / "loss_curve.csv").read_bytes() == expected.getvalue().encode()
 
 
-def test_regime_labels_are_quoted_as_csv_writer_quotes(tmp_path):
-    labels = ["a,b", "", 'say "hi"', "two\nlines"]
-    markov.write_trajectory_csv(tmp_path / "t.csv", SPECIAL, regime=labels)
-    expected = io.StringIO()
-    writer = csv.writer(expected)
-    writer.writerow(["x0", "x1", "x2", "x3", "regime"])
-    for row, label in zip(SPECIAL, labels):
-        writer.writerow([repr(float(v)) for v in row] + [label])
-    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
-
-
 def test_bad_trajectory_arguments_leave_no_file(tmp_path):
-    with pytest.raises(ValueError, match="regime labels"):
-        markov.write_trajectory_csv(tmp_path / "t.csv", SPECIAL, regime=["pre"])
     with pytest.raises(ValueError, match=r"\(n, d\)"):
         markov.write_trajectory_csv(tmp_path / "t.csv", SPECIAL[0])
     assert not (tmp_path / "t.csv").exists()
@@ -215,8 +203,7 @@ def _bits(a):
 @example(states=np.array([[-0.0], [TINY], [-TINY], [MAX], [-MAX]]), with_regime=False)
 def test_trajectory_csv_round_trip_is_bitwise(tmp_path_factory, states, with_regime):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
-    regime = ["pre"] * len(states) if with_regime else None
-    markov.write_trajectory_csv(path, states, regime=regime)
+    markov.write_trajectory_csv(path, states, post_from=math.inf if with_regime else None)
     back = _read_states_csv(path)
     assert back.shape == states.shape
     assert np.array_equal(_bits(back), _bits(states))
