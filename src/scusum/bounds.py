@@ -88,8 +88,8 @@ def false_alarm_lower_bound(delta: float, mu: float, b: float) -> float:
     return (2.0 * math.sqrt(2.0) / 3.0) * growth
 
 
-def delay_upper_bound(b: float, mu: float, post_drift: float) -> tuple[int, float]:
-    """(n0, 1 + n0) with n0 = floor((b + mu) / post_drift).
+def delay_upper_bound(b: float, mu: float, post_drift: float) -> tuple[int | float, float]:
+    """(n0, 1 + n0) with n0 = floor((b + mu) / post_drift); both inf past the float range.
 
     The bound on the mean detection delay is asymptotic: it holds up to a
     (1 + o(1)) factor as n0 grows, so it is meaningful at large thresholds
@@ -99,7 +99,8 @@ def delay_upper_bound(b: float, mu: float, post_drift: float) -> tuple[int, floa
         raise ValueError("post-change drift must be positive")
     if b < 0 or mu < 0:
         raise ValueError("b and mu must be nonnegative")
-    n0 = math.floor((b + mu) / post_drift)
+    n0 = (b + mu) / post_drift
+    n0 = math.floor(n0) if math.isfinite(n0) else math.inf
     return n0, 1.0 + n0
 
 

@@ -305,6 +305,9 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
     if trajectory is None:
         states = _read_states_csv(data.csv)
         (n_states, dim), blocks = states.shape, [states]
+        if n_states < declared_cp < math.inf:  # the rule a simulated stream's length gets at load
+            raise ValueError(f"change_point = {declared_cp} is past the end of {data.csv} "
+                             f"({n_states} rows)")
     else:
         # a simulated stream is scored one block at a time, as it is stepped
         n_states, dim = trajectory.length, trajectory.pre.dim

@@ -109,8 +109,10 @@ def _load_section(cls, raw: dict, path: str, seed):
             keys = " and ".join(f"{path}.{name}" for name in cls.one_of)
             raise ValueError(f"give exactly one of {keys}, got {'both' if given else 'neither'}")
     for name, needed in getattr(cls, "needs", {}).items():  # keys read only beside another
-        if name in raw and built[needed] is None:
-            raise ValueError(f"{path}.{name} applies only with {path}.{needed}, which is not given")
+        if built[needed] is None:
+            if name in raw:
+                raise ValueError(f"{path}.{name} applies only with {path}.{needed}, which is not given")
+            del echo[name]  # an echoed default would read as a setting the run used
     try:
         return cls(**built), echo
     except _FieldError as err:
@@ -343,7 +345,7 @@ class BoundsConfig:
     thresholds: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _positive(self, "mu")
+        _positive(self, "mu", "delta", "post_drift")
         _check_mu(self.mu, None, "mu")
 
 

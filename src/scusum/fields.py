@@ -3,9 +3,10 @@
 A score field models the gradient of a conditional log-density in its first
 argument: ``score(y, x) ~ grad_y log p(y|x)`` together with its divergence
 ``divergence(y, x) ~ sum_i d(score_i)/dy_i``. Fields are batch-first: each
-implements ``score_batch`` and ``divergence_batch`` over (n, d) arrays of
-rows (y, x), and the one-pair ``score`` and ``divergence`` of the base class
-are batches of one. On top of that capability this module provides:
+implements ``score_batch`` and ``score_and_divergence_batch`` over (n, d)
+arrays of rows (y, x), the second giving both Hyvarinen terms from one pass,
+and the one-pair ``score`` and ``divergence`` of the base class are batches
+of one. On top of that capability this module provides:
 
 * the conditional Hyvarinen score  S_H(y, x) = 0.5*||score||^2 + divergence,
 * the score difference s = S_H(.; p) - S_H(.; q) between two models,
@@ -141,8 +142,8 @@ class ScoreField(ABC):
         """Score vector per row (y, x); shape (n, d)."""
 
     @abstractmethod
-    def divergence_batch(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Trace of the Jacobian of the score with respect to y, per row; shape (n,)."""
+    def score_and_divergence_batch(self, Y: np.ndarray, X: np.ndarray):
+        """(``score_batch``, the trace of its Jacobian in y per row; shape (n,)), from one pass."""
 
     def score(self, y, x) -> np.ndarray:
         """Score vector at one pair (y, x); shape (d,)."""
@@ -152,7 +153,7 @@ class ScoreField(ABC):
     def divergence(self, y, x) -> float:
         """Divergence at one pair (y, x)."""
         y, x = as_state(y, self.dim), as_state(x, self.dim)
-        return float(self.divergence_batch(y[None, :], x[None, :])[0])
+        return float(self.score_and_divergence_batch(y[None, :], x[None, :])[1][0])
 
 
 class GaussianScoreField(ScoreField):
@@ -176,8 +177,8 @@ class GaussianScoreField(ScoreField):
         s /= -self.sigma**2
         return s
 
-    def divergence_batch(self, Y, X):
-        return np.full(Y.shape[0], -self.dim / self.sigma**2)
+    def score_and_divergence_batch(self, Y, X):
+        return self.score_batch(Y, X), np.full(Y.shape[0], -self.dim / self.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -238,27 +239,26 @@ def _row_blocks(batch: PairBatch):
 def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
     """Vectorized Hyvarinen scores over a pair stream; shape (n,).
 
-    The field's ``score_batch`` and ``divergence_batch`` are called once per
-    row block of ``_BLOCK_BYTES``, so memory does not grow with the stream.
+    The field's ``score_and_divergence_batch`` is called once per row block
+    of ``_BLOCK_BYTES``, so memory does not grow with the stream.
     """
     batch = PairBatch.coerce(pairs)
     if batch.dim != field.dim:
         raise ValueError(f"pair dimension {batch.dim} does not match field dimension {field.dim}")
     out = np.empty(len(batch))
     for block in _row_blocks(batch):
-        Y, X = batch.x_next[block], batch.x_prev[block]
         h = out[block]
-        s = field.score_batch(Y, X)
-        # a non-finite term makes its row of h non-finite, so the terms are
-        # checked only when h is (a finite score can still overflow its square)
+        s, div = field.score_and_divergence_batch(batch.x_next[block], batch.x_prev[block])
         np.einsum("ij,ij->i", s, s, out=h)
-        if not np.isfinite(h).all() and not np.isfinite(s).all():
-            raise NumericsError("non-finite score term in Hyvarinen score")
-        div = field.divergence_batch(Y, X)
         h *= 0.5
         h += div
-        if not np.isfinite(h).all() and not np.isfinite(div).all():
-            raise NumericsError("non-finite divergence term in Hyvarinen score")
+        # a non-finite term makes its row of h non-finite, so the terms are
+        # checked only when h is (a finite score can still overflow its square)
+        if not np.isfinite(h).all():
+            if not np.isfinite(s).all():
+                raise NumericsError("non-finite score term in Hyvarinen score")
+            if not np.isfinite(div).all():
+                raise NumericsError("non-finite divergence term in Hyvarinen score")
     return out
 
 

@@ -20,9 +20,9 @@ Everything here is plain numpy in double precision:
 * the hot path evaluates one sigmoid per hidden layer and derives silu,
   silu' and silu'' from it; keeps the two pair-independent tangent
   quantities (the layer-0 tangent and the output cotangent) as (d, h)
-  arrays that broadcast; and reads only the diagonal of the output tangent,
-  through one contraction of the last pre-activation tangent
-  (``_divergence``) that ``divergence_batch`` and the loss share;
+  arrays that broadcast; and reads the outputs and only the diagonal of the
+  output tangent, through one contraction of the last pre-activation
+  tangent, from one pass (``_outputs``, which the loss shares);
 * the (B, d, h) tangent stacks live in one pool of buffers that one call
   reuses for all its minibatches or chunks and drops when it returns. A
   divergence pass holds at most two stacks. A gradient pass keeps only the
@@ -33,9 +33,9 @@ Everything here is plain numpy in double precision:
 * one byte budget, ``_STACK_BYTES`` (1 MiB), sizes every array of a pass
   over many pairs: ``forward_batch`` runs its rows in chunks whose
   (rows, width) activations fit it, and the tangent passes of
-  ``divergence_batch``, ``loss_gradient`` and each ``train`` minibatch in
-  chunks whose (rows, d, width) stacks fit it, so memory grows neither
-  with the number of pairs nor with ``batch_size``;
+  ``score_and_divergence_batch``, ``loss_gradient`` and each ``train``
+  minibatch in chunks whose (rows, d, width) stacks fit it, so memory grows
+  neither with the number of pairs nor with ``batch_size``;
 * optimization is deterministic given the config seed (init and shuffling
   use separate PCG64 streams spawned from it).
 
@@ -73,7 +73,7 @@ __all__ = [
     "AccuracyReport",
     "init_params",
     "forward_batch",
-    "divergence_batch",
+    "score_and_divergence_batch",
     "surrogate_loss",
     "loss_gradient",
     "train",
@@ -273,8 +273,8 @@ def _silu_parts(z, want_d2: bool):
 #         = sum_h silu'(z_last)[b, h] q[b, h],
 #     q[b, h] = sum_i p_last[b, i, h] V[i, h],  V = W_out.T,
 #
-# so neither divergence_batch nor the loss forms t_last: both take this
-# contraction of p_last (_divergence), and the loss's backward pass reads
+# so neither score_and_divergence_batch nor the loss forms t_last: both take
+# this contraction of p_last (_outputs), and the loss's backward pass reads
 # p_last and q too. Two tangent quantities do not depend on the pair and stay
 # (d, h) arrays that broadcast: p_0 = W_0[:d], and V, which over B is the
 # cotangent of t_last. Both are formed once per call (_shared_tangents).
@@ -283,10 +283,10 @@ def _silu_parts(z, want_d2: bool):
 class _TangentStacks:
     """A pool of float64 (B, d, width) buffers for the tangent passes of one call.
 
-    One ``train``, ``divergence_batch`` or ``loss_gradient`` call makes it
-    and reuses its buffers for each of its minibatches or chunks; they are
-    dropped with the call. ``take`` hands out the leading part of a free
-    buffer, making one only when none is free, and ``give`` returns it;
+    One ``train``, ``score_and_divergence_batch`` or ``loss_gradient`` call
+    makes it and reuses its buffers for each of its minibatches or chunks;
+    they are dropped with the call. ``take`` hands out the leading part of a
+    free buffer, making one only when none is free, and ``give`` returns it;
     every buffer is free again when a pass starts (``reset``). ``for_pairs``
     sizes the buffers for n pairs split into the fewest equal chunks within
     ``_STACK_BYTES``: a 128-pair minibatch of a width-128 network runs as
@@ -398,19 +398,22 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
     return a, p, d1, layers
 
 
-def _divergence(p, d1, V):
-    """(div, q): the (B,) divergence sum_h silu'(z_last) q and q = einsum("bih,ih->bh", p_last, V).
+def _outputs(params: MlpParameters, a, p, d1, V):
+    """(psi, div, q) of one chunk from what ``_tangent_pass`` returned.
 
-    ``p`` is the last pre-activation tangent, a (B, d, h) stack or the shared
-    (d, h) p_0 of a one-hidden-layer network, and ``d1`` silu'(z_last).
-    Without hidden layers (``d1`` None) ``p`` is the input tangent and the
-    divergence the scalar trace of W_out[:d], the same for every pair; q is
-    then None.
+    psi = a @ W_out + b_out are the (B, d) outputs, div the (B,) divergence
+    sum_h silu'(z_last) q and q = einsum("bih,ih->bh", p_last, V). ``p`` is
+    the last pre-activation tangent, a (B, d, h) stack or the shared (d, h)
+    p_0 of a one-hidden-layer network, and ``d1`` silu'(z_last). Without
+    hidden layers (``d1`` None) ``p`` is the input tangent and the divergence
+    the scalar trace of W_out[:d], the same for every pair; q is then None.
     """
+    psi = a @ params.weights[-1]
+    psi += params.biases[-1]
     if d1 is None:
-        return p.ravel() @ V.ravel(), None
+        return psi, p.ravel() @ V.ravel(), None
     q = np.einsum("bih,ih->bh", np.broadcast_to(p, (len(d1), *p.shape[-2:])), V)
-    return np.einsum("bh,bh->b", q, d1), q
+    return psi, np.einsum("bh,bh->b", q, d1), q
 
 
 # Bytes in one float64 array of a network pass, the one budget every pass over
@@ -419,10 +422,10 @@ def _divergence(p, d1, V):
 # * forward_batch takes max(1, _STACK_BYTES // (8 * max(2d, widths))) rows
 #   at a time, so an input or (rows, width) activation stays within it, 1024
 #   rows at width 128;
-# * divergence_batch takes max(1, _STACK_BYTES // (8 * d * max width)) rows
-#   at a time for its (rows, d, width) tangent stacks, 102 at d=10 and 16 at
-#   d=62 for width 128, and holds two stacks;
-# * surrogate_loss reads its pairs through divergence_batch;
+# * score_and_divergence_batch takes max(1, _STACK_BYTES // (8 * d * max
+#   width)) rows at a time for its (rows, d, width) tangent stacks, 102 at
+#   d=10 and 16 at d=62 for width 128, and holds two stacks;
+# * surrogate_loss reads its pairs through score_and_divergence_batch;
 # * loss_gradient and each train minibatch split their pairs into the fewest
 #   equal chunks of at most that many rows: a 128-pair minibatch runs as
 #   2 x 64 rows at d=10 and 8 x 16 at d=62. A gradient chunk holds L stacks
@@ -432,21 +435,12 @@ def _divergence(p, d1, V):
 #   against 9.9 and 51.4 MB with 2L stacks sized by batch_size.
 #
 # A stack stays in cache while the d tangent passes stream it, and memory
-# does not grow with the pairs. One divergence_batch call, 128x3 network,
-# median of 5 alternating fresh processes, on 2 vCPUs with numpy 2.4.6 and
-# OpenBLAS (about +-10% run to run):
-#
-#     d    pairs   ms at 4 / 2 / 1 MiB    max RSS at 4 / 2 / 1 MiB, MB
-#     10   20000   395 / 412 / 401        54.8 / 46.8 / 43.1
-#     31    4096   208 / 211 / 228        51.2 / 44.8 / 41.6
-#     62    4096   422 / 407 / 410        53.0 / 46.7 / 43.4
-#
-# The table timed a divergence taken as one GEMV over t_last; _divergence's
-# contraction of p_last runs as fast (1 MiB, medians of 5 alternating fresh
-# processes: 401 against 414 ms at d=10, 433 against 438 ms at d=62).
+# does not grow with the pairs. README ("Score-network hot path") has the
+# time and resident memory of a divergence pass at budgets of 4, 2 and 1 MiB.
 #
 # The rows move results in the last bits only (the GEMM kernels treat tail
-# rows differently): chunkings agree to 1e-12 relative, not bit for bit.
+# rows differently): chunkings, so also forward_batch's outputs and those of
+# score_and_divergence_batch, agree to 1e-12 relative, not bit for bit.
 _STACK_BYTES = 1 << 20
 
 
@@ -490,19 +484,19 @@ def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
     return out
 
 
-def divergence_batch(params: MlpParameters, Y, X) -> np.ndarray:
-    """Exact sum_i d(psi_i)/dy_i per row, via d tangent passes."""
+def score_and_divergence_batch(params: MlpParameters, Y, X):
+    """(psi, div): (n, d) outputs and exact sum_i d(psi_i)/dy_i per row, from one tangent pass."""
     Y, X = _pair_arrays(params, Y, X)
     n = Y.shape[0]
     stacks = _TangentStacks(params.arch, max(1, min(n, _stack_rows(params.arch))))
     p0, V = _shared_tangents(params)
-    out = np.empty(n)
+    psi, div = np.empty(Y.shape), np.empty(n)
     for start in range(0, n, stacks.rows):
         block = slice(start, start + stacks.rows)
         a0 = np.concatenate([Y[block], X[block]], axis=1)
-        _, p, d1, _ = _tangent_pass(params, a0, p0, stacks, keep=False)
-        out[block], _ = _divergence(p, d1, V)
-    return out
+        a, p, d1, _ = _tangent_pass(params, a0, p0, stacks, keep=False)
+        psi[block], div[block], _ = _outputs(params, a, p, d1, V)
+    return psi, div
 
 
 def surrogate_loss(params: MlpParameters, pairs) -> float:
@@ -572,11 +566,7 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
     d = params.arch.output_dim
     p0, V = _shared_tangents(params)
     a, p, d1, layers = _tangent_pass(params, np.concatenate([Y, X], axis=1), p0, stacks, keep=True)
-
-    w_out = params.weights[-1]
-    psi = a @ w_out
-    psi += params.biases[-1]
-    div, q = _divergence(p, d1, V)
+    psi, div, q = _outputs(params, a, p, d1, V)
     loss_terms = 0.5 * np.einsum("bj,bj->b", psi, psi) + div
     loss = float(np.mean(loss_terms))
 
@@ -596,7 +586,7 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
     np.matmul(a.T, d_psi, out=g_w[-1])
     g_w[-1] += t_mean.T
     np.sum(d_psi, axis=0, out=g_b[-1])
-    d_a = d_psi @ w_out.T
+    d_a = d_psi @ params.weights[-1].T
     d_t = V / B
 
     # hidden layers, last to first:
@@ -762,12 +752,12 @@ class MlpScoreField(ScoreField):
     def score_batch(self, Y, X):
         return forward_batch(self.params, Y, X)
 
-    def divergence_batch(self, Y, X):
-        return divergence_batch(self.params, Y, X)
+    def score_and_divergence_batch(self, Y, X):
+        return score_and_divergence_batch(self.params, Y, X)
 
 
 def as_score_field(params: MlpParameters) -> MlpScoreField:
-    """Expose (forward_batch, divergence_batch) through the ScoreField capability."""
+    """Expose (forward_batch, score_and_divergence_batch) through the ScoreField capability."""
     return MlpScoreField(params)
 
 

@@ -131,6 +131,12 @@ class TestDelayUpperBound:
             n0_double, _ = delay_upper_bound(b, mu, 2 * drift)
             assert n0_double <= n0 / 2 + 1
 
+    def test_inf_past_the_float_range(self):
+        # (b + mu) / post_drift overflows a double: no integer floor exists
+        assert delay_upper_bound(4.0, 2.0, 1e-310) == (math.inf, math.inf)
+        n0, bound = delay_upper_bound(4.0, 2.0, 1e-300)
+        assert n0 == math.floor(6.0 / 1e-300) and bound == 1.0 + n0
+
     def test_requires_positive_drift(self):
         with pytest.raises(ValueError, match="positive"):
             delay_upper_bound(10.0, 1.0, 0.0)

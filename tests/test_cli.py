@@ -374,6 +374,25 @@ class TestDetect:
         assert code == EXIT_USAGE
         assert "change_point must be <= length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change_point", [40, 41, 100000])
+    def test_change_point_checked_against_the_csv_rows(self, tmp_path, capsys, change_point):
+        # one past the last row listed every alarm as a false alarm of a change that never came
+        states = simulate_path(TrajectoryConfig(pre=GaussianKernelSpec(**SMALL_KERNEL), length=40))
+        markov.write_trajectory_csv(tmp_path / "states.csv", states)
+        payload = {"kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+                   "data": {"csv": str(tmp_path / "states.csv")},
+                   "detector": {"threshold": 10.0}, "change_point": change_point}
+        code, out = run(tmp_path, "detect", payload)
+        if change_point == 40:  # the last row may be the first post-change state
+            assert code == EXIT_OK
+            assert json.loads((out / "alarms.json").read_text())["change_point"] == 40
+            return
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == (
+            f"error: change_point = {change_point} is past the end of {tmp_path / 'states.csv'} "
+            "(40 rows)")
+        assert not (out / "alarms.json").exists()
+
     def test_closed_form_kernel_checked_before_models_are_read(self, tmp_path, capsys):
         payload = {
             "models": {"pre": str(tmp_path / "no_such_model.bin"), "post": "closed_form"},
@@ -429,6 +448,17 @@ class TestSweep:
         code, out = run(tmp_path, "sweep", payload)
         assert code == EXIT_OK
         assert (out / "bounds.csv").exists()
+
+    def test_delay_bound_past_the_float_range_writes_inf(self, tmp_path):
+        payload = {
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "stream": {"law": "post", "length": 200, "seed": 10, "burn_in": 10},
+            "thresholds": [100.0],
+            "bounds": {"mu": 1230.0, "post_drift": 1e-310},
+        }
+        code, out = run(tmp_path, "sweep", payload)
+        assert code == EXIT_OK
+        assert (out / "bounds.csv").read_text().splitlines() == ["b,bound", "100.0,inf"]
 
     def test_metrics_record_stages_levels_and_bound_inputs(self, tmp_path, capsys):
         payload = {
@@ -596,6 +626,15 @@ class TestBounds:
         lower = bounds.false_alarm_lower_bound(1.0, 2.0, 4.0)
         assert (out / "bounds.csv").read_text().splitlines() == [
             "b,bound", f"4.0,{lower!r}", "1000.0,inf"]
+
+    def test_delay_bound_past_the_float_range_writes_inf(self, tmp_path, capsys):
+        # floor((4 + 2) / 1e-310) has no float: an internal error exited 1 with no bounds.json
+        payload = {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "post_drift": 1e-310}
+        code, out = run(tmp_path, "bounds", payload)
+        assert code == EXIT_OK
+        assert "n0 = inf, 1 + n0 = inf" in capsys.readouterr().out
+        assert json.loads((out / "bounds.json").read_text())["delay"] == {
+            "post_drift": 1e-310, "n0": math.inf, "upper_bound": math.inf, "asymptotic": True}
 
     def test_without_post_drift_writes_no_delay(self, tmp_path):
         code, out = run(tmp_path, "bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0})

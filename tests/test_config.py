@@ -226,6 +226,10 @@ DEFECTS = [
     ("bounds", with_leaf(VALID["bounds"], ("mu",), {"heuristic": {}}),
      "mu.heuristic.truncation_level is required without a truncation"),
     ("bounds", with_leaf(VALID["bounds"], ("mu",), -2.0), "mu must be positive, got -2.0"),
+    # checked only when the bound was evaluated, after mu was printed, naming no value
+    ("bounds", with_leaf(VALID["bounds"], ("delta",), -1.0), "delta must be positive, got -1.0"),
+    ("bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "post_drift": 0},
+     "post_drift must be positive, got 0"),
 ]
 
 
@@ -366,16 +370,22 @@ def test_simulation_keys_beside_a_csv_source_exit_2(tmp_path, capsys, key, value
     assert not out.exists()
 
 
-def test_seed_flag_with_a_csv_source_trains(tmp_path):
-    # --seed sets every seed without the config naming data.seed
+@pytest.mark.parametrize("extra", [(), ("--seed", "9")])
+def test_csv_source_trains_and_echoes_no_simulation_keys(tmp_path, extra):
+    # --seed sets every seed without the config naming data.seed; the manifest
+    # echoed pairs, seed and burn_in, which no part of the run used
     (tmp_path / "sim").mkdir()
     code, sim = run(tmp_path / "sim", "simulate", {"kernel": KERNEL, "length": 40, "seed": 1})
     assert code == EXIT_OK
     payload = {"data": {"csv": str(sim / "trajectory.csv")}, "architecture": {"hidden_widths": [4]},
                "training": {"epochs": 1, "batch_size": 16}}
-    code, out = run(tmp_path, "train", payload, extra=("--seed", "9"))
+    code, out = run(tmp_path, "train", payload, extra=extra)
     assert code == EXIT_OK
     assert json.loads((out / "metrics.json").read_text())["pairs"] == 39
+    echoed = json.loads((out / "manifest.json").read_text())["config"]
+    assert echoed["data"] == {"kernel": None, "csv": str(sim / "trajectory.csv")}
+    assert echoed["training"]["seed"] == (9 if extra else 0)
+    assert load_config("train", echoed)[1] == echoed
 
 
 @pytest.mark.parametrize("declared, simulated, message", [

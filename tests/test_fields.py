@@ -74,8 +74,8 @@ class TestHyvarinenScore:
             def score_batch(self, Y, X):
                 return np.full(Y.shape, np.inf)
 
-            def divergence_batch(self, Y, X):
-                return np.zeros(len(Y))
+            def score_and_divergence_batch(self, Y, X):
+                return self.score_batch(Y, X), np.zeros(len(Y))
 
         with pytest.raises(NumericsError, match="score"):
             hyvarinen_score(BrokenScore(), TransitionPair(np.zeros(1), np.zeros(1)))
@@ -87,8 +87,8 @@ class TestHyvarinenScore:
             def score_batch(self, Y, X):
                 return np.zeros(Y.shape)
 
-            def divergence_batch(self, Y, X):
-                return np.full(len(Y), np.nan)
+            def score_and_divergence_batch(self, Y, X):
+                return self.score_batch(Y, X), np.full(len(Y), np.nan)
 
         with pytest.raises(NumericsError, match="divergence"):
             hyvarinen_score(BrokenDiv(), TransitionPair(np.zeros(1), np.zeros(1)))
@@ -183,13 +183,15 @@ class TestRowBlocks:
         assert fields._BLOCK_BYTES // (8 * 62) == 2_114
 
     def test_network_field_scores_each_block_through_the_public_batch_api(self):
+        # one fused call per block: no second primal pass through forward_batch
         fp, _ = network_fields(3, 0)
         pairs = random_pairs(10, 3, 0)
+        fused = scorenet.score_and_divergence_batch
         with mock.patch.object(scorenet, "forward_batch", wraps=scorenet.forward_batch) as fwd, \
-                mock.patch.object(scorenet, "divergence_batch", wraps=scorenet.divergence_batch) as div:
+                mock.patch.object(scorenet, "score_and_divergence_batch", wraps=fused) as both:
             blocked(4 * 8 * 3, hyvarinen_scores, fp, pairs)
-        assert [len(c.args[1]) for c in fwd.call_args_list] == [4, 4, 2]
-        assert [len(c.args[1]) for c in div.call_args_list] == [4, 4, 2]
+        assert [len(c.args[1]) for c in both.call_args_list] == [4, 4, 2]
+        assert fwd.call_args_list == []
 
     @pytest.mark.parametrize("term, message", [
         ("score", "non-finite score term in Hyvarinen score"),
@@ -215,11 +217,11 @@ class TestRowBlocks:
                     s[Y[:, 0] == 99.0] = np.nan
                 return s
 
-            def divergence_batch(self, Y, X):
-                div = base.divergence_batch(Y, X)
+            def score_and_divergence_batch(self, Y, X):
+                div = base.score_and_divergence_batch(Y, X)[1]
                 if term == "divergence":
                     div[Y[:, 0] == 99.0] = np.inf
-                return div
+                return self.score_batch(Y, X), div
 
         pairs = random_pairs(n, d, 3)
         pairs.x_next[-1, 0] = 99.0
@@ -355,6 +357,9 @@ def scalar_divergence_consistency(field, probes, h=1e-4):
 class TestOnePairMethods:
     """The base-class ``score`` and ``divergence`` are row 0 of a batch of one."""
 
+    def test_a_field_implements_two_batch_methods(self):
+        assert ScoreField.__abstractmethods__ == {"score_batch", "score_and_divergence_batch"}
+
     @staticmethod
     def fields(d):
         params = scorenet.init_params(
@@ -371,7 +376,7 @@ class TestOnePairMethods:
                 Y, X = y[None, :], x[None, :]
                 assert np.array_equal(field.score(y, x), field.score_batch(Y, X)[0])
                 div = field.divergence(y, x)
-                assert type(div) is float and div == field.divergence_batch(Y, X)[0]
+                assert type(div) is float and div == field.score_and_divergence_batch(Y, X)[1][0]
 
     @pytest.mark.parametrize("method", ["score", "divergence"])
     @pytest.mark.parametrize("y, x, message", [

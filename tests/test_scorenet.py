@@ -41,7 +41,7 @@ def forward(params, y, x):
 
 def divergence(params, y, x):
     """The exact divergence at one pair: row 0 of a batch of one."""
-    return scorenet.divergence_batch(params, y[None, :], x[None, :])[0]
+    return scorenet.score_and_divergence_batch(params, y[None, :], x[None, :])[1][0]
 
 
 def tiny_arch(d=2, widths=(4,)):
@@ -140,7 +140,7 @@ class TestForward:
         assert np.allclose(stacked, singles)
 
 
-    @pytest.mark.parametrize("call", [forward_batch, scorenet.divergence_batch])
+    @pytest.mark.parametrize("call", [forward_batch, scorenet.score_and_divergence_batch])
     def test_row_count_mismatch_rejected(self, call):
         # chunks slice Y and X alike, so unequal rows would be dropped silently
         rng = np.random.default_rng(1)
@@ -148,10 +148,11 @@ class TestForward:
         with pytest.raises(ValueError, match="rows"):
             call(params, rng.standard_normal((5, 3)), rng.standard_normal((4, 3)))
 
-    @pytest.mark.parametrize("call, shape", [(forward_batch, (0, 3)), (scorenet.divergence_batch, (0,))])
+    @pytest.mark.parametrize("call, shape", [(lambda *args: [forward_batch(*args)], [(0, 3)]),
+                                             (scorenet.score_and_divergence_batch, [(0, 3), (0,)])])
     def test_zero_rows_give_an_empty_result(self, call, shape):
         params = init_params(tiny_arch(3, (6,)), 2)
-        assert call(params, np.empty((0, 3)), np.empty((0, 3))).shape == shape
+        assert [out.shape for out in call(params, np.empty((0, 3)), np.empty((0, 3)))] == shape
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -335,8 +336,8 @@ class TestLossGradient:
 
 
 class TestChunking:
-    """divergence_batch, surrogate_loss and loss_gradient take their pairs in
-    chunks sized from ``_STACK_BYTES``; the chunk rows move only last bits."""
+    """score_and_divergence_batch, surrogate_loss and loss_gradient take their
+    pairs in chunks sized from ``_STACK_BYTES``; the chunk rows move only last bits."""
 
     @staticmethod
     def _chunked(params, batch, rows):
@@ -346,7 +347,7 @@ class TestChunking:
         row_bytes = arch.output_dim * max(arch.hidden_widths, default=1) * 8
         budget = scorenet._STACK_BYTES if rows is None else rows * row_bytes
         with mock.patch.object(scorenet, "_STACK_BYTES", budget):
-            return (scorenet.divergence_batch(params, batch.x_next, batch.x_prev),
+            return (*scorenet.score_and_divergence_batch(params, batch.x_next, batch.x_prev),
                     surrogate_loss(params, batch), loss_gradient(params, batch))
 
     @settings(max_examples=200, deadline=None)
@@ -364,9 +365,10 @@ class TestChunking:
         if standardize:
             params = folded(params, rng)
         batch = random_batch(rng, d, n)
-        ref_div, ref_loss, ref = self._chunked(params, batch, n)
+        ref_psi, ref_div, ref_loss, ref = self._chunked(params, batch, n)
         rows = {"1": 1, "7": 7, "budget": None, "n": n, "n+1": n + 1}[rows]
-        div, loss, grads = self._chunked(params, batch, rows)
+        psi, div, loss, grads = self._chunked(params, batch, rows)
+        assert np.max(np.abs(psi - ref_psi)) <= 1e-12 * np.max(np.abs(ref_psi))
         assert np.max(np.abs(div - ref_div)) <= 1e-12 * np.max(np.abs(ref_div))
         # the loss is a mean of terms of either sign: relative to their size
         terms = hyvarinen_scores(as_score_field(params), batch)
@@ -374,8 +376,32 @@ class TestChunking:
         for g, r in zip(grads.weights + grads.biases, ref.weights + ref.biases):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
+    @pytest.mark.parametrize("d, n", [(10, 250), (62, 40)])
+    def test_fused_pass_gives_forward_scores_and_the_chunked_divergence(self, d, n):
+        # three chunks of at most 102 rows at d=10 and 16 at d=62, the last
+        # one short; forward_batch takes the rows in one chunk
+        rng = np.random.default_rng(47)
+        params = folded(init_params(tiny_arch(d, (128, 128, 128)), 8), rng)
+        batch = random_batch(rng, d, n)
+        psi, div = scorenet.score_and_divergence_batch(params, batch.x_next, batch.x_prev)
+        ref = forward_batch(params, batch.x_next, batch.x_prev)
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the divergence keeps the bits of the pass that formed no outputs:
+        # per chunk, the d tangent passes and the contraction of p_last
+        rows = scorenet._stack_rows(params.arch)
+        stacks = scorenet._TangentStacks(params.arch, rows)
+        p0, V = scorenet._shared_tangents(params)
+        chunks = []
+        for start in range(0, n, rows):
+            a0 = np.concatenate([batch.x_next[start:start + rows], batch.x_prev[start:start + rows]],
+                                axis=1)
+            _, p, d1, _ = scorenet._tangent_pass(params, a0, p0, stacks, keep=False)
+            chunks.append(np.einsum("bh,bh->b", np.einsum("bih,ih->bh", p, V), d1))
+        assert len(chunks) == 3
+        assert np.array_equal(div, np.concatenate(chunks))
+
     @pytest.mark.parametrize("widths, counts", [
-        # divergence_batch holds two stacks, and so does each of its three
+        # score_and_divergence_batch holds two stacks, and so does each of its three
         # calls from surrogate_loss, one per 2114-row block of
         # fields.hyvarinen_scores; loss_gradient one per hidden layer, L of
         # them for L >= 2 hidden layers
@@ -395,7 +421,7 @@ class TestChunking:
         rng = np.random.default_rng(29)
         params = init_params(tiny_arch(62, widths), 10)
         batch = random_batch(rng, 62, 5000)
-        scorenet.divergence_batch(params, batch.x_next, batch.x_prev)
+        scorenet.score_and_divergence_batch(params, batch.x_next, batch.x_prev)
         surrogate_loss(params, batch)
         loss_gradient(params, batch)
         assert len(stacks) == 5
@@ -706,15 +732,15 @@ class TestStandardizedTraining:
         Yz, Xz = (Y - mean) / scale, (X - mean) / scale
         for out, ref in (
             (forward_batch(folded_params, Y, X), forward_batch(params, Yz, Xz) / scale),
-            (scorenet.divergence_batch(folded_params, Y, X),
-             scorenet.divergence_batch(params, Yz, Xz) / scale**2),
+            (scorenet.score_and_divergence_batch(folded_params, Y, X)[1],
+             scorenet.score_and_divergence_batch(params, Yz, Xz)[1] / scale**2),
         ):
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPinnedBits:
     """The exact bits of training, ``model.bin``, forward_batch and
-    divergence_batch, recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
+    score_and_divergence_batch, recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
     (Haswell kernels). A refactor of the parameter layout or the tangent pass
     must leave every one unchanged; a different BLAS build may not."""
 
@@ -745,9 +771,10 @@ class TestPinnedBits:
                                                     rng.standard_normal(3),
                                                     rng.uniform(0.3, 3.0, 3))
             batch = random_batch(rng, 3, 40)
-            digests[widths] = tuple(
-                hashlib.sha256(call(params, batch.x_next, batch.x_prev).tobytes()).hexdigest()
-                for call in (forward_batch, scorenet.divergence_batch))
+            psi, div = scorenet.score_and_divergence_batch(params, batch.x_next, batch.x_prev)
+            # the fused pass's scores carry the bits of forward_batch's at these sizes
+            assert np.array_equal(psi, forward_batch(params, batch.x_next, batch.x_prev))
+            digests[widths] = tuple(hashlib.sha256(out.tobytes()).hexdigest() for out in (psi, div))
         assert digests == {
             (): ("2b203dc91029eea4f7a1f9a931ac7481ada1e8834be486f836f384010ca117f9",
                  "1314b50ccfdfac9b23cd26b4dc6dc14e81e2ef7795f612d624bbd5862a9782e4"),
