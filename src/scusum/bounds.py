@@ -57,17 +57,17 @@ class DoeblinConstants:
 
 def concentration_mu(norm_phi: float, constants: DoeblinConstants) -> float:
     """mu = 2 * (l + 1) * ||phi|| / lam for given Doeblin constants."""
-    if norm_phi <= 0:
-        raise ValueError("norm_phi must be positive")
+    if not norm_phi > 0:
+        raise ValueError(f"norm_phi must be positive, got {norm_phi!r}")
     return 2.0 * (constants.l + 1) * norm_phi / constants.lam
 
 
 def heuristic_mu(truncation_level: float, factor: float = HEURISTIC_MU_FACTOR) -> float:
     """Pragmatic concentration scale: factor * M (Doeblin constants unknown)."""
-    if truncation_level <= 0:
-        raise ValueError("truncation level must be positive")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not truncation_level > 0:
+        raise ValueError(f"truncation_level must be positive, got {truncation_level!r}")
+    if not factor > 0:
+        raise ValueError(f"factor must be positive, got {factor!r}")
     return factor * truncation_level
 
 

@@ -1,22 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``simulate``, ``train``, ``detect``, ``sweep``, ``bounds``,
-``mocap``. Each reads its JSON config into the frozen dataclasses of
-``scusum.config`` (with ``markov.GaussianKernelSpec`` for every kernel and
-``scorenet.TrainConfig`` for ``training``), whose fields are the schema and
-whose defaults are the only defaults. Every value is checked before any work
-starts, and a bad one is rejected with its dotted key: unknown and missing
-keys; integers that are not JSON integers (``2.0`` is not one); numbers that
-are ``true``/``false``, ``NaN`` or ``Infinity`` (Python's ``json`` accepts
-the last two); lists (``thresholds``, ``hidden_widths``) with a bad element;
-strings outside their sets; a ``data`` section with both sources or none,
-or ``train``'s ``csv`` beside ``pairs``, ``seed`` or ``burn_in``; a
-``detect`` ``change_point`` other than ``data.simulate.change_point``;
-bound inputs that are not positive, a heuristic mu without a truncation
-level, and a number drift above the truncation. The string sentinels are
-``"infinity"`` (a change point that never comes), ``"closed_form"`` (a
-kernel's exact score) and ``"empirical"`` (a drift estimated from the
-stream).
+``mocap``. Each reads its JSON config with ``scusum.config.load_config``,
+which checks every config rule before any work starts; the rules are listed
+in ``scusum.config``. Only what depends on the data is checked here.
 
 Each command writes its outputs (CSV series; plotting is left to external
 tooling) and a ``manifest.json`` echoing the config as read, with every
@@ -70,21 +57,9 @@ def _read_config(path):
         raise ValueError(f"config {path} is not valid JSON: {err}") from err
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "config": config,
-        "outputs": outputs,
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
@@ -166,14 +141,13 @@ def _staged_blocks(stages: _Stages, blocks, make: str, use: str):
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: SimulateConfig, out_dir: Path) -> list[str]:
-    cp = config.change_time
-    states = markov.simulate_path(config.trajectory(config.kernel, config.post_kernel, cp))
+def cmd_simulate(config: SimulateConfig, out_dir: Path):
+    states = markov.simulate_path(config.trajectory())
     path = out_dir / "trajectory.csv"
     # state n (row n - 1) is the first post-change one from n = cp on
-    markov.write_trajectory_csv(path, states, post_from=cp - 1)
+    markov.write_trajectory_csv(path, states, post_from=config.change_time - 1)
     print(f"wrote {path} ({states.shape[0]} steps, dim {config.kernel.dim})")
-    return [path.name]
+    return [path.name], None
 
 
 def _read_states_csv(path) -> np.ndarray:
@@ -210,7 +184,7 @@ def _read_states_csv(path) -> np.ndarray:
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
+def cmd_train(config: TrainCommandConfig, out_dir: Path):
     stages = _Stages()
     data = config.data
     oracle = None
@@ -256,63 +230,47 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> list[str]:
     # built after the last stage ends, so peak_rss_stage can name any stage
     metrics = {"pairs": len(pairs), **stages.metrics(), "epochs": epochs}
     if report is not None:
-        metrics["accuracy"] = {
-            "sample": "in-sample: the training pairs",
-            "mse": report.mse,
-            "var_scale": report.var_scale,
-            "rel_error": report.rel_error,
-        }
-    metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, metrics)
+        metrics["accuracy"] = {"sample": "in-sample: the training pairs", **asdict(report)}
     print(f"wrote {model_path}")
-    return [model_path.name, curve_path.name, metrics_path.name]
+    return [model_path.name, curve_path.name], metrics
 
 
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
 
-def _resolve_field(model_ref: str, kernel):
-    if model_ref == "closed_form":
-        return markov.closed_form_score(kernel)
-    return scorenet.as_score_field(scorenet.load_model(model_ref))
-
-
 def _resolve_fields(models: ModelsConfig, kernels: KernelsConfig):
-    """The pre- and post-change score fields, checked to share a dimension."""
-    for which in ("pre", "post"):  # before either model file is read
-        if getattr(models, which) == "closed_form" and getattr(kernels, which) is None:
-            raise ValueError(f"models.{which} = closed_form requires kernels.{which}")
-    field_pre = _resolve_field(models.pre, kernels.pre)
-    field_post = _resolve_field(models.post, kernels.post)
+    """The pre- and post-change score fields, checked to share a dimension once models are read."""
+    field_pre, field_post = (
+        markov.closed_form_score(kernel) if ref == "closed_form"
+        else scorenet.as_score_field(scorenet.load_model(ref))
+        for ref, kernel in ((models.pre, kernels.pre), (models.post, kernels.post)))
     if field_pre.dim != field_post.dim:
         raise ValueError(f"model dimensions differ: pre {field_pre.dim} vs post {field_post.dim}")
     return field_pre, field_post
 
 
-def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
-    data = config.data
-    trajectory = None
-    if data.csv is None:
-        if config.kernels.pre is None:
-            raise ValueError("data.simulate requires kernels.pre")
-        # checks change_point <= length, like the rules above, before any model file is read
-        trajectory = data.simulate.trajectory(config.kernels.pre, config.kernels.post,
-                                              data.simulate.change_time)
+def _diagnostics(report: detector.SweepReport) -> dict:
+    """The clipped fraction, the exact peak of W and the clipped increments' drift of one scan."""
+    return {"clipped_fraction": report.clipped_fraction, "peak_statistic": report.peak_statistic,
+            "drift": asdict(report.drift)}
+
+
+def cmd_detect(config: DetectConfig, out_dir: Path):
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
-    declared_cp = config.change_time
+    cp = config.change_time
+    trajectory = config.trajectory()
     stages = _Stages()
     if trajectory is None:
-        states = _read_states_csv(data.csv)
+        states = _read_states_csv(config.data.csv)
         (n_states, dim), blocks = states.shape, [states]
-        if n_states < declared_cp < math.inf:  # the rule a simulated stream's length gets at load
-            raise ValueError(f"change_point = {declared_cp} is past the end of {data.csv} "
+        if n_states < cp < math.inf:  # the rule a simulated stream's length gets at load
+            raise ValueError(f"change_point = {cp} is past the end of {config.data.csv} "
                              f"({n_states} rows)")
     else:
         # a simulated stream is scored one block at a time, as it is stepped
         n_states, dim = trajectory.length, trajectory.pre.dim
         blocks = markov.path_blocks(trajectory)
-        declared_cp = trajectory.change_point  # a declared one equals it (checked at load)
     if dim != field_pre.dim:
         raise ValueError(f"data dimension {dim} does not match model dimension {field_pre.dim}")
     blocks = _staged_blocks(stages, blocks, "read", "score")
@@ -331,48 +289,24 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> list[str]:
         "threshold": config.detector.threshold,
         "truncation": trunc.level,
         "alarm_times": alarm_times,
-        "change_point": None if declared_cp == math.inf else int(declared_cp),
+        "change_point": None if cp == math.inf else int(cp),
     }
-    if declared_cp != math.inf:
-        summary["false_alarm_times"] = [t for t in alarm_times if t < declared_cp]
-        summary["delays"] = [t - int(declared_cp) for t in alarm_times if t >= declared_cp]
+    if cp != math.inf:
+        summary["false_alarm_times"] = [t for t in alarm_times if t < cp]
+        summary["delays"] = [t - int(cp) for t in alarm_times if t >= cp]
     summary_path = out_dir / "alarms.json"
     _write_json(summary_path, summary)
     stages.end("write", rows=len(increments))
 
-    metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, {
-        **stages.metrics(),
-        "clipped_fraction": sweep.clipped_fraction,
-        "drift": asdict(sweep.drift),
-        "peak_statistic": float(trace.max()),
-    })
-
-    if alarm_times:
-        print(f"alarms at {alarm_times}")
-        if declared_cp != math.inf and summary["delays"]:
-            print(f"first delay after change: {summary['delays'][0]}")
-    else:
-        print("no alarm")
-    return [trace_path.name, summary_path.name, metrics_path.name]
+    print(f"alarms at {alarm_times}" if alarm_times else "no alarm")
+    if summary.get("delays"):
+        print(f"first delay after change: {summary['delays'][0]}")
+    return [trace_path.name, summary_path.name], {**stages.metrics(), **_diagnostics(sweep)}
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-def _resolve_mu(mu, truncation_level):
-    """Returns (mu value, provenance label)."""
-    if isinstance(mu, (int, float)):
-        return float(mu), "explicit"
-    if mu.doeblin is not None:
-        return bounds.concentration_mu(mu.doeblin.norm_phi, mu.doeblin), "doeblin constants"
-    level = mu.heuristic.truncation_level
-    if level is None:
-        level = truncation_level
-    factor = mu.heuristic.factor
-    return bounds.heuristic_mu(level, factor), f"heuristic ({factor} * truncation level)"
-
 
 def _drift(given, estimate: float):
     """(drift, provenance label): the config's number, or ``estimate`` for "empirical"."""
@@ -381,9 +315,10 @@ def _drift(given, estimate: float):
     return float(given), "explicit"
 
 
-def _sweep_bounds(config: SweepConfig, thresholds, truncation_level, drift_estimate):
-    """The bound curve over ``thresholds`` and the inputs it used, with provenance labels."""
-    mu, mu_label = _resolve_mu(config.bounds.mu, truncation_level)
+def _sweep_bounds(config: SweepConfig, drift_estimate):
+    """The bound curve over the thresholds and the inputs it used, with provenance labels."""
+    thresholds = config.thresholds
+    mu, mu_label = config.resolved_mu()
     inputs = {"mu": {"value": mu, "provenance": mu_label}}
     if config.stream.law == "pre":
         delta, delta_label = _drift(config.bounds.delta, -drift_estimate)
@@ -409,70 +344,48 @@ def _sweep_bounds(config: SweepConfig, thresholds, truncation_level, drift_estim
     return curve, inputs
 
 
-def cmd_sweep(config: SweepConfig, out_dir: Path) -> list[str]:
-    law = config.stream.law
-    spec = config.kernels.pre if law == "pre" else config.kernels.post
-    if spec is None:
-        raise ValueError(f"stream.law = {law} requires kernels.{law}")
+def cmd_sweep(config: SweepConfig, out_dir: Path):
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
     stages = _Stages()
     # the stream is stepped and scored one block at a time: only the
     # increments grow with its length
-    blocks = _staged_blocks(stages, markov.path_blocks(config.stream.trajectory(spec)),
-                            "simulate", "score")
+    blocks = _staged_blocks(stages, markov.path_blocks(config.trajectory()), "simulate", "score")
     increments = detector.stream_increments(field_pre, field_post, blocks, config.stream.length)
 
-    thresholds = [float(b) for b in config.thresholds]
     trunc = detector.TruncationSpec(config.truncation)
     levels = {"sweep.csv": trunc}
     if config.compare_untruncated and trunc.level is not None:
         levels["sweep_untruncated.csv"] = detector.TruncationSpec()
-    sweeps = {}
-    level_metrics = []
-    for name, level in levels.items():
-        sweeps[name] = report = detector.threshold_sweep(increments, thresholds, level)
-        level_metrics.append({
-            "output": name,
-            "truncation": level.level,
-            "clipped_fraction": report.clipped_fraction,
-            "peak_statistic": report.peak_statistic,
-            "drift": asdict(report.drift),
-        })
-    if config.bounds is not None:
-        curve, bound_inputs = _sweep_bounds(config, thresholds, trunc.level,
-                                            level_metrics[0]["drift"]["mean"])
+    sweeps = {name: detector.threshold_sweep(increments, config.thresholds, level)
+              for name, level in levels.items()}
+    curve, bound_inputs = (None, None) if config.bounds is None else _sweep_bounds(
+        config, sweeps["sweep.csv"].drift.mean)
     stages.end("scan", increments=len(increments))
 
     for name, report in sweeps.items():
         detector.write_sweep_csv(out_dir / name, report)
     outputs = list(sweeps)
-    if config.bounds is not None:
-        bounds_path = out_dir / "bounds.csv"
-        bounds.write_bound_csv(bounds_path, curve)
-        outputs.append(bounds_path.name)
-    stages.end("write", rows=len(thresholds) * len(outputs))
+    if curve is not None:
+        bounds.write_bound_csv(out_dir / "bounds.csv", curve)
+        outputs.append("bounds.csv")
+    stages.end("write", rows=len(config.thresholds) * len(outputs))
 
-    metrics = {
-        **stages.metrics(),
-        "truncation_levels": level_metrics,
-    }
-    if config.bounds is not None:
+    metrics = {**stages.metrics(), "truncation_levels": [
+        {"output": name, "truncation": levels[name].level, **_diagnostics(report)}
+        for name, report in sweeps.items()]}
+    if bound_inputs is not None:
         metrics["bounds"] = bound_inputs
-    metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, metrics)
-    outputs.append(metrics_path.name)
-
     for row in sweeps["sweep.csv"]:
         print(f"b={row.threshold:g} mean_run_length={row.mean:g} count={row.count}")
-    return outputs
+    return outputs, metrics
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(config: BoundsConfig, out_dir: Path) -> list[str]:
-    mu, mu_label = _resolve_mu(config.mu, None)
+def cmd_bounds(config: BoundsConfig, out_dir: Path):
+    mu, mu_label = config.resolved_mu()
     delta = float(config.delta)
     b = float(config.threshold)
     print(f"mu = {mu:.6g} ({mu_label})")
@@ -499,7 +412,7 @@ def cmd_bounds(config: BoundsConfig, out_dir: Path) -> list[str]:
     values_path = out_dir / "bounds.json"
     _write_json(values_path, values)
     outputs.append(values_path.name)
-    return outputs
+    return outputs, None
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +429,7 @@ def _parse_amc_file(path):
             raise AmcError(f"{path}: {err}") from err
 
 
-def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
+def cmd_mocap(config: MocapConfig, out_dir: Path):
     stages = _Stages()
     pre_clip = _parse_amc_file(config.pre)
     post_clip = None if config.post is None else _parse_amc_file(config.post)
@@ -556,14 +469,12 @@ def cmd_mocap(config: MocapConfig, out_dir: Path) -> list[str]:
         scenario["state_scale"] = result.state_scale.tolist()
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, scenario)
-    metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, stages.metrics())
 
     print(
         f"scenario: {scenario['n_frames']} frames, dimension {d}, "
         f"change index {scenario['change_index']}"
     )
-    return [states_path.name, pairs_path.name, scenario_path.name, metrics_path.name]
+    return [states_path.name, pairs_path.name, scenario_path.name], stages.metrics()
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +530,14 @@ def main(argv=None) -> int:
         config, resolved = load_config(args.command, _read_config(args.config), args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](config, out_dir)
-        _write_manifest(out_dir, args.command, resolved, outputs)
+        # a command returns its output names and its metrics.json record, or None
+        outputs, metrics = _COMMANDS[args.command](config, out_dir)
+        if metrics is not None:
+            _write_json(out_dir / "metrics.json", metrics)
+            outputs.append("metrics.json")
+        manifest = {"command": args.command, "package_version": __version__, "config": resolved,
+                    "outputs": outputs}
+        _write_json(out_dir / "manifest.json", manifest, sort_keys=True)
         return EXIT_OK
     except (AmcError, ModelFileError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,13 +1,33 @@
-"""The config schema of the ``scusum`` commands, and its one loader.
+"""The config schema of the ``scusum`` commands, its one loader, and every config rule.
 
-The frozen dataclasses below (with ``markov.GaussianKernelSpec`` for every
-kernel and ``scorenet.TrainConfig`` for ``training``) are the schema: their
-fields are the keys, their annotations the JSON kinds and their defaults the
-only defaults. ``load_config`` checks every value against them (the rules are
-listed in ``scusum.cli``), then builds them, so their own ``__post_init__``
-checks run too; each error names its dotted key. ``scusum.cli`` imports this
-module when a command runs, not at its own import: building the dataclasses
-takes about three times as long as loading the rest of ``scusum.cli``.
+The frozen dataclasses below (with ``markov.GaussianKernelSpec`` for kernels
+and ``scorenet.TrainConfig`` for ``training``) are the schema: their fields
+are the keys, their annotations the JSON kinds and their defaults the only
+defaults. ``load_config`` checks every value against them and builds them,
+and a section builds what its command will build from it (a
+``markov.TrajectoryConfig``, the resolved mu) by the command's own methods,
+so their checks run at load too. A value that breaks a rule exits 2 naming
+its dotted key. The rules: keys are known and required keys given; a value,
+and a list's every element, is of its JSON kind (``2.0`` is no integer,
+``true`` no number, and ``NaN`` and ``Infinity``, which Python's ``json``
+reads, are rejected); a string is one of its set (``"infinity"``: a change
+that never comes; ``"closed_form"``: a kernel's exact score;
+``"empirical"``: a drift estimated from the stream); ``seed`` and
+``burn_in`` are >= 0, ``pairs`` and ``change_point`` >= 1, and a scored
+stream has 2 states; ``data`` names one source, and ``train``'s ``csv``
+takes no ``pairs``, ``seed`` or ``burn_in``; ``markov.TrajectoryConfig``
+takes the simulated stream (a finite ``change_point`` needs a post-change
+kernel and is at most ``length``), and ``detect``'s ``change_point`` is
+``data.simulate``'s; the kernels share a dimension, and every kernel a
+command uses is given (``models.X = "closed_form"`` and ``stream.law = X``
+need ``kernels.X``, ``data.simulate`` needs ``kernels.pre``); thresholds,
+truncation levels and bound inputs are positive, ``thresholds`` increase, a
+heuristic mu has a truncation level, and a number drift is at most the
+truncation. Only what depends on the data waits for the command:
+``model.bin`` and data dimensions, a CSV's rows against ``change_point``,
+and the sign of an ``"empirical"`` drift. ``scusum.cli`` imports this module
+when a command runs, not at its own import: building the dataclasses takes
+about three times as long as loading the rest of ``scusum.cli``.
 """
 
 from __future__ import annotations
@@ -77,8 +97,9 @@ def _load(tp, value, path: str, seed):
 
 
 # integer keys with a lower bound, wherever they appear: numpy's generators
-# take no negative seed, a burn-in is a step count and training needs a pair
-_MINIMUM = {"seed": 0, "burn_in": 0, "pairs": 1}
+# take no negative seed, a burn-in is a step count, training needs a pair and
+# states are numbered from 1
+_MINIMUM = {"seed": 0, "burn_in": 0, "pairs": 1, "change_point": 1}
 
 
 def _load_section(cls, raw: dict, path: str, seed):
@@ -101,7 +122,7 @@ def _load_section(cls, raw: dict, path: str, seed):
         else:
             raise ValueError(f"missing required config key '{here}'")
         built[f.name], echo[f.name] = _load(hints[f.name], value, here, seed)
-        if f.name in _MINIMUM and value < _MINIMUM[f.name]:
+        if f.name in _MINIMUM and type(value) is int and value < _MINIMUM[f.name]:
             raise ValueError(f"{here} must be >= {_MINIMUM[f.name]}, got {value}")
     if hasattr(cls, "one_of"):  # a section that takes exactly one of these fields
         given = [name for name in cls.one_of if built[name] is not None]
@@ -125,6 +146,37 @@ class _FieldError(ValueError):
     """A section's check of one of its fields, whose message starts with the field's name."""
 
 
+def _built(build, key: str):
+    """``build()``; a ``ValueError`` it raises is raised again with ``key`` before its message."""
+    try:
+        return build()
+    except ValueError as err:
+        raise _FieldError(f"{key}{err}") from None
+
+
+def _same_dim(pre, post, pre_key: str, post_key: str) -> None:
+    if pre is not None and post is not None and pre.dim != post.dim:
+        raise _FieldError(f"{post_key}.dim must equal {pre_key}.dim = {pre.dim}, got {post.dim}")
+
+
+def _check_kernels(models, kernels, uses: dict[str, str]) -> None:
+    """Check the kernels; ``uses`` maps the key of each user of a kernel to the kernel's name.
+
+    A closed-form model uses its kernel too. The kernels share a dimension.
+    """
+    closed = {f"models.{which} = closed_form": which for which in ("pre", "post")
+              if getattr(models, which) == "closed_form"}
+    for user, which in {**uses, **closed}.items():
+        if getattr(kernels, which) is None:
+            raise _FieldError(f"{user} requires kernels.{which}")
+    _same_dim(kernels.pre, kernels.post, "kernels.pre", "kernels.post")
+
+
+def _change_time(change_point) -> float:
+    """``change_point`` as a time: ``"infinity"`` and ``null`` are ``math.inf``."""
+    return math.inf if change_point in ("infinity", None) else change_point
+
+
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
@@ -140,13 +192,14 @@ class StreamConfig:
     seed: int = markov.TrajectoryConfig.seed
     burn_in: int = markov.TrajectoryConfig.burn_in
     min_length: typing.ClassVar[int] = 2  # a scored stream needs one pair: two states
+    change_time: typing.ClassVar[float] = math.inf
 
     def __post_init__(self):
         if self.length < self.min_length:
             raise ValueError(f"length must be >= {self.min_length}, got {self.length}")
 
-    def trajectory(self, pre, post=None, change_point=math.inf) -> markov.TrajectoryConfig:
-        return markov.TrajectoryConfig(pre=pre, post=post, change_point=change_point,
+    def _trajectory(self, pre, post=None) -> markov.TrajectoryConfig:
+        return markov.TrajectoryConfig(pre=pre, post=post, change_point=self.change_time,
                                        length=self.length, seed=self.seed, burn_in=self.burn_in)
 
 
@@ -158,8 +211,7 @@ class ChangeStreamConfig(StreamConfig):
 
     @property
     def change_time(self) -> float:
-        """``change_point`` as a time: ``"infinity"`` and ``null`` are ``math.inf``."""
-        return math.inf if self.change_point in ("infinity", None) else self.change_point
+        return _change_time(self.change_point)
 
 
 @_section
@@ -167,6 +219,14 @@ class SimulateConfig(ChangeStreamConfig):
     kernel: markov.GaussianKernelSpec
     post_kernel: markov.GaussianKernelSpec | None = None
     min_length: typing.ClassVar[int] = 0  # a written trajectory may be empty
+
+    def __post_init__(self):
+        super().__post_init__()
+        _same_dim(self.kernel, self.post_kernel, "kernel", "post_kernel")
+        _built(self.trajectory, "")
+
+    def trajectory(self) -> markov.TrajectoryConfig:
+        return self._trajectory(self.kernel, self.post_kernel)
 
 
 @_section
@@ -223,10 +283,8 @@ class DetectorSettings:
     truncation: float | None = None
 
     def __post_init__(self):
-        try:
-            detector.DetectorConfig(self.threshold, detector.TruncationSpec(self.truncation))
-        except ValueError as err:
-            raise _FieldError(err) from None
+        _built(lambda: detector.DetectorConfig(
+            self.threshold, detector.TruncationSpec(self.truncation)), "")
 
 
 @_section
@@ -239,11 +297,23 @@ class DetectConfig:
 
     def __post_init__(self):
         simulate = self.data.simulate
-        if simulate and self.change_point is not None and self.change_time != simulate.change_time:
+        _check_kernels(self.models, self.kernels, {"data.simulate": "pre"} if simulate else {})
+        if simulate is None:
+            return
+        if self.change_point is not None and _change_time(self.change_point) != simulate.change_time:
             raise _FieldError(f"change_point = {json.dumps(self.change_point)} contradicts "
                               f"data.simulate.change_point = {json.dumps(simulate.change_point)}")
+        _built(self.trajectory, "data.simulate.")
 
-    change_time = ChangeStreamConfig.change_time  # math.inf when none is declared
+    @property
+    def change_time(self) -> float:
+        """The stream's change time, whichever key declares it; ``math.inf`` when none does."""
+        simulate = self.data.simulate
+        return _change_time(self.change_point) if simulate is None else simulate.change_time
+
+    def trajectory(self) -> markov.TrajectoryConfig | None:  # None for a csv source
+        simulate = self.data.simulate
+        return None if simulate is None else simulate._trajectory(self.kernels.pre, self.kernels.post)
 
 
 @_section
@@ -260,17 +330,10 @@ class HeuristicMu:
     truncation_level: float | None = None
     factor: float = bounds.HEURISTIC_MU_FACTOR
 
-    def __post_init__(self):
-        _positive(self, "truncation_level", "factor")
-
 
 @_section
 class DoeblinMu(bounds.DoeblinConstants):
     norm_phi: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        _positive(self, "norm_phi")
 
 
 @_section
@@ -293,11 +356,21 @@ def _positive(section, *names) -> None:
             raise _FieldError(f"{name} must be positive, got {value!r}")
 
 
-def _check_mu(mu: Mu, truncation: float | None, key: str) -> None:
-    """A heuristic ``mu`` needs a truncation level: its own, or ``truncation``."""
-    heuristic = getattr(mu, "heuristic", None)
-    if heuristic is not None and heuristic.truncation_level is None and truncation is None:
-        raise _FieldError(f"{key}.heuristic.truncation_level is required without a truncation")
+def _resolve_mu(mu: Mu, truncation: float | None, key: str) -> tuple[float, str]:
+    """(mu, its provenance label); a heuristic ``mu`` takes ``truncation`` unless it has a level."""
+    if isinstance(mu, (int, float)):
+        value, label = float(mu), "explicit"
+    elif mu.doeblin is not None:
+        doeblin, label = mu.doeblin, "doeblin constants"
+        value = _built(lambda: bounds.concentration_mu(doeblin.norm_phi, doeblin), f"{key}.doeblin.")
+    else:
+        level = truncation if mu.heuristic.truncation_level is None else mu.heuristic.truncation_level
+        if level is None:
+            raise _FieldError(f"{key}.heuristic.truncation_level is required without a truncation")
+        factor = mu.heuristic.factor
+        value = _built(lambda: bounds.heuristic_mu(level, factor), f"{key}.heuristic.")
+        label = f"heuristic ({factor} * truncation level)"
+    return value, label
 
 
 @_section
@@ -321,19 +394,24 @@ class SweepConfig:
     bounds: SweepBoundsConfig | None = None
 
     def __post_init__(self):
-        try:
-            detector.check_thresholds(self.thresholds)
-            detector.TruncationSpec(self.truncation)
-        except ValueError as err:
-            raise _FieldError(err) from None
+        _built(lambda: detector.check_thresholds(self.thresholds), "")
+        _built(lambda: detector.TruncationSpec(self.truncation), "")
+        _check_kernels(self.models, self.kernels, {f"stream.law = {self.stream.law}": self.stream.law})
+        _built(self.trajectory, "stream.")
         if self.bounds is None:
             return
-        _check_mu(self.bounds.mu, self.truncation, "bounds.mu")
+        self.resolved_mu()
         for name in ("delta", "post_drift"):  # a drift of clipped increments is within the clip
             drift = getattr(self.bounds, name)
             if drift != "empirical" and self.truncation is not None and drift > self.truncation:
                 raise _FieldError(f"bounds.{name} must be at most truncation = "
                                   f"{self.truncation!r}, got {drift!r}")
+
+    def trajectory(self) -> markov.TrajectoryConfig:  # drawn from one kernel throughout
+        return self.stream._trajectory(getattr(self.kernels, self.stream.law))
+
+    def resolved_mu(self) -> tuple[float, str]:
+        return _resolve_mu(self.bounds.mu, self.truncation, "bounds.mu")
 
 
 @_section
@@ -346,7 +424,10 @@ class BoundsConfig:
 
     def __post_init__(self):
         _positive(self, "mu", "delta", "post_drift")
-        _check_mu(self.mu, None, "mu")
+        self.resolved_mu()
+
+    def resolved_mu(self) -> tuple[float, str]:
+        return _resolve_mu(self.mu, None, "mu")
 
 
 @_section

@@ -100,9 +100,9 @@ class TrajectoryConfig:
             if int(cp) != cp or cp < 1:
                 raise ValueError("change_point must be a positive integer or infinity")
             if self.post is None:
-                raise ValueError("finite change_point requires a post-change kernel")
+                raise ValueError(f"change_point = {cp!r} requires a post-change kernel")
             if cp > self.length:
-                raise ValueError("change_point must be <= length")
+                raise ValueError(f"change_point must be <= length = {self.length}, got {cp!r}")
         if self.post is not None and self.post.dim != self.pre.dim:
             raise ValueError("pre and post kernels must share dimension")
 

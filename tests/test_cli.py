@@ -296,7 +296,13 @@ class TestDetect:
         phi = np.clip(rows[:, 1], -10.0, 10.0)
         assert metrics["drift"] == {"mean": float(np.mean(phi)), "count": 399,
                                     "std_error": float(np.std(phi, ddof=1) / np.sqrt(399))}
-        assert metrics["peak_statistic"] == rows[:, 2].max()
+        # the peak is the one-step recursion's, exactly, not the trace's maximum
+        config = DetectorConfig(threshold=math.inf, truncation=TruncationSpec(10.0))
+        state, peak = DetectorState(), -math.inf
+        for s in rows[:, 1]:
+            state = detector_update(state, s, config)
+            peak = max(peak, state.statistic)
+        assert metrics["peak_statistic"] == peak
 
     def test_alarm_times_follow_the_one_step_recursion_with_resets(self, tmp_path):
         # a truncation that binds and several alarms: alarms.json must list the

@@ -242,6 +242,64 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, command, payload, ke
     assert not out.exists() or not any(out.iterdir())
 
 
+def _without(payload, *keys):
+    """A deep copy of ``payload`` without the keys at the ``keys`` paths."""
+    copy = json.loads(json.dumps(payload))
+    for path in keys:
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return copy
+
+
+NO_MODEL = {"pre": "no_such_model.bin", "post": "no_such_model.bin"}
+DETECT_CSV = {**VALID["detect"], "data": {"csv": "no_such.csv"}}
+
+# rules across sections that the commands checked only once they ran, after
+# the load; each names its dotted key, and none opens a model file
+CROSS_FIELD = [
+    ("simulate", with_leaf(VALID["simulate"], ("change_point",), 0),
+     "change_point must be >= 1, got 0"),
+    ("simulate", _without(VALID["simulate"], ("post_kernel",)),
+     "change_point = 5 requires a post-change kernel"),
+    ("simulate", with_leaf(VALID["simulate"], ("change_point",), 11),
+     "change_point must be <= length = 10, got 11"),
+    ("simulate", with_leaf(VALID["simulate"], ("post_kernel", "dim"), 2),
+     "post_kernel.dim must equal kernel.dim = 3, got 2"),
+    ("detect", with_leaf(_without(VALID["detect"], ("kernels", "pre")), ("models",), NO_MODEL),
+     "data.simulate requires kernels.pre"),
+    ("detect", with_leaf(_without(VALID["detect"], ("kernels", "post")), ("models",), NO_MODEL),
+     "data.simulate.change_point = 20 requires a post-change kernel"),
+    ("detect", with_leaf(_without(VALID["detect"], ("change_point",)),
+                         ("data", "simulate", "change_point"), 41),
+     "data.simulate.change_point must be <= length = 40, got 41"),
+    ("detect", with_leaf(_without(VALID["detect"], ("change_point",)),
+                         ("data", "simulate", "change_point"), 0),
+     "data.simulate.change_point must be >= 1, got 0"),
+    ("detect", with_leaf(DETECT_CSV, ("change_point",), -3), "change_point must be >= 1, got -3"),
+    ("detect", _without(DETECT_CSV, ("kernels", "post")),
+     "models.post = closed_form requires kernels.post"),
+    ("detect", with_leaf(DETECT_CSV, ("kernels", "post", "dim"), 2),
+     "kernels.post.dim must equal kernels.pre.dim = 3, got 2"),
+    ("sweep", with_leaf(with_leaf(VALID["sweep"], ("kernels", "post", "dim"), 2), ("models",), NO_MODEL),
+     "kernels.post.dim must equal kernels.pre.dim = 3, got 2"),
+    ("sweep", with_leaf(with_leaf(_without(VALID["sweep"], ("kernels", "post")), ("models",), NO_MODEL),
+                        ("stream", "law"), "post"),
+     "stream.law = post requires kernels.post"),
+    ("sweep", with_leaf(_without(VALID["sweep"], ("kernels", "pre")), ("stream", "law"), "post"),
+     "models.pre = closed_form requires kernels.pre"),
+]
+
+
+@pytest.mark.parametrize("command, payload, message", CROSS_FIELD,
+                         ids=[f"{c}-{m}" for c, _, m in CROSS_FIELD])
+def test_cross_field_rule_is_rejected_by_the_loader(command, payload, message):
+    with pytest.raises(ValueError) as err:
+        load_config(command, payload)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("command, key, value, message", [
     ("sweep", ("stream", "law"), "x", 'stream.law must be "pre" or "post", got "x"'),
     ("train", ("training", "optimizer"), "x", "training: optimizer must be 'adam' or 'sgd'"),
