@@ -11,7 +11,8 @@ default filled in and no value rewritten, so any run can be reproduced from
 its manifest alone. ``train``, ``detect``, ``sweep`` and ``mocap`` also
 write a ``metrics.json`` with the wall time and the process's peak resident
 set (its high-water mark so far) at the end of each stage; ``bounds`` writes
-the values it prints to ``bounds.json``.
+the values it prints to ``bounds.json``. JSON outputs are strict JSON: a
+non-finite number is written as the string ``"inf"``, ``"-inf"`` or ``"nan"``.
 
 Exit codes: 0 success, 1 internal errors (a fault in a command, not in its
 input), 2 usage/config errors, 3 data errors (trajectory CSVs, AMC files,
@@ -57,9 +58,20 @@ def _read_config(path):
         raise ValueError(f"config {path} is not valid JSON: {err}") from err
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float as the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")
 
 
@@ -142,7 +154,11 @@ def _staged_blocks(stages: _Stages, blocks, make: str, use: str):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: SimulateConfig, out_dir: Path):
-    states = markov.simulate_path(config.trajectory())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        states = markov.simulate_path(config.trajectory())
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise NumericsError(f"simulated state {int(finite.argmin()) + 1} is not finite")
     path = out_dir / "trajectory.csv"
     # state n (row n - 1) is the first post-change one from n = cp on
     markov.write_trajectory_csv(path, states, post_from=config.change_time - 1)

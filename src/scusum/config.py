@@ -5,25 +5,27 @@ and ``scorenet.TrainConfig`` for ``training``) are the schema: their fields
 are the keys, their annotations the JSON kinds and their defaults the only
 defaults. ``load_config`` checks every value against them and builds them,
 and a section builds what its command will build from it (a
-``markov.TrajectoryConfig``, the resolved mu) by the command's own methods,
-so their checks run at load too. A value that breaks a rule exits 2 naming
-its dotted key. The rules: keys are known and required keys given; a value,
-and a list's every element, is of its JSON kind (``2.0`` is no integer,
-``true`` no number, and ``NaN`` and ``Infinity``, which Python's ``json``
-reads, are rejected); a string is one of its set (``"infinity"``: a change
-that never comes; ``"closed_form"``: a kernel's exact score;
-``"empirical"``: a drift estimated from the stream); ``seed`` and
-``burn_in`` are >= 0, ``pairs`` and ``change_point`` >= 1, and a scored
-stream has 2 states; ``data`` names one source, and ``train``'s ``csv``
-takes no ``pairs``, ``seed`` or ``burn_in``; ``markov.TrajectoryConfig``
-takes the simulated stream (a finite ``change_point`` needs a post-change
-kernel and is at most ``length``), and ``detect``'s ``change_point`` is
-``data.simulate``'s; the kernels share a dimension, and every kernel a
-command uses is given (``models.X = "closed_form"`` and ``stream.law = X``
-need ``kernels.X``, ``data.simulate`` needs ``kernels.pre``); thresholds,
-truncation levels and bound inputs are positive, ``thresholds`` increase, a
-heuristic mu has a truncation level, and a number drift is at most the
-truncation. Only what depends on the data waits for the command:
+``markov.TrajectoryConfig``, a closed-form score field, the resolved mu) by
+the command's own methods, so their checks run at load too. A value that
+breaks a rule exits 2 naming its dotted key. The rules: keys are known and
+required keys given; a value, and a list's every element, is of its JSON
+kind (``2.0`` is no integer, ``true`` no number, and ``NaN`` and
+``Infinity``, which Python's ``json`` reads, are rejected); a string is one
+of its set (``"infinity"``: a change that never comes; ``"closed_form"``: a
+kernel's exact score; ``"empirical"``: a drift estimated from the stream);
+``seed`` and ``burn_in`` are >= 0, ``pairs`` and ``change_point`` >= 1, and
+a scored stream has 2 states; ``data`` names one source, and ``train``'s
+``csv`` takes no ``pairs``, ``seed`` or ``burn_in``;
+``markov.TrajectoryConfig`` takes the simulated stream (a finite
+``change_point`` needs a post-change kernel and is at most ``length``), and
+``detect``'s ``change_point`` is ``data.simulate``'s; the kernels share a
+dimension, and every kernel a command uses is given (``models.X =
+"closed_form"`` and ``stream.law = X`` need ``kernels.X``, ``data.simulate``
+needs ``kernels.pre``); a closed-form score's ``sigma`` (``train``'s
+``data.kernel`` too) and the resolved mu have a normal float square;
+thresholds, truncation levels and bound inputs are positive, ``thresholds``
+increase, a heuristic mu has a truncation level, and a number drift is at
+most the truncation. Only what depends on the data waits for the command:
 ``model.bin`` and data dimensions, a CSV's rows against ``change_point``,
 and the sign of an ``"empirical"`` drift. ``scusum.cli`` imports this module
 when a command runs, not at its own import: building the dataclasses takes
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Literal
@@ -162,13 +165,16 @@ def _same_dim(pre, post, pre_key: str, post_key: str) -> None:
 def _check_kernels(models, kernels, uses: dict[str, str]) -> None:
     """Check the kernels; ``uses`` maps the key of each user of a kernel to the kernel's name.
 
-    A closed-form model uses its kernel too. The kernels share a dimension.
+    A closed-form model uses its kernel too, and its score is built from it. The kernels share a
+    dimension.
     """
     closed = {f"models.{which} = closed_form": which for which in ("pre", "post")
               if getattr(models, which) == "closed_form"}
     for user, which in {**uses, **closed}.items():
         if getattr(kernels, which) is None:
             raise _FieldError(f"{user} requires kernels.{which}")
+    for which in closed.values():
+        _built(lambda: markov.closed_form_score(getattr(kernels, which)), f"kernels.{which}.")
     _same_dim(kernels.pre, kernels.post, "kernels.pre", "kernels.post")
 
 
@@ -241,6 +247,10 @@ class TrainDataConfig:
     one_of: typing.ClassVar[tuple[str, ...]] = ("kernel", "csv")
     # a csv source is read whole: a simulation's settings would be ignored there
     needs: typing.ClassVar[dict[str, str]] = dict.fromkeys(("pairs", "seed", "burn_in"), "kernel")
+
+    def __post_init__(self):
+        if self.kernel is not None:  # the accuracy oracle
+            _built(lambda: markov.closed_form_score(self.kernel), "kernel.")
 
 
 @_section
@@ -357,7 +367,10 @@ def _positive(section, *names) -> None:
 
 
 def _resolve_mu(mu: Mu, truncation: float | None, key: str) -> tuple[float, str]:
-    """(mu, its provenance label); a heuristic ``mu`` takes ``truncation`` unless it has a level."""
+    """(mu, its provenance label); a heuristic ``mu`` takes ``truncation`` unless it has a level.
+
+    The bounds divide by mu^2, so a mu whose square is not a normal float is rejected.
+    """
     if isinstance(mu, (int, float)):
         value, label = float(mu), "explicit"
     elif mu.doeblin is not None:
@@ -370,6 +383,8 @@ def _resolve_mu(mu: Mu, truncation: float | None, key: str) -> tuple[float, str]
         factor = mu.heuristic.factor
         value = _built(lambda: bounds.heuristic_mu(level, factor), f"{key}.heuristic.")
         label = f"heuristic ({factor} * truncation level)"
+    if not sys.float_info.min <= value * value < math.inf:
+        raise _FieldError(f"{key} must have a normal float square, got {value!r} ({label})")
     return value, label
 
 

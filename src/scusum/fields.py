@@ -37,6 +37,7 @@ Fields are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable
@@ -165,8 +166,9 @@ class GaussianScoreField(ScoreField):
     """
 
     def __init__(self, mean_fn, sigma: float, dim: int):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # the score divides by sigma^2: a square that underflows or overflows has no score
+        if not (sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be positive with a normal float square, got {sigma!r}")
         self.mean_fn = mean_fn
         self.sigma = float(sigma)
         self.dim = int(dim)

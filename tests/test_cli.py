@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from scusum import bounds, cli, markov
-from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from scusum.detector import (DetectorConfig, DetectorState, TruncationSpec, detector_update,
                              score_increments, statistic_trace)
 from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
@@ -34,6 +34,14 @@ def run(tmp_path, command, payload, out="out", extra=()):
     out_dir = tmp_path / out
     code = main([command, "--config", config, "--out", str(out_dir), *extra])
     return code, out_dir
+
+
+def read_strict_json(path):
+    """The JSON file at ``path``, refusing the non-standard tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not standard JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def assert_stage_peaks(stages):
@@ -142,6 +150,16 @@ class TestSimulate:
         payload = {"kernel": {**SMALL_KERNEL, key: value}, "length": 10}
         code, out = run(tmp_path, "simulate", payload)
         assert code == EXIT_USAGE
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("burn_in, state", [(1000, 1), (0, 3)])
+    def test_non_finite_path_exits_4_naming_its_first_state(self, tmp_path, capsys, burn_in, state):
+        # numpy warned of the overflow, nan rows were written and the run exited 0
+        payload = {"kernel": {"dim": 2, "alpha": 1.9, "sigma": 1e308, "shift": 1e308},
+                   "length": 10, "burn_in": burn_in}
+        code, out = run(tmp_path, "simulate", payload)
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error: simulated state {state} is not finite\n"
         assert not (out / "trajectory.csv").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
@@ -625,13 +643,15 @@ class TestBounds:
         }
 
     def test_bound_past_the_float_range_writes_inf(self, tmp_path):
-        # exp(4 * 998 / 4) overflows a double: the bound is inf, not an internal error
-        payload = {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "thresholds": [4.0, 1000.0]}
+        # exp(4 * 998 / 4) overflows a double: the bound is inf, not an internal error,
+        # and bounds.json writes it as the string "inf", which a strict parser reads
+        payload = {"delta": 1.0, "mu": 2.0, "threshold": 1000.0, "thresholds": [4.0, 1000.0]}
         code, out = run(tmp_path, "bounds", payload)
         assert code == EXIT_OK
         lower = bounds.false_alarm_lower_bound(1.0, 2.0, 4.0)
         assert (out / "bounds.csv").read_text().splitlines() == [
             "b,bound", f"4.0,{lower!r}", "1000.0,inf"]
+        assert read_strict_json(out / "bounds.json")["false_alarm_lower_bound"] == "inf"
 
     def test_delay_bound_past_the_float_range_writes_inf(self, tmp_path, capsys):
         # floor((4 + 2) / 1e-310) has no float: an internal error exited 1 with no bounds.json
@@ -639,8 +659,8 @@ class TestBounds:
         code, out = run(tmp_path, "bounds", payload)
         assert code == EXIT_OK
         assert "n0 = inf, 1 + n0 = inf" in capsys.readouterr().out
-        assert json.loads((out / "bounds.json").read_text())["delay"] == {
-            "post_drift": 1e-310, "n0": math.inf, "upper_bound": math.inf, "asymptotic": True}
+        assert read_strict_json(out / "bounds.json")["delay"] == {
+            "post_drift": 1e-310, "n0": "inf", "upper_bound": "inf", "asymptotic": True}
 
     def test_without_post_drift_writes_no_delay(self, tmp_path):
         code, out = run(tmp_path, "bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0})

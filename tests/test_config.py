@@ -230,6 +230,24 @@ DEFECTS = [
     ("bounds", with_leaf(VALID["bounds"], ("delta",), -1.0), "delta must be positive, got -1.0"),
     ("bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "post_drift": 0},
      "post_drift must be positive, got 0"),
+    # the bounds and the closed-form score divide by mu^2 and sigma^2: a square
+    # that underflows exited 1 with a ZeroDivisionError, one that overflows with
+    # an OverflowError
+    ("bounds", {"delta": 1e300, "mu": 1e-300, "threshold": 1e300},
+     "mu must have a normal float square, got 1e-300 (explicit)"),
+    ("bounds", with_leaf(VALID["bounds"], ("mu",), 1e200), "mu must have a normal float square"),
+    ("bounds", with_leaf(VALID["bounds"], ("mu", "doeblin", "norm_phi"), 1e-300),
+     "mu must have a normal float square, got 8e-300 (doeblin constants)"),
+    ("sweep", with_leaf(VALID["sweep"], ("kernels", "pre", "sigma"), 1e-200),
+     "kernels.pre.sigma must be positive with a normal float square, got 1e-200"),
+    ("sweep", with_leaf(VALID["sweep"], ("kernels", "post", "sigma"), 1e200),
+     "kernels.post.sigma must be positive with a normal float square, got 1e+200"),
+    ("sweep", with_leaf(VALID["sweep"], ("truncation",), 5e-324),
+     "bounds.mu must have a normal float square, got 1e-323 (heuristic (2.05 * truncation level))"),
+    ("detect", with_leaf(VALID["detect"], ("kernels", "pre", "sigma"), 1e-160),
+     "kernels.pre.sigma must be positive with a normal float square"),
+    ("train", with_leaf(VALID["train"], ("data", "kernel", "sigma"), 1e-200),
+     "data.kernel.sigma must be positive with a normal float square"),
 ]
 
 
@@ -485,6 +503,26 @@ def test_committed_configs_load(path):
     config, echo = load_config(command, json.loads(path.read_text()))
     assert isinstance(config, SCHEMAS[command])
     assert json.loads(json.dumps(echo)) == echo
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_committed_configs_write_strict_json(tmp_path, monkeypatch, path):
+    # NaN and Infinity are Python's tokens, not JSON's; a strict parser refuses them
+    command = path.stem.split("_")[0]
+    payload = json.loads(path.read_text())
+    if command == "train":  # its settings but a small fit: the full one takes a minute
+        payload = with_leaf(with_leaf(payload, ("data", "pairs"), 256), ("training", "epochs"), 1)
+    monkeypatch.chdir(ROOT)  # the mocap config names its clips relative to the root
+    code, out = run(tmp_path, command, payload)
+    assert code == EXIT_OK
+    written = sorted(out.glob("*.json"))
+    assert "manifest.json" in [p.name for p in written]
+    for output in written:
+        json.loads(output.read_text(), parse_constant=_refuse)
 
 
 def test_library_dataclasses_are_the_sections():

@@ -62,6 +62,13 @@ class TestHyvarinenScore:
         singles = [hyvarinen_score(field, TransitionPair(x, y)) for x, y in zip(X, Y)]
         assert np.allclose(batch, singles)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-200, 1e200, 1.4e-154])
+    def test_sigma_without_a_normal_float_square_rejected(self, sigma):
+        # the score divides by sigma**2: 0 for the small ones, an OverflowError for 1e200
+        with pytest.raises(ValueError, match="normal float square"):
+            GaussianScoreField(np.tanh, sigma=sigma, dim=2)
+        GaussianScoreField(np.tanh, sigma=1.5e-154, dim=2)  # its square is normal
+
     def test_dimension_mismatch_rejected(self):
         field = standard_normal_field(dim=2)
         with pytest.raises(ValueError, match="dimension"):
