@@ -153,14 +153,14 @@ def _staged_blocks(stages: _Stages, blocks, make: str, use: str):
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(config: SimulateConfig, out_dir: Path):
+def cmd_simulate(config: SimulateConfig, out_dir: Path) -> tuple[list[str], dict | None]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         states = markov.simulate_path(config.trajectory())
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise NumericsError(f"simulated state {int(finite.argmin()) + 1} is not finite")
     path = out_dir / "trajectory.csv"
-    # state n (row n - 1) is the first post-change one from n = cp on
+    # state n (row n - 1) is the first post-change one from n = change_time on
     markov.write_trajectory_csv(path, states, post_from=config.change_time - 1)
     print(f"wrote {path} ({states.shape[0]} steps, dim {config.kernel.dim})")
     return [path.name], None
@@ -200,7 +200,7 @@ def _read_states_csv(path) -> np.ndarray:
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(config: TrainCommandConfig, out_dir: Path):
+def cmd_train(config: TrainCommandConfig, out_dir: Path) -> tuple[list[str], dict | None]:
     stages = _Stages()
     data = config.data
     oracle = None
@@ -272,7 +272,7 @@ def _diagnostics(report: detector.SweepReport) -> dict:
             "drift": asdict(report.drift)}
 
 
-def cmd_detect(config: DetectConfig, out_dir: Path):
+def cmd_detect(config: DetectConfig, out_dir: Path) -> tuple[list[str], dict | None]:
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
     cp = config.change_time
     trajectory = config.trajectory()
@@ -360,7 +360,7 @@ def _sweep_bounds(config: SweepConfig, drift_estimate):
     return curve, inputs
 
 
-def cmd_sweep(config: SweepConfig, out_dir: Path):
+def cmd_sweep(config: SweepConfig, out_dir: Path) -> tuple[list[str], dict | None]:
     field_pre, field_post = _resolve_fields(config.models, config.kernels)
     stages = _Stages()
     # the stream is stepped and scored one block at a time: only the
@@ -400,7 +400,7 @@ def cmd_sweep(config: SweepConfig, out_dir: Path):
 # bounds
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(config: BoundsConfig, out_dir: Path):
+def cmd_bounds(config: BoundsConfig, out_dir: Path) -> tuple[list[str], dict | None]:
     mu, mu_label = config.resolved_mu()
     delta = float(config.delta)
     b = float(config.threshold)
@@ -445,7 +445,7 @@ def _parse_amc_file(path):
             raise AmcError(f"{path}: {err}") from err
 
 
-def cmd_mocap(config: MocapConfig, out_dir: Path):
+def cmd_mocap(config: MocapConfig, out_dir: Path) -> tuple[list[str], dict | None]:
     stages = _Stages()
     pre_clip = _parse_amc_file(config.pre)
     post_clip = None if config.post is None else _parse_amc_file(config.post)
