@@ -5,19 +5,29 @@ All kernels are plain numpy and Python; there is one backend.
 Chain stepping iterates x <- x - alpha*x + shift*tanh(x) + sigma*z and is
 bitwise equal to stepping one state at a time. Stepping one 10-wide state
 per call is bound by ufunc overhead, so ``chain_steps`` cuts the stream into
-R = n // BLOCK lanes of n // R steps each (at least ``BLOCK``) and advances
-all lanes together as one (R, d) state: lane 0 from ``x0``, every other lane
-from a guess. One correction sweep then re-steps each lane from the previous
-lane's end. A lane is resolved from the first step at which its corrected
-state equals the stored state bitwise, because the map is deterministic from
-there on; a lane whose end did not change hands an exact end to the next
-lane. Lanes that are still unresolved after the sweep (the paths of a
-bistable kernel need not merge) and the fewer than R steps past the last
-lane are stepped one state at a time, so the worst case stays close to the
-plain loop. Every loop makes no temporaries: a step is seven ``out=`` ufunc
-calls into two preallocated buffers of the state's shape, in the order and
-with the IEEE operations of the expression above, so it stays bitwise equal
-to it.
+R = (n - WARMUP) // BLOCK lanes and advances them together as one (R, d)
+state. Lane 0 starts from ``x0`` and stores its first WARMUP + L states,
+with L = (n - WARMUP) // R; lane r >= 1 starts WARMUP steps before its L
+rows, inside the last rows of lane r - 1, from ``x0`` as a guess, and steps
+that warm-up storing nothing. Each state is written over the noise row it
+consumed, so the stepper needs no second (n, d) array. That is safe because
+every row is read before its one write: lane r reads row r*L + t at its step
+t, and the row a warm-up reads at step t < WARMUP is written by lane r - 1 at
+step L + t, later.
+
+The map is deterministic, so a lane whose warm-up ends bitwise on the state
+lane r - 1 stored in that row is exact from there on, given that lane r - 1
+is. One comparison of each lane's warm-up end with that stored state
+certifies the lanes in order; when all pass, the fewer than R steps past the
+last lane are stepped one state at a time. Otherwise (the paths of a
+bistable or slowly contracting kernel need not merge within WARMUP steps)
+``chain_steps`` returns only the rows of the lanes before the first that
+failed: the noise of the rest is spent, and its caller draws it again from
+the generator state it saved and steps it with ``_step_rows``, so the worst
+case stays close to the plain loop. Every loop makes no temporaries: a step
+is seven ``out=`` ufunc calls into two preallocated buffers of the state's
+shape, in the order and with the IEEE operations of the expression above, so
+it stays bitwise equal to it.
 
 The CUSUM statistic follows the recursion
 
@@ -82,8 +92,12 @@ import math
 
 import numpy as np
 
-# least steps per lane of the lockstep chain stepper
+# least stored steps per lane of the lockstep chain stepper
 BLOCK = 1024
+
+# steps each lockstep lane after the first takes, storing nothing, before its
+# own rows; fewer than BLOCK, so a warm-up reads only rows of the lane before
+WARMUP = 512
 
 # steps per piece of the scan's numpy passes: their scratch arrays have this
 # many elements, whatever the stream length
@@ -116,61 +130,91 @@ def _step(x, z, alpha, shift, sigma, a, b, out):
     np.add(a, b, out=out)
 
 
-def _step_sequential(x, noise, out, alpha, shift, sigma):
+def _step_rows(x, rows, alpha: float, shift: float, sigma: float) -> None:
+    """Step from state ``x`` over the noise ``rows`` one state at a time, each state over its row."""
     a, b = np.empty_like(x), np.empty_like(x)
-    for t in range(noise.shape[0]):
-        _step(x, noise[t], alpha, shift, sigma, a, b, out[t])
-        x = out[t]
+    for z in rows:
+        _step(x, z, alpha, shift, sigma, a, b, z)
+        x = z
 
 
 def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarray:
-    """Iterate the transition map over pre-drawn noise rows; returns (n, d).
+    """Iterate the transition map over pre-drawn noise rows, writing each state over its row.
 
-    The result is bitwise equal to stepping one state at a time from ``x0``.
+    Returns the leading rows of ``noise`` (of its float64 C-contiguous copy,
+    if it is not one) that hold certified states, bitwise equal to stepping
+    one state at a time from ``x0``: all of them unless a lockstep lane
+    failed its check, and always the first WARMUP + L. ``x0`` is not changed.
     """
     x0 = _as_f64(x0)
     noise = _as_f64(noise)
     n, d = noise.shape
-    out = np.empty((n, d), dtype=np.float64)
-    R = n // BLOCK
+    R = (n - WARMUP) // BLOCK
     if R < 2:
-        _step_sequential(x0, noise, out, alpha, shift, sigma)
-        return out
+        _step_rows(x0, noise, alpha, shift, sigma)
+        return noise
 
-    L = n // R  # steps per lane; the n - R*L < R steps after the last lane run sequentially
-    z = noise[: R * L].reshape(R, L, d)
-    lanes = out[: R * L].reshape(R, L, d)
-    a, b = np.empty((R, d)), np.empty((R, d))
-
-    # lockstep pass: lane 0 from x0 (exact), the others from x0 as a guess
+    # L stored steps per lane; the n - WARMUP - R*L < R steps after the last
+    # lane run one state at a time
+    L = (n - WARMUP) // R
+    row = noise.strides[0]
+    # z[t] is the (R, d) view of the rows the lanes read at step t, r*L + t for lane r
+    z = np.lib.stride_tricks.as_strided(noise, (WARMUP + L, R, d), (row, L * row, noise.strides[1]))
     X = np.empty((R, d))
     X[:] = x0
-    for t in range(L):
-        _step(X, z[:, t], alpha, shift, sigma, a, b, X)
-        lanes[:, t] = X
-    ends = X
+    a, b = np.empty((R, d)), np.empty((R, d))
+    for t in range(WARMUP):  # lane 0 stores its states, the others warm up
+        _step(X, z[t], alpha, shift, sigma, a, b, X)
+        z[t, 0] = X[0]
+    warm = X[1:].copy()
+    for t in range(WARMUP, WARMUP + L):
+        _step(X, z[t], alpha, shift, sigma, a, b, X)
+        z[t] = X
 
-    # correction sweep: re-step lanes 1..R-1 from the stored end of the lane
-    # before; stop early once every lane has merged with its stored path
-    Y = ends[:-1].copy()
-    a, b = a[1:], b[1:]
-    same = np.empty((R - 1, d), dtype=bool)
-    exact = R
-    for t in range(L):
-        _step(Y, z[1:, t], alpha, shift, sigma, a, b, Y)
-        if np.equal(_bits(Y), _bits(lanes[1:, t]), out=same).all():
-            break
-        lanes[1:, t] = Y
-    else:
-        # the first lane whose end changed is exact (its start was), but the
-        # lanes after it were corrected from a stale end
-        changed = np.flatnonzero(np.any(_bits(Y) != _bits(ends[1:]), axis=1))
-        if changed.size:
-            exact = int(changed[0]) + 2
+    # lane r is exact if lane r - 1 is and its warm-up ended on lane r - 1's last state
+    lasts = noise[WARMUP + L - 1 : WARMUP + (R - 1) * L : L]
+    merged = np.equal(_bits(warm), _bits(lasts)).all(axis=1)
+    if not merged.all():
+        return noise[: WARMUP + (int(merged.argmin()) + 1) * L]
+    start = WARMUP + R * L
+    _step_rows(noise[start - 1], noise[start:], alpha, shift, sigma)
+    return noise
 
-    start = exact * L
-    _step_sequential(out[start - 1], noise[start:], out[start:], alpha, shift, sigma)
-    return out
+
+# ---------------------------------------------------------------------------
+# whole-stream reductions in pieces
+# ---------------------------------------------------------------------------
+
+def _count_true(test, *streams) -> int:
+    """``np.count_nonzero(test(*streams))`` over 1-D streams, in a bool scratch of ``_PIECE`` elements."""
+    n = streams[0].shape[0]
+    mask = np.empty(min(n, _PIECE), dtype=bool)
+    count = 0
+    for a in range(0, n, _PIECE):
+        count += np.count_nonzero(test(*(s[a : a + _PIECE] for s in streams), out=mask[: n - a]))
+    return count
+
+
+def _squared_deviation_sum(values, mean):
+    """sum((values - mean)**2) over a 1-D stream, bitwise ``np.add.reduce`` of the (n,) squares.
+
+    ``np.add.reduce`` sums a whole array pairwise: a stretch of more than 128
+    elements splits at h = n // 2 rounded down to a multiple of 8, and the
+    sums of its two parts are added. The same splits are made here down to
+    stretches of at most ``_PIECE`` elements, each squared into one scratch
+    array and summed by ``np.add.reduce``, so no (n,) temporary is made.
+    """
+    buf = np.empty(min(values.shape[0], _PIECE))
+
+    def total(a: int, b: int):
+        if b - a <= _PIECE:
+            d = np.subtract(values[a:b], mean, out=buf[: b - a])
+            return np.add.reduce(np.square(d, out=d))
+        h = (b - a) // 2
+        h -= h % 8
+        return total(a, a + h) + total(a + h, b)
+
+    return total(0, values.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +428,13 @@ def sweep_run_lengths(phi, thresholds):
     runs = []
     for b in thresholds:
         reach = tops + tol >= b
-        intervals, last = _reset_scan(values, b, zip(starts[reach].tolist(), stops[reach].tolist()))
+        intervals, last = _reset_scan(values, b, zip(memoryview(starts[reach]), memoryview(stops[reach])))
         runs.append((np.asarray(intervals, dtype=np.int64), n - last))
 
     # regions in stream order and a strict comparison keep the first maximum
     near = tops + 2 * tol >= peak
     top = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in zip(starts[near].tolist(), stops[near].tolist()):
+        for start, stop in zip(memoryview(starts[near]), memoryview(stops[near])):
             top = max(top, _cumsum_top(phi, values, start, stop))
     return runs, top

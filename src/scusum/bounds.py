@@ -23,6 +23,7 @@ produced mu; the CLI does so.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _textio
@@ -49,8 +50,8 @@ class DoeblinConstants:
     lam: float
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be a positive integer")
+        if not 1 <= self.l < sys.float_info.max:  # concentration_mu takes l as a float
+            raise ValueError("l must be a positive integer within the float range")
         if not 0 < self.lam <= 1:
             raise ValueError("lam must lie in (0, 1]")
 

@@ -345,6 +345,9 @@ class HeuristicMu:
 class DoeblinMu(bounds.DoeblinConstants):
     norm_phi: float
 
+    def __post_init__(self):  # the constants' own checks, named by their field
+        _built(super().__post_init__, "")
+
 
 @_section
 class MuSpec:

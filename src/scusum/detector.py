@@ -117,7 +117,8 @@ def detector_update(state: DetectorState, increment: float, config: DetectorConf
 
 def _finite(increments) -> np.ndarray:
     increments = np.asarray(increments, dtype=np.float64)
-    if not np.all(np.isfinite(increments)):
+    flat = increments.reshape(-1)
+    if _kernels._count_true(np.isfinite, flat) != flat.size:
         raise NumericsError("non-finite detector increment")
     return increments
 
@@ -190,7 +191,7 @@ def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationS
     thresholds = check_thresholds(thresholds)
     increments = _finite(stream)
     phi = np.clip(increments, -truncation.clip, truncation.clip)
-    clipped, n = np.count_nonzero(phi != increments), increments.size
+    clipped, n = _kernels._count_true(np.not_equal, phi, increments), increments.size
     runs, peak = _kernels.sweep_run_lengths(phi, thresholds)
     rows = tuple(
         RunLengthReport(threshold=b, intervals=intervals, residual=residual, count=intervals.size,

@@ -18,12 +18,15 @@ one ``standard_normal((burn_in + length, d))`` draw, and each block is
 stepped from the exact last state of the block before. Given the same config,
 paths are bitwise reproducible, and bitwise equal to stepping the recursion
 one state at a time (``_kernels.chain_steps`` steps a block's rows in
-lockstep, then corrects them until their states match exactly).
+lockstep lanes, each checked against the lane before it, and writes each
+state over the noise row it consumed).
 
 Memory: ``path_blocks`` yields the path in blocks of ``_BLOCK_BYTES`` per
-(rows, d) array, so a caller that uses each block and drops it (``sweep``,
-and ``detect`` on a simulated stream) holds one block's noise and states
-whatever the length; ``simulate_path`` writes the blocks into one
+(rows, d) array, and a block's states are written over its noise, so a
+caller that uses each block and drops it (``sweep``, and ``detect`` on a
+simulated stream) holds one (rows, d) array whatever the length. In the rare
+block whose lanes do not all merge, the rest of its noise is drawn again
+into a second array. ``simulate_path`` writes the blocks into one
 (burn_in + length, d) array.
 """
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, _textio
+from .exceptions import NumericsError
 from .fields import GaussianScoreField, PairBatch
 
 __all__ = [
@@ -121,14 +125,11 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
     return mean
 
 
-# Bytes in one (rows, d) float64 array of a simulated block: blocks of the
-# largest multiple of _kernels.BLOCK rows within budget // (8 d), 104,448 at
-# d=10, so its lockstep lanes cover it exactly (a last block or a block cut
-# at the change point leaves fewer steps than it has lanes to the one-state
-# loop). A block holds its noise and its states; each block costs one
-# lockstep warm-up. Peak RSS and wall time of
-# the benchmark's sweep_closed_form pass (perfbench/run.py, median of two
-# runs), and one in-process `sweep` call on its 201,000 x 10 false-alarm
+# Bytes in one (rows, d) float64 array of a simulated block: blocks of
+# budget // (8 d) rows, 104,857 at d=10. A block holds its noise, then its
+# states over it; each block costs one lockstep warm-up. Peak RSS and wall
+# time of the benchmark's sweep_closed_form pass (perfbench/run.py, median of
+# two runs), and one in-process `sweep` call on its 201,000 x 10 false-alarm
 # stream (median of 14, budgets interleaved); 2 vCPUs, numpy 2.4.6, about
 # +-10% run to run:
 #
@@ -143,8 +144,7 @@ _BLOCK_BYTES = 8 << 20
 
 
 def _block_rows(d: int) -> int:
-    rows = max(1, _BLOCK_BYTES // (8 * d))
-    return rows - rows % _kernels.BLOCK if rows >= _kernels.BLOCK else rows
+    return max(1, _BLOCK_BYTES // (8 * d))
 
 
 def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
@@ -155,9 +155,12 @@ def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
     state of the block before; the burn-in rows are dropped from what is
     yielded. The blocks are bitwise the rows of ``simulate_path``. Each
     block's noise is drawn into its own rows of ``noise`` (a
-    (burn_in + length, d) array) when given, and may be overwritten once the
-    block is yielded; otherwise into an array dropped with the block. A
-    yielded block is not kept: the next one is drawn once it is asked for.
+    (burn_in + length, d) array) when given, otherwise into an array dropped
+    with the block, and its states are written over it. A yielded block is
+    not kept: the next one is drawn once it is asked for. A block with a
+    non-finite state raises ``NumericsError`` naming the first such state
+    yielded (1 for a burn-in step): a non-finite coordinate stays non-finite,
+    so the check reads only each block's last state.
     """
     d = config.pre.dim
     if config.length == 0:
@@ -172,9 +175,24 @@ def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             z = np.empty((b - a, d)) if noise is None else noise[a:b]
+            drawn = rng.bit_generator.state
             rng.standard_normal(out=z)
-            states = _kernels.chain_steps(x, z, spec.alpha, spec.shift, spec.sigma)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is reported below
+                states = _kernels.chain_steps(x, z, spec.alpha, spec.shift, spec.sigma)
+                k = len(states)
+                if k < b - a:
+                    # a lane did not merge, and the noise past its certified
+                    # rows is spent: draw it again and step it one state at a time
+                    rng.bit_generator.state = drawn
+                    rng.standard_normal((k, d))
+                    rng.standard_normal(out=z[k:])
+                    _kernels._step_rows(states[-1], z[k:], spec.alpha, spec.shift, spec.sigma)
+                    states = z
             del z
+            if not np.isfinite(states[-1]).all():
+                first = a + int(np.isfinite(states).all(axis=1).argmin())
+                raise NumericsError(
+                    f"simulated state {max(first - config.burn_in, 0) + 1} is not finite")
             x = states[-1].copy()
             if b > config.burn_in:
                 yield states[max(0, config.burn_in - a) :]
@@ -188,7 +206,8 @@ def simulate_path(config: TrajectoryConfig) -> np.ndarray:
     discarded. All noise comes from one seeded PCG64 stream, so the path is
     reproducible from the config alone. Each block of ``path_blocks`` draws
     its noise into its own rows of one (burn_in + length, d) array and its
-    states are copied over them; the path is a view of that array.
+    states are stepped over them (the copy below then moves nothing); the
+    path is a view of that array. A non-finite state raises ``NumericsError``.
     """
     out = np.empty((config.burn_in + config.length, config.pre.dim))
     start = config.burn_in

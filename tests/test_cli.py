@@ -593,6 +593,24 @@ class TestSweep:
         assert capsys.readouterr().err.strip() == "error: stream.law = post requires kernels.post"
 
 
+OVERFLOWING = {"dim": 2, "alpha": 1.9, "sigma": 1e150, "shift": 1e308}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("sweep", {"kernels": {"pre": OVERFLOWING, "post": OVERFLOWING},
+               "stream": {"law": "pre", "length": 50, "burn_in": 0}, "thresholds": [10.0]}),
+    ("detect", {"kernels": {"pre": OVERFLOWING, "post": OVERFLOWING},
+                "data": {"simulate": {"length": 50, "burn_in": 0}}, "detector": {"threshold": 10.0}}),
+])
+def test_overflowing_stream_exits_4_naming_its_first_state(tmp_path, capsys, command, payload):
+    # numpy warned of the overflow, and the run exited 4 only once a score
+    # term was non-finite, naming no state (1 under warnings as errors)
+    code, out = run(tmp_path, command, payload)
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: simulated state 3 is not finite\n"
+    assert not (out / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("command, data, message", [
     ("train", {"kernel": SMALL_KERNEL, "csv": "no_such.csv"},
      "give exactly one of data.kernel and data.csv, got both"),

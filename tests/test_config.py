@@ -139,6 +139,9 @@ DEFECTS = [
     ("bounds", {"delta": 1.0, "mu": {"doeblin": {"l": 1, "lam": 0.5, "norm_phi": math.nan}},
                 "threshold": 40.0, "thresholds": [50.0]}, "mu.doeblin.norm_phi"),
     ("bounds", {"delta": 1.0, "mu": 2.0, "threshold": 4.0, "thresholds": 5}, "thresholds"),
+    # an l past the float range exited 1 (OverflowError) when mu was computed
+    ("bounds", {"delta": 1.0, "mu": {"doeblin": {"l": 10**400, "lam": 0.5, "norm_phi": 1.0}},
+                "threshold": 4.0}, "mu.doeblin.l"),
     ("simulate", {"kernel": {**KERNEL, "alpha": True}, "length": 10}, "kernel.alpha"),
     ("simulate", {"kernel": {**KERNEL, "dim": 2.5}, "length": 10}, "kernel.dim"),
     ("simulate", {"kernel": KERNEL, "length": "10"}, "length"),

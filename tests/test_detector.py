@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scusum import fields
+from scusum import _kernels, fields, markov
 
 from scusum.detector import (
     DetectorConfig,
@@ -247,6 +247,20 @@ class TestThresholdSweep:
         assert plain.clipped_fraction == 0.0
         assert plain.drift == MonteCarloEstimate.from_values(s)
 
+    def test_counts_and_drift_of_a_stream_of_many_pieces(self):
+        # the finite check, the clipped count and the drift's deviations go
+        # through scratch arrays of _kernels._PIECE elements, not (n,) ones
+        rng = np.random.default_rng(20)
+        s = rng.standard_normal(3 * _kernels._PIECE + 5) * 40.0 - 10.0
+        report = threshold_sweep(s, [50.0], TruncationSpec(50.0))
+        phi = np.clip(s, -50.0, 50.0)
+        assert report.clipped_fraction == np.count_nonzero(phi != s) / s.size > 0
+        assert report.drift.mean == float(np.mean(phi))
+        assert report.drift.std_error == float(np.std(phi, ddof=1) / np.sqrt(s.size))
+        s[-1] = math.inf
+        with pytest.raises(NumericsError, match="non-finite"):
+            threshold_sweep(s, [50.0])
+
     def test_empty_stream(self):
         report = threshold_sweep([], [1.0, 2.0], TruncationSpec(1.0))
         assert [(r.count, r.residual, r.intervals.tolist()) for r in report] == [(0, 0, [])] * 2
@@ -393,16 +407,22 @@ def _streamed_peak(fields_pq, length):
 
 
 def test_streamed_simulate_and_score_peak_grows_only_by_the_increments(closed_form_fields):
-    # one block's noise and states (2 x 8.4 MB) set the peak at any length, and
-    # only the (n - 1,) increments grow, 8 bytes per step. Besides them the
-    # longer stream's peak may hold the states of one score row block that
-    # waits for the next block (1 MiB at most, whatever the length), which the
-    # shorter one's first-block peak does not. Holding the whole stream's noise
-    # and states grew the peak by 157 bytes per step
+    # one simulated block, its states stepped over its noise, sets the peak
+    # at any length, and only the (n - 1,) increments grow, 8 bytes per step.
+    # Besides them the peak holds the score of one row block: the states of
+    # a row block that waits for the next simulated block, the crossing row
+    # block built from them, and the kernel mean, its tanh term and the score
+    # of a row block, 1 MiB each whatever the length. Holding the whole
+    # stream's noise and states grew the peak by 157 bytes per step; a
+    # block's noise and states held as two arrays took 17.5 MB above the
+    # increments at either length
     extra_steps = 200_000
-    waiting_row_block = (fields._block_rows(10) + 1) * 10 * 8
-    growth = _streamed_peak(closed_form_fields, 400_000) - _streamed_peak(closed_form_fields, 200_000)
-    assert growth < 8 * extra_steps + waiting_row_block + 100_000
+    block = markov._block_rows(10) * 10 * 8
+    row_block = (fields._block_rows(10) + 1) * 10 * 8
+    short = _streamed_peak(closed_form_fields, 200_000)
+    long = _streamed_peak(closed_form_fields, 400_000)
+    assert long - short < 8 * extra_steps + row_block + 100_000
+    assert long < block + 8 * 400_000 + 5 * row_block
 
 
 class TestCsvOutputs:

@@ -12,6 +12,7 @@ from scusum import _kernels, detector, markov
 from scusum.detector import DetectorConfig, DetectorState, TruncationSpec, detector_update
 
 L = _kernels.BLOCK
+W = _kernels.WARMUP
 
 
 def brute_force_trace(increments, m):
@@ -111,9 +112,8 @@ class TestReferenceParity:
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(10)
         noise = rng.standard_normal((20000, 10))
-        assert_bitwise(
-            _kernels.chain_steps(x0, noise, 0.3, 0.2, 0.3), one_step_chain(x0, noise, 0.3, 0.2, 0.3)
-        )
+        expected = one_step_chain(x0, noise, 0.3, 0.2, 0.3)
+        assert_bitwise(_kernels.chain_steps(x0, noise, 0.3, 0.2, 0.3), expected)
 
     def test_cusum_trace(self):
         rng = np.random.default_rng(1)
@@ -169,23 +169,25 @@ def test_single_threshold_scan_against_reference():
     assert residual == ref_residual
 
 
-@pytest.mark.parametrize("n, tail", [(51_000, 40), (96_552, 14), (3 * L - 1, 1), (5 * L, 0)])
+@pytest.mark.parametrize("n, tail", [(51_000, 18), (96_552, 64), (W + 2 * L, 0), (3 * L - 1, 1),
+                                     (5 * L, 0)])
 def test_chain_steps_lanes_cover_all_but_fewer_than_lane_count_steps(monkeypatch, n, tail):
-    # R = n // L lanes of n // R steps: a merging kernel leaves n - R * (n // R) < R steps
-    # to the one-state loop (a lane of exactly L steps left up to L - 1)
+    # R = (n - W) // L lanes of (n - W) // R stored steps after lane 0's W
+    # warm-up rows: a merging kernel leaves n - W - R * ((n - W) // R) < R
+    # steps to the one-state loop
     stepped = []
-    original = _kernels._step_sequential
+    original = _kernels._step_rows
 
-    def counting(x, noise, *args):
-        stepped.append(noise.shape[0])
-        original(x, noise, *args)
+    def counting(x, rows, *args):
+        stepped.append(rows.shape[0])
+        original(x, rows, *args)
 
-    monkeypatch.setattr(_kernels, "_step_sequential", counting)
+    monkeypatch.setattr(_kernels, "_step_rows", counting)
     noise = np.random.default_rng(12).standard_normal((n, 2))
-    out = _kernels.chain_steps(np.zeros(2), noise, 0.3, 0.2, 0.3)
-    assert stepped == [tail] and tail < n // L
+    out = _kernels.chain_steps(np.zeros(2), noise.copy(), 0.3, 0.2, 0.3)
+    assert stepped == [tail] and tail < (n - W) // L
     monkeypatch.undo()
-    assert_bitwise(out[-L:], one_step_chain(out[-L - 1], noise[-L:], 0.3, 0.2, 0.3))
+    assert_bitwise(out, one_step_chain(np.zeros(2), noise, 0.3, 0.2, 0.3))
 
 
 def test_chain_steps_zero_noise_fixed_point():
@@ -196,24 +198,35 @@ def test_chain_steps_zero_noise_fixed_point():
     assert np.allclose(out, 0.0)
 
 
-def test_chain_steps_leaves_inputs_untouched():
+@pytest.mark.parametrize("alpha, shift, sigma, merges", [(0.3, 0.2, 0.3, True),
+                                                         (0.05, 3.0, 1.0, False)])  # bistable
+def test_chain_steps_writes_its_states_over_the_noise(alpha, shift, sigma, merges):
+    # the states are stepped over the noise rows they consumed, and a lane
+    # whose warm-up did not merge with the lane before cuts the result short
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal(3)
-    noise = rng.standard_normal((3 * L + 5, 3))
-    x0_copy, noise_copy = x0.copy(), noise.copy()
-    _kernels.chain_steps(x0, noise, 0.3, 0.2, 0.3)
+    noise = rng.standard_normal((5 * L + 17, 3))
+    x0_copy = x0.copy()
+    expected = one_step_chain(x0, noise, alpha, shift, sigma)
+    out = _kernels.chain_steps(x0, noise, alpha, shift, sigma)
     assert_bitwise(x0, x0_copy)
-    assert_bitwise(noise, noise_copy)
+    assert np.shares_memory(out, noise)
+    assert (len(out) == len(noise)) == merges and len(out) >= W + L
+    assert_bitwise(out, expected[: len(out)])
+    assert_bitwise(noise[: len(out)], expected[: len(out)])
 
 
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
 
+CHAIN_LENGTHS = st.sampled_from([0, 1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, W + 2 * L - 1,
+                                 W + 2 * L, 3 * L - 1, 5 * L + 17, 7 * L + 1000])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    length=st.sampled_from([0, 1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, 3 * L - 1, 5 * L + 17,
-                            7 * L + 1000]),
+    length=CHAIN_LENGTHS,
     dim=st.integers(1, 6),
     alpha=st.floats(0.01, 1.99),
     shift=st.floats(-4.0, 4.0),
@@ -223,13 +236,35 @@ def test_chain_steps_leaves_inputs_untouched():
 @example(length=5 * L + 17, dim=3, alpha=0.05, shift=3.0, sigma=1.0, seed=0)  # bistable
 @example(length=5 * L + 17, dim=2, alpha=0.01, shift=0.0, sigma=1.0, seed=1)  # slow merging
 def test_chain_steps_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, sigma, seed):
+    # the rows it returns, at least lane 0's, are the loop's leading states
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(dim) * 3.0
     noise = rng.standard_normal((length, dim))
-    assert_bitwise(
-        _kernels.chain_steps(x0, noise, alpha, shift, sigma),
-        one_step_chain(x0, noise, alpha, shift, sigma),
-    )
+    expected = one_step_chain(x0, noise, alpha, shift, sigma)
+    out = _kernels.chain_steps(x0, noise, alpha, shift, sigma)
+    assert len(out) >= min(length, W + L)
+    assert_bitwise(out, expected[: len(out)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    length=CHAIN_LENGTHS,
+    dim=st.integers(1, 6),
+    alpha=st.floats(0.01, 1.99),
+    shift=st.floats(-4.0, 4.0),
+    sigma=st.floats(0.01, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=5 * L + 17, dim=3, alpha=0.05, shift=3.0, sigma=1.0, seed=0)  # bistable
+@example(length=5 * L + 17, dim=2, alpha=0.01, shift=0.0, sigma=1.0, seed=1)  # slow merging
+def test_simulate_path_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, sigma, seed):
+    # where a lane does not merge, path_blocks draws the rest of the noise
+    # again and steps it one state at a time
+    spec = markov.GaussianKernelSpec(dim=dim, alpha=alpha, sigma=sigma, shift=shift)
+    config = markov.TrajectoryConfig(pre=spec, length=length, seed=seed, burn_in=0)
+    noise = np.random.default_rng(seed).standard_normal((length, dim))
+    assert_bitwise(markov.simulate_path(config),
+                   one_step_chain(np.zeros(dim), noise, alpha, shift, sigma))
 
 
 @settings(max_examples=200, deadline=None)

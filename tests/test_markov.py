@@ -256,12 +256,69 @@ def test_path_blocks_bitwise_equal_to_one_whole_stream_call(length, burn_in, cha
     assert np.array_equal(path.view(np.int64), expected.view(np.int64))
 
 
-def test_block_rows_are_whole_lockstep_blocks_within_the_budget():
+def test_block_rows_fill_the_budget():
     rows = markov._block_rows(10)
-    assert rows == 104_448 and rows % _kernels.BLOCK == 0
-    assert rows * 10 * 8 <= markov._BLOCK_BYTES < (rows + _kernels.BLOCK) * 10 * 8
-    # a budget below one lockstep block of rows (d > 1024 at 8 MiB) is not rounded down
-    assert markov._block_rows(markov._BLOCK_BYTES // (8 * 1000)) == 1000
+    assert rows == 104_857
+    assert rows * 10 * 8 <= markov._BLOCK_BYTES < (rows + 1) * 10 * 8
+    assert markov._block_rows(markov._BLOCK_BYTES // 8 + 1) == 1
+
+
+def test_path_blocks_pass_the_stepper_output_through(monkeypatch):
+    # perfbench counts a chain_steps call's steps as len(result) and checks
+    # that a stepper returning a changed array changes the simulated stream:
+    # path_blocks must call it with five positional arguments, yield the
+    # array it returned and carry that array's last state on, and
+    # simulate_path must copy what was yielded
+    calls, results = [], []
+    original = _kernels.chain_steps
+
+    def off(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        results.append(original(*args, **kwargs) * 1.001)
+        return results[-1]
+
+    monkeypatch.setattr(_kernels, "chain_steps", off)
+    monkeypatch.setattr(markov, "_block_rows", lambda d: 3000)
+    config = TrajectoryConfig(pre=PRE, post=POST, change_point=4000, length=7000, seed=3, burn_in=500)
+    blocks = list(path_blocks(config))
+    assert calls and all(call == (5, {}) for call in calls)
+    assert sum(map(len, results)) == 7500
+    assert len(blocks) == len(results)
+    for block, result in zip(blocks, results):
+        assert np.shares_memory(block, result)
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(results)[500:])
+    fresh = len(results)
+    path = simulate_path(config)
+    assert np.array_equal(path, np.concatenate(results[fresh:])[500:])
+    monkeypatch.undo()
+    assert not np.array_equal(path, simulate_path(config))
+
+
+def test_path_blocks_draw_again_the_noise_of_uncertified_rows(monkeypatch):
+    # a stepper that certifies only part of each block forces the fallback in
+    # every block: the rest of its noise is drawn again from the saved
+    # generator state and stepped one state at a time, and the next block's
+    # draw goes on from where the first draw left the generator
+    original = _kernels.chain_steps
+    certified = []
+
+    def partial(*args):
+        states = original(*args)
+        certified.append((len(states), len(states) // 3 + 1))
+        return states[: certified[-1][1]]
+
+    monkeypatch.setattr(_kernels, "chain_steps", partial)
+    monkeypatch.setattr(markov, "_block_rows", lambda d: 3000)
+    pre = GaussianKernelSpec(dim=3, alpha=0.3, sigma=0.3, shift=0.2)
+    post = GaussianKernelSpec(dim=3, alpha=0.6, sigma=0.5, shift=0.9)
+    config = TrajectoryConfig(pre=pre, post=post, change_point=4000, length=7000, seed=4, burn_in=500)
+    path = simulate_path(config)
+    streamed = np.concatenate(list(path_blocks(config)))
+    # blocks of 3000, 1499, 3000 and 1 rows: all but the last are cut short
+    assert [k < n for n, k in certified] == [True, True, True, False] * 2
+    expected = one_step_path(config)
+    assert np.array_equal(path.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(streamed.view(np.int64), expected.view(np.int64))
 
 
 def test_path_blocks_of_an_empty_path_draw_nothing():
@@ -271,8 +328,9 @@ def test_path_blocks_of_an_empty_path_draw_nothing():
 
 
 def test_change_point_path_is_written_over_the_spent_noise():
-    # noise is 16 MB and the larger segment's states 8 MB; concatenating the
-    # two segments into a third array took 48.9 MB
+    # the path is its noise array, 16.1 MB, stepped in place; a block's
+    # states stepped beside the noise took 24.9 MB, and concatenating the two
+    # segments into a third array 48.9 MB
     config = TrajectoryConfig(pre=PRE, post=POST, change_point=100_001, length=200_000, seed=5)
     tracemalloc.start()
     try:
@@ -281,7 +339,7 @@ def test_change_point_path_is_written_over_the_spent_noise():
     finally:
         tracemalloc.stop()
     assert states.shape == (200_000, 10)
-    assert peak < 28_000_000
+    assert peak < 18_000_000
 
 
 class TestClosedFormScore:
