@@ -127,19 +127,19 @@ def transition_mean(spec: GaussianKernelSpec, x: np.ndarray) -> np.ndarray:
 
 # Bytes in one (rows, d) float64 array of a simulated block: blocks of
 # budget // (8 d) rows, 104,857 at d=10. A block holds its noise, then its
-# states over it; each block costs one lockstep warm-up. Peak RSS and wall
-# time of the benchmark's sweep_closed_form pass (perfbench/run.py, median of
-# two runs), and one in-process `sweep` call on its 201,000 x 10 false-alarm
-# stream (median of 14, budgets interleaved); 2 vCPUs, numpy 2.4.6, about
-# +-10% run to run:
+# states stepped over it; each block costs one lockstep warm-up. Peak RSS and
+# wall time of the benchmark's sweep_closed_form pass (perfbench/run.py,
+# median of two runs), and one in-process `sweep` call on its 201,000 x 10
+# false-alarm stream (median of 14, budgets interleaved); 2 vCPUs, numpy
+# 2.4.6, about +-10% run to run:
 #
 #     budget    blocks    pass peak RSS, MB    pass wall, s    one call, ms
-#     4 MiB        4            47.7              0.307            230
-#     8 MiB        2            54.8              0.316            214
-#     16 MiB       1            67.0              0.325            212
+#     4 MiB        4            46.6              0.187            148
+#     8 MiB        2            49.4              0.147            140
+#     16 MiB       1            55.2              0.138            141
 #
-# 8 MiB keeps the call's time and takes 12 MB off its peak; 4 MiB takes 7 MB
-# more but costs about 8% in warm-ups.
+# 8 MiB keeps the call's time and takes 5.8 MB off its peak; 4 MiB takes
+# 2.8 MB more but costs about 6% in warm-ups.
 _BLOCK_BYTES = 8 << 20
 
 
