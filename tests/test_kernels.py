@@ -257,7 +257,7 @@ def test_chain_steps_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, s
 )
 @example(length=5 * L + 17, dim=3, alpha=0.05, shift=3.0, sigma=1.0, seed=0)  # bistable
 @example(length=5 * L + 17, dim=2, alpha=0.01, shift=0.0, sigma=1.0, seed=1)  # slow merging
-def test_simulate_path_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, sigma, seed):
+def test_any_kernels_path_bitwise_equal_to_one_step_loop(length, dim, alpha, shift, sigma, seed):
     # where a lane does not merge, path_blocks draws the rest of the noise
     # again and steps it one state at a time
     spec = markov.GaussianKernelSpec(dim=dim, alpha=alpha, sigma=sigma, shift=shift)
