@@ -11,9 +11,10 @@ with L = (n - WARMUP) // R; lane r >= 1 starts WARMUP steps before its L
 rows, inside the last rows of lane r - 1, from ``x0`` as a guess, and steps
 that warm-up storing nothing. Each state is written over the noise row it
 consumed, so the stepper needs no second (n, d) array. That is safe because
-every row is read before its one write: lane r reads row r*L + t at its step
-t, and the row a warm-up reads at step t < WARMUP is written by lane r - 1 at
-step L + t, later.
+every row is read before its one write: lane r reads row q = r*L + t at its
+step t, so of the lanes that read row q the one with the smallest index
+reads it last, and that lane is the one that stores row q, in the step that
+reads it.
 
 The map is deterministic, so a lane whose warm-up ends bitwise on the state
 lane r - 1 stored in that row is exact from there on, given that lane r - 1
@@ -22,9 +23,12 @@ certifies the lanes in order; when all pass, the fewer than R steps past the
 last lane are stepped one state at a time. Otherwise (the paths of a
 bistable or slowly contracting kernel need not merge within WARMUP steps)
 ``chain_steps`` returns only the rows of the lanes before the first that
-failed: the noise of the rest is spent, and its caller draws it again from
-the generator state it saved and steps it with ``_step_rows``, so the worst
-case stays close to the plain loop. Every loop makes no temporaries: a step
+failed. The noise of the rest is spent: its caller draws it again from the
+generator state it saved and steps it in lockstep again (``_lockstep``)
+with warm-ups of twice the length, up to MAX_WARMUP, which is no shorter
+than a lane. Only the rows whose lanes merge within none of these warm-ups
+are stepped one state at a time (``_step_rows``), so the worst case stays
+close to the plain loop. Every loop makes no temporaries: a step
 is seven ``out=`` ufunc calls into two preallocated buffers of the state's
 shape, in the order and with the IEEE operations of the expression above, so
 it stays bitwise equal to it.
@@ -96,8 +100,13 @@ import numpy as np
 BLOCK = 1024
 
 # steps each lockstep lane after the first takes, storing nothing, before its
-# own rows; fewer than BLOCK, so a warm-up reads only rows of the lane before
+# own rows
 WARMUP = 512
+
+# the longest warm-up a block's uncertified rows are stepped again with in
+# lockstep (doubling from WARMUP), before they are stepped one state at a
+# time: no shorter than a lane's L < 2 * BLOCK stored steps
+MAX_WARMUP = 2 * BLOCK
 
 # steps per piece of the scan's numpy passes and of the whole-stream
 # reductions: their scratch arrays have this many elements, whatever the
@@ -120,7 +129,9 @@ def _bits(a):
 def _step(x, z, alpha, shift, sigma, a, b, out):
     """out = x - alpha*x + shift*tanh(x) + sigma*z, evaluated in that order in ``a`` and ``b``.
 
-    ``out`` may be ``x``; ``a`` and ``b`` are scratch of the shape of ``x``.
+    ``out`` may be ``x`` or ``z``: ``x`` is read by the first three calls and
+    ``z`` by the sixth, all before the seventh writes ``out``. ``a`` and ``b``
+    are scratch of the shape of ``x``.
     """
     np.multiply(x, alpha, out=a)
     np.subtract(x, a, out=a)
@@ -147,37 +158,42 @@ def chain_steps(x0, noise, alpha: float, shift: float, sigma: float) -> np.ndarr
     one state at a time from ``x0``: all of them unless a lockstep lane
     failed its check, and always the first WARMUP + L. ``x0`` is not changed.
     """
+    return _lockstep(x0, noise, alpha, shift, sigma, WARMUP)
+
+
+def _lockstep(x0, noise, alpha: float, shift: float, sigma: float, warmup: int) -> np.ndarray:
+    """``chain_steps`` with lanes that warm up for ``warmup`` steps."""
     x0 = _as_f64(x0)
     noise = _as_f64(noise)
     n, d = noise.shape
-    R = (n - WARMUP) // BLOCK
+    R = (n - warmup) // BLOCK
     if R < 2:
         _step_rows(x0, noise, alpha, shift, sigma)
         return noise
 
-    # L stored steps per lane; the n - WARMUP - R*L < R steps after the last
+    # L stored steps per lane; the n - warmup - R*L < R steps after the last
     # lane run one state at a time
-    L = (n - WARMUP) // R
+    L = (n - warmup) // R
     row = noise.strides[0]
     # z[t] is the (R, d) view of the rows the lanes read at step t, r*L + t for lane r
-    z = np.lib.stride_tricks.as_strided(noise, (WARMUP + L, R, d), (row, L * row, noise.strides[1]))
+    z = np.lib.stride_tricks.as_strided(noise, (warmup + L, R, d), (row, L * row, noise.strides[1]))
     X = np.empty((R, d))
     X[:] = x0
     a, b = np.empty((R, d)), np.empty((R, d))
-    for t in range(WARMUP):  # lane 0 stores its states, the others warm up
+    for t in range(warmup):  # lane 0 stores its states, the others warm up
         _step(X, z[t], alpha, shift, sigma, a, b, X)
         z[t, 0] = X[0]
     warm = X[1:].copy()
-    for t in range(WARMUP, WARMUP + L):
+    for t in range(warmup, warmup + L):
         _step(X, z[t], alpha, shift, sigma, a, b, X)
         z[t] = X
 
     # lane r is exact if lane r - 1 is and its warm-up ended on lane r - 1's last state
-    lasts = noise[WARMUP + L - 1 : WARMUP + (R - 1) * L : L]
+    lasts = noise[warmup + L - 1 : warmup + (R - 1) * L : L]
     merged = np.equal(_bits(warm), _bits(lasts)).all(axis=1)
     if not merged.all():
-        return noise[: WARMUP + (int(merged.argmin()) + 1) * L]
-    start = WARMUP + R * L
+        return noise[: warmup + (int(merged.argmin()) + 1) * L]
+    start = warmup + R * L
     _step_rows(noise[start - 1], noise[start:], alpha, shift, sigma)
     return noise
 
@@ -194,27 +210,6 @@ def _count_true(test, *streams) -> int:
     for a in range(0, n, _PIECE):
         count += np.count_nonzero(test(*(s[a : a + _PIECE] for s in streams), out=mask[: n - a]))
     return count
-
-
-def _squared_deviation_sum(values, mean, buf=None):
-    """sum((values - mean)**2) over a 1-D stream, bitwise ``np.add.reduce`` of the (n,) squares.
-
-    ``np.add.reduce`` sums a whole array pairwise: a stretch of more than 128
-    elements splits at h = n // 2 rounded down to a multiple of 8, and the
-    sums of its two parts are added. The same splits are made here down to
-    stretches of at most ``_PIECE`` elements, each squared into the scratch
-    array ``buf`` and summed by ``np.add.reduce``, so no (n,) temporary is made.
-    """
-    n = values.shape[0]
-    if buf is None:
-        buf = np.empty(min(n, _PIECE))
-    if n <= _PIECE:
-        d = np.subtract(values, mean, out=buf[:n])
-        return np.add.reduce(np.square(d, out=d))
-    h = n // 2
-    h -= h % 8
-    return (_squared_deviation_sum(values[:h], mean, buf)
-            + _squared_deviation_sum(values[h:], mean, buf))
 
 
 # ---------------------------------------------------------------------------

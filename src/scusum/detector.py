@@ -199,7 +199,23 @@ def threshold_sweep(stream, thresholds, truncation: TruncationSpec = TruncationS
         for b, (intervals, residual) in zip(thresholds, runs)
     )
     return SweepReport(rows=rows, peak_statistic=peak, clipped_fraction=clipped / n if n else math.nan,
-                       drift=MonteCarloEstimate.from_values(phi))
+                       drift=_spent_drift(phi))
+
+
+def _spent_drift(phi) -> MonteCarloEstimate:
+    """``MonteCarloEstimate.from_values(phi)``, bitwise, squaring the deviations in ``phi`` itself.
+
+    These are ``np.mean``'s and ``np.std``'s own operations in their order,
+    without the (n,) deviation array; ``phi`` is spent.
+    """
+    n = phi.size
+    if n < 2:
+        return MonteCarloEstimate.from_values(phi)
+    mean = np.add.reduce(phi) / n
+    np.subtract(phi, mean, out=phi)
+    np.multiply(phi, phi, out=phi)
+    se = float(np.sqrt(np.add.reduce(phi) / (n - 1)) / np.sqrt(n))
+    return MonteCarloEstimate(mean=float(mean), std_error=se, count=n)
 
 
 def score_increments(field_p: ScoreField, field_q: ScoreField, states) -> np.ndarray:

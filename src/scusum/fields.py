@@ -44,7 +44,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import NumericsError
 
 __all__ = [
@@ -194,20 +193,10 @@ class MonteCarloEstimate:
 
     @classmethod
     def from_values(cls, values) -> "MonteCarloEstimate":
-        """The estimate over ``values``: bitwise ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
-
-        The squared deviations are summed in pieces, so no (n,) temporary is made.
-        """
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        values = np.asarray(values, dtype=np.float64)
         n = values.size
-        if not n:
-            return cls(mean=math.nan, std_error=0.0, count=0)
-        mean = np.add.reduce(values) / n
-        se = 0.0
-        if n > 1:
-            var = _kernels._squared_deviation_sum(values, mean) / (n - 1)
-            se = float(np.sqrt(var) / np.sqrt(n))
-        return cls(mean=float(mean), std_error=se, count=n)
+        se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return cls(mean=float(np.mean(values)) if n else math.nan, std_error=se, count=n)
 
     def __float__(self) -> float:
         return self.mean

@@ -26,8 +26,8 @@ Memory: ``path_blocks`` yields the path in blocks of ``_BLOCK_BYTES`` per
 caller that uses each block and drops it (``sweep``, and ``detect`` on a
 simulated stream) holds one (rows, d) array whatever the length. In the rare
 block whose lanes do not all merge, the rest of its noise is drawn again
-into a second array. ``simulate_path`` writes the blocks into one
-(burn_in + length, d) array.
+into the same rows and stepped again, with longer warm-ups.
+``simulate_path`` writes the blocks into one (burn_in + length, d) array.
 """
 
 from __future__ import annotations
@@ -147,6 +147,30 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * d))
 
 
+def _step_again(rng, drawn, z, k: int, spec: GaussianKernelSpec) -> None:
+    """Step the rows of block ``z`` after its first ``k`` certified ones again.
+
+    A lockstep lane did not merge within its warm-up, and the noise past the
+    certified rows is spent: it is drawn again from the generator state
+    ``drawn`` saved before the block's draw, skipping the first ``k`` rows
+    through ``z``'s own spent rows, and stepped in lockstep with a warm-up
+    twice as long, up to ``_kernels.MAX_WARMUP``; past that, one state at a
+    time. The generator ends where the block's first draw left it.
+    """
+    warmup = _kernels.WARMUP
+    while k < len(z):
+        rng.bit_generator.state = drawn
+        spent = z[k:].reshape(-1)
+        for skip in range(k * z.shape[1], 0, -spent.size):
+            rng.standard_normal(out=spent[: min(skip, spent.size)])
+        rng.standard_normal(out=z[k:])
+        warmup *= 2
+        if warmup > _kernels.MAX_WARMUP:
+            _kernels._step_rows(z[k - 1], z[k:], spec.alpha, spec.shift, spec.sigma)
+            return
+        k += len(_kernels._lockstep(z[k - 1], z[k:], spec.alpha, spec.shift, spec.sigma, warmup))
+
+
 def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
     """Yield the states X_1..X_length as consecutive (rows, d) blocks.
 
@@ -179,14 +203,8 @@ def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
             rng.standard_normal(out=z)
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is reported below
                 states = _kernels.chain_steps(x, z, spec.alpha, spec.shift, spec.sigma)
-                k = len(states)
-                if k < b - a:
-                    # a lane did not merge, and the noise past its certified
-                    # rows is spent: draw it again and step it one state at a time
-                    rng.bit_generator.state = drawn
-                    rng.standard_normal((k, d))
-                    rng.standard_normal(out=z[k:])
-                    _kernels._step_rows(states[-1], z[k:], spec.alpha, spec.shift, spec.sigma)
+                if len(states) < b - a:
+                    _step_again(rng, drawn, z, len(states), spec)
                     states = z
             del z
             if not np.isfinite(states[-1]).all():

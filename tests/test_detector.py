@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scusum import _kernels, fields, markov
+from scusum import _kernels, detector, fields, markov
 
 from scusum.detector import (
     DetectorConfig,
@@ -249,8 +249,9 @@ class TestThresholdSweep:
         assert plain.drift == MonteCarloEstimate.from_values(s)
 
     def test_counts_and_drift_of_a_stream_of_many_pieces(self):
-        # the finite check, the clipped count and the drift's deviations go
-        # through scratch arrays of _kernels._PIECE elements, not (n,) ones
+        # the finite check and the clipped count go through scratch arrays of
+        # _kernels._PIECE elements, and the drift squares its deviations in
+        # the clipped copy: none makes an (n,) array
         rng = np.random.default_rng(20)
         s = rng.standard_normal(3 * _kernels._PIECE + 5) * 40.0 - 10.0
         report = threshold_sweep(s, [50.0], TruncationSpec(50.0))
@@ -263,9 +264,9 @@ class TestThresholdSweep:
             threshold_sweep(s, [50.0])
 
     def test_frees_its_clipped_copy_on_return(self):
-        # a recursive closure in the drift's deviation sum kept the clipped
-        # copy alive until the garbage collector ran: a 3,000,000-step sweep
-        # with an untruncated comparison held two copies, 23 MB more at its peak
+        # nothing keeps the clipped copy alive until the garbage collector
+        # runs: a 3,000,000-step sweep with an untruncated comparison would
+        # hold two copies, 23 MB more at its peak
         s = np.random.default_rng(21).standard_normal(100_000)
         gc.disable()
         tracemalloc.start()
@@ -330,6 +331,26 @@ def post_increments(closed_form_fields):
     fp, fq = closed_form_fields
     states = simulate_path(TrajectoryConfig(pre=POST, length=10_000, seed=72))
     return score_increments(fp, fq, states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 300),
+                st.sampled_from([16_383, 16_384, 16_385, 32_780, 40_000, 70_001, 99_999])),
+    loc=st.floats(-1e3, 1e3),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_drift_bitwise_numpys_mean_and_std(n, loc, scale, seed):
+    # the sweep squares the deviations in its clipped copy, with np.std's
+    # own operations, so the estimate keeps the bits of np.mean and np.std
+    values = loc + scale * np.random.default_rng(seed).standard_normal(n)
+    estimate = detector._spent_drift(values.copy())
+    assert estimate.count == n
+    if n:
+        assert estimate.mean.hex() == float(np.mean(values)).hex()
+    if n > 1:
+        assert estimate.std_error.hex() == float(np.std(values, ddof=1) / np.sqrt(n)).hex()
 
 
 class TestSyntheticStreams:

@@ -14,7 +14,6 @@ from scusum import fields, markov, scorenet
 from scusum.exceptions import NumericsError
 from scusum.fields import (
     GaussianScoreField,
-    MonteCarloEstimate,
     PairBatch,
     ScoreField,
     TransitionPair,
@@ -472,23 +471,3 @@ class TestPairBatch:
             TransitionPair(np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError):
             TransitionPair(np.array([np.nan]), np.zeros(1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.one_of(st.integers(0, 300),
-                st.sampled_from([16_383, 16_384, 16_385, 32_780, 40_000, 70_001, 99_999])),
-    loc=st.floats(-1e3, 1e3),
-    scale=st.floats(1e-6, 1e6),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_monte_carlo_estimate_bitwise_numpys_mean_and_std(n, loc, scale, seed):
-    # the squared deviations are summed in pieces along numpy's pairwise
-    # splits, so the estimate keeps the bits of np.mean and np.std
-    values = loc + scale * np.random.default_rng(seed).standard_normal(n)
-    estimate = MonteCarloEstimate.from_values(values)
-    assert estimate.count == n
-    if n:
-        assert estimate.mean.hex() == float(np.mean(values)).hex()
-    if n > 1:
-        assert estimate.std_error.hex() == float(np.std(values, ddof=1) / np.sqrt(n)).hex()

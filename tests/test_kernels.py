@@ -190,6 +190,16 @@ def test_chain_steps_lanes_cover_all_but_fewer_than_lane_count_steps(monkeypatch
     assert_bitwise(out, one_step_chain(np.zeros(2), noise, 0.3, 0.2, 0.3))
 
 
+def test_step_may_write_over_its_noise_row():
+    # the in-place stepper passes out=z: z must be read before out is written
+    rng = np.random.default_rng(13)
+    x, z = rng.standard_normal((2, 4)) * 3.0
+    a, b, out = np.empty(4), np.empty(4), np.empty(4)
+    _kernels._step(x, z, 0.3, 0.2, 0.7, a, b, out)
+    _kernels._step(x, z, 0.3, 0.2, 0.7, a, b, z)
+    assert_bitwise(z, out)
+
+
 def test_chain_steps_zero_noise_fixed_point():
     # with alpha=1, shift=0 the mean map sends everything to 0
     x0 = np.array([3.0, -2.0])

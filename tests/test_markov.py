@@ -297,8 +297,8 @@ def test_path_blocks_pass_the_stepper_output_through(monkeypatch):
 def test_path_blocks_draw_again_the_noise_of_uncertified_rows(monkeypatch):
     # a stepper that certifies only part of each block forces the fallback in
     # every block: the rest of its noise is drawn again from the saved
-    # generator state and stepped one state at a time, and the next block's
-    # draw goes on from where the first draw left the generator
+    # generator state and stepped again, and the next block's draw goes on
+    # from where the first draw left the generator
     original = _kernels.chain_steps
     certified = []
 
@@ -319,6 +319,36 @@ def test_path_blocks_draw_again_the_noise_of_uncertified_rows(monkeypatch):
     expected = one_step_path(config)
     assert np.array_equal(path.view(np.int64), expected.view(np.int64))
     assert np.array_equal(streamed.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("alpha, warmups, one_step", [
+    (0.05, [512, 1024], [14]),  # merges within 1024 steps
+    (0.01, [512, 1024, 2048], [13_340]),  # merges within none of the warm-ups
+])
+def test_path_blocks_step_unmerged_lanes_again_with_longer_warmups(monkeypatch, alpha, warmups,
+                                                                   one_step):
+    # a lane that does not merge within WARMUP steps sends the rest of its
+    # block back to lockstep with twice the warm-up, up to MAX_WARMUP; only
+    # past that, or for the tail past the last lane, is it one state at a time
+    warmed, stepped = [], []
+    lockstep, step_rows = _kernels._lockstep, _kernels._step_rows
+
+    def counting_lockstep(*args):
+        warmed.append(args[-1])
+        return lockstep(*args)
+
+    def counting_step_rows(x, rows, *args):
+        stepped.append(len(rows))
+        step_rows(x, rows, *args)
+
+    monkeypatch.setattr(_kernels, "_lockstep", counting_lockstep)
+    monkeypatch.setattr(_kernels, "_step_rows", counting_step_rows)
+    spec = GaussianKernelSpec(dim=2, alpha=alpha, sigma=1.0, shift=0.0)
+    config = TrajectoryConfig(pre=spec, length=20_000, seed=4, burn_in=0)
+    path = simulate_path(config)
+    assert warmed == warmups and warmups[-1] <= _kernels.MAX_WARMUP
+    assert stepped == one_step
+    assert np.array_equal(path.view(np.int64), one_step_path(config).view(np.int64))
 
 
 def test_path_blocks_of_an_empty_path_draw_nothing():
