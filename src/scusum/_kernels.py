@@ -23,15 +23,15 @@ certifies the lanes in order; when all pass, the fewer than R steps past the
 last lane are stepped one state at a time. Otherwise (the paths of a
 bistable or slowly contracting kernel need not merge within WARMUP steps)
 ``chain_steps`` returns only the rows of the lanes before the first that
-failed. The noise of the rest is spent: its caller draws it again from the
-generator state it saved and steps it in lockstep again (``_lockstep``)
-with warm-ups of twice the length, up to MAX_WARMUP, which is no shorter
-than a lane. Only the rows whose lanes merge within none of these warm-ups
-are stepped one state at a time (``_step_rows``), so the worst case stays
-close to the plain loop. Every loop makes no temporaries: a step
-is seven ``out=`` ufunc calls into two preallocated buffers of the state's
-shape, in the order and with the IEEE operations of the expression above, so
-it stays bitwise equal to it.
+failed, and the noise of the rest is spent. ``step_again`` then climbs the
+warm-up ladder: it has its caller draw that noise again into the same rows
+and steps them in lockstep with a warm-up of twice the length, doubling up
+to MAX_WARMUP, which is no shorter than a lane. Only the rows whose lanes
+merge within none of these warm-ups are stepped one state at a time, so the
+worst case stays close to the plain loop. Every loop makes no temporaries: a
+step is seven ``out=`` ufunc calls into two preallocated buffers of the
+state's shape, in the order and with the IEEE operations of the expression
+above, so it stays bitwise equal to it.
 
 The CUSUM statistic follows the recursion
 
@@ -103,9 +103,9 @@ BLOCK = 1024
 # own rows
 WARMUP = 512
 
-# the longest warm-up a block's uncertified rows are stepped again with in
-# lockstep (doubling from WARMUP), before they are stepped one state at a
-# time: no shorter than a lane's L < 2 * BLOCK stored steps
+# the longest warm-up ``step_again`` steps uncertified rows with in lockstep
+# (doubling from WARMUP), before it steps them one state at a time: no
+# shorter than a lane's L < 2 * BLOCK stored steps
 MAX_WARMUP = 2 * BLOCK
 
 # steps per piece of the scan's numpy passes and of the whole-stream
@@ -196,6 +196,27 @@ def _lockstep(x0, noise, alpha: float, shift: float, sigma: float, warmup: int) 
     start = warmup + R * L
     _step_rows(noise[start - 1], noise[start:], alpha, shift, sigma)
     return noise
+
+
+def step_again(noise, k: int, redraw, alpha: float, shift: float, sigma: float) -> None:
+    """Step the rows of ``noise`` after its first ``k`` again, each state over its row.
+
+    ``noise`` is a float64 C-contiguous array whose first ``k`` rows hold
+    the states ``chain_steps`` certified; the noise of the rest is spent.
+    Each rung calls ``redraw(k)``, which must write that noise into
+    ``noise[k:]`` again, then steps those rows in lockstep from row k - 1
+    with a warm-up twice as long as the last, from 2 * WARMUP up to
+    MAX_WARMUP, keeping what certifies; past MAX_WARMUP it steps the rest
+    one state at a time. The rows end bitwise equal to stepping one state
+    at a time.
+    """
+    warmup = WARMUP
+    while k < len(noise):
+        redraw(k)
+        warmup *= 2
+        if warmup > MAX_WARMUP:
+            return _step_rows(noise[k - 1], noise[k:], alpha, shift, sigma)
+        k += len(_lockstep(noise[k - 1], noise[k:], alpha, shift, sigma, warmup))
 
 
 # ---------------------------------------------------------------------------

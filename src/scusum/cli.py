@@ -15,15 +15,14 @@ the values it prints to ``bounds.json``. JSON outputs are strict JSON: a
 non-finite number is written as the string ``"inf"``, ``"-inf"`` or ``"nan"``.
 
 Exit codes: 0 success, 1 internal errors (a fault in a command, not in its
-input), 2 usage/config errors, 3 data errors (trajectory CSVs, AMC files,
-``model.bin`` files), 4 numeric/training errors, 5 I/O errors or out of
-memory.
+input), 2 usage/config errors, 3 data errors (``exceptions.DataError``:
+trajectory CSVs, AMC files, ``model.bin`` files), 4 numeric/training errors,
+5 I/O errors or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -35,8 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, _textio, bounds, detector, markov, mocap, scorenet
-from .exceptions import AmcError, ModelFileError, NumericsError, TrainingError
+from . import __version__, _textio, bounds, detector, fields, markov, mocap, scorenet
+from .exceptions import AmcError, DataError, NumericsError, TrainingError
 
 if TYPE_CHECKING:
     from .config import (BoundsConfig, DetectConfig, KernelsConfig, MocapConfig, ModelsConfig,
@@ -162,36 +161,6 @@ def cmd_simulate(config: SimulateConfig, out_dir: Path) -> tuple[list[str], dict
     return [path.name], None
 
 
-def _read_states_csv(path) -> np.ndarray:
-    """States of a trajectory CSV, every cell but the regime column read with ``float()``.
-
-    A row whose field count differs from the header's, or with a malformed or
-    non-finite value, is rejected with its ``path:line``; a file with fewer
-    than two rows (one transition pair) with its path.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise AmcError(f"{path}: empty trajectory CSV") from None
-        cols = [i for i, name in enumerate(header) if name != "regime"]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise AmcError(f"{path}:{lineno}: row has {len(row)} fields, the header {len(header)}")
-            try:
-                values = [float(row[i]) for i in cols]
-            except ValueError:
-                raise AmcError(f"{path}:{lineno}: malformed trajectory row") from None
-            if not all(map(math.isfinite, values)):
-                raise AmcError(f"{path}:{lineno}: non-finite value in trajectory row")
-            rows.append(values)
-    if len(rows) < 2:
-        raise AmcError(f"{path}: trajectory has {len(rows)} rows, need at least 2")
-    return np.asarray(rows)
-
-
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -201,7 +170,7 @@ def cmd_train(config: TrainCommandConfig, out_dir: Path) -> tuple[list[str], dic
     data = config.data
     oracle = None
     if data.csv is not None:
-        pairs = markov.PairBatch.from_states(_read_states_csv(data.csv))
+        pairs = fields.PairBatch.from_states(markov.read_trajectory_csv(data.csv))
     else:
         pairs = markov.stationary_pairs(data.kernel, data.pairs, seed=data.seed, burn_in=data.burn_in)
         oracle = markov.closed_form_score(data.kernel)
@@ -274,7 +243,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> tuple[list[str], dict | N
     trajectory = config.trajectory()
     stages = _Stages()
     if trajectory is None:
-        states = _read_states_csv(config.data.csv)
+        states = markov.read_trajectory_csv(config.data.csv)
         (n_states, dim), blocks = states.shape, [states]
         if n_states < cp < math.inf:  # the rule a simulated stream's length gets at load
             raise ValueError(f"change_point = {cp} is past the end of {config.data.csv} "
@@ -286,7 +255,7 @@ def cmd_detect(config: DetectConfig, out_dir: Path) -> tuple[list[str], dict | N
     if dim != field_pre.dim:
         raise ValueError(f"data dimension {dim} does not match model dimension {field_pre.dim}")
     blocks = _staged_blocks(stages, blocks, "read", "score")
-    increments = detector.stream_increments(field_pre, field_post, blocks, n_states)
+    increments = fields.stream_score_differences(field_pre, field_post, blocks, n_states)
 
     trunc = detector.TruncationSpec(config.detector.truncation)
     trace = detector.statistic_trace(increments, trunc)
@@ -362,7 +331,7 @@ def cmd_sweep(config: SweepConfig, out_dir: Path) -> tuple[list[str], dict | Non
     # the stream is stepped and scored one block at a time: only the
     # increments grow with its length
     blocks = _staged_blocks(stages, markov.path_blocks(config.trajectory()), "simulate", "score")
-    increments = detector.stream_increments(field_pre, field_post, blocks, config.stream.length)
+    increments = fields.stream_score_differences(field_pre, field_post, blocks, config.stream.length)
 
     trunc = detector.TruncationSpec(config.truncation)
     levels = {"sweep.csv": trunc}
@@ -551,7 +520,7 @@ def main(argv=None) -> int:
                     "outputs": outputs}
         _write_json(out_dir / "manifest.json", manifest, sort_keys=True)
         return EXIT_OK
-    except (AmcError, ModelFileError) as err:
+    except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (NumericsError, TrainingError) as err:

@@ -21,7 +21,11 @@ class BoundDomainError(ValueError):
     """Inputs violate the validity condition of a theoretical bound."""
 
 
-class AmcError(ValueError):
+class DataError(ValueError):
+    """Base class for a data file the CLI rejects with exit 3: AMC, trajectory CSV or ``model.bin``."""
+
+
+class AmcError(DataError):
     """Base class for motion-capture ingestion failures."""
 
 
@@ -37,7 +41,11 @@ class AmcStructureError(AmcError):
     """Frames are inconsistent (index gaps, bone mismatches, ...)."""
 
 
-class ModelFileError(ValueError):
+class TrajectoryCsvError(DataError):
+    """A trajectory CSV is empty, too short, or has a bad row; the message names its path."""
+
+
+class ModelFileError(DataError):
     """A ``model.bin`` file is corrupt or truncated; carries the file's path."""
 
     def __init__(self, path, message: str):

@@ -9,13 +9,17 @@ and the one-pair ``score`` and ``divergence`` of the base class are batches
 of one. On top of that capability this module provides:
 
 * the conditional Hyvarinen score  S_H(y, x) = 0.5*||score||^2 + divergence,
-* the score difference s = S_H(.; p) - S_H(.; q) between two models,
+* the score difference s = S_H(.; p) - S_H(.; q) between two models, over a
+  pair stream or over a trajectory that arrives in blocks
+  (``stream_score_differences``, which ``sweep`` and ``detect`` score with),
 * the conditional Fisher divergence  D_F = 0.5 * E||score_p - score_q||^2,
 * empirical drift estimates of s over transition-pair streams.
 
 Conventions: D_F carries the 1/2 factor so that the drift identity
 E_p[s] = -D_F(p||q) holds exactly; all math is double precision. Estimators
-return a mean together with its Monte-Carlo standard error. Whether a pair
+return a mean together with its Monte-Carlo standard error, a
+``MonteCarloEstimate``, whose ``from_spent`` is the package's one mean and
+standard-error arithmetic (``np.mean``'s and ``np.std``'s bits). Whether a pair
 stream is stationary is the caller's concern (see ``markov.simulate_path``
 for burn-in handling).
 
@@ -25,7 +29,9 @@ Memory: the batch estimators (``hyvarinen_scores`` and therefore
 per (rows, d) float64 array (``_BLOCK_BYTES``) and write each block into one
 preallocated (n,) output. Beyond its input a call holds that output, one
 more (n,) array for a score difference, and the few block-sized temporaries
-a field builds; a field's own batch methods see one block at a time. A
+a field builds; a field's own batch methods see one block at a time.
+``stream_score_differences`` hands the fields the same row blocks as one
+whole-trajectory call, so its increments are bitwise that call's. A
 network field (``scorenet``) bounds its own arrays as well: its passes take
 a block in chunks of ``scorenet._STACK_BYTES`` per activation or tangent
 stack, so its (rows, width) activations never reach width/d times the
@@ -56,6 +62,7 @@ __all__ = [
     "hyvarinen_scores",
     "score_difference",
     "score_differences",
+    "stream_score_differences",
     "estimate_fisher_divergence",
     "estimate_drift",
     "check_divergence_consistency",
@@ -193,10 +200,25 @@ class MonteCarloEstimate:
 
     @classmethod
     def from_values(cls, values) -> "MonteCarloEstimate":
-        values = np.asarray(values, dtype=np.float64)
+        """The estimate over ``values``, from one float64 copy (as much memory as ``np.std`` took)."""
+        return cls.from_spent(np.array(values, dtype=np.float64).reshape(-1))
+
+    @classmethod
+    def from_spent(cls, values: np.ndarray) -> "MonteCarloEstimate":
+        """``from_values`` of a 1-D float64 array its caller gives up: the deviations are squared in it.
+
+        These are ``np.mean``'s and ``np.std(ddof=1)``'s own operations in
+        their order, so the mean and standard error keep their bits, made
+        without their (n,) deviation array.
+        """
         n = values.size
-        se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(mean=float(np.mean(values)) if n else math.nan, std_error=se, count=n)
+        if n < 2:
+            return cls(mean=float(values[0]) if n else math.nan, std_error=0.0, count=n)
+        mean = np.add.reduce(values) / n
+        np.subtract(values, mean, out=values)
+        np.multiply(values, values, out=values)
+        se = float(np.sqrt(np.add.reduce(values) / (n - 1)) / np.sqrt(n))
+        return cls(mean=float(mean), std_error=se, count=n)
 
     def __float__(self) -> float:
         return self.mean
@@ -216,7 +238,11 @@ def hyvarinen_score(field: ScoreField, pair: TransitionPair) -> float:
     div = float(field.divergence(pair.x_next, pair.x_prev))
     if not np.isfinite(div):
         raise NumericsError("non-finite divergence term in Hyvarinen score")
-    return 0.5 * float(s @ s) + div
+    with np.errstate(over="ignore"):
+        h = 0.5 * float(s @ s) + div
+    if not math.isfinite(h):
+        raise NumericsError("Hyvarinen score overflows from finite terms")
+    return h
 
 
 # Bytes in one (rows, d) float64 array of the score stage: blocks of
@@ -255,12 +281,13 @@ def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
         h *= 0.5
         h += div
         # a non-finite term makes its row of h non-finite, so the terms are
-        # checked only when h is (a finite score can still overflow its square)
+        # checked only when h is
         if not np.isfinite(h).all():
             if not np.isfinite(s).all():
                 raise NumericsError("non-finite score term in Hyvarinen score")
             if not np.isfinite(div).all():
                 raise NumericsError("non-finite divergence term in Hyvarinen score")
+            raise NumericsError("Hyvarinen score overflows from finite terms")
     return out
 
 
@@ -274,6 +301,57 @@ def score_differences(field_p: ScoreField, field_q: ScoreField, pairs) -> np.nda
     batch = PairBatch.coerce(pairs)
     out = hyvarinen_scores(field_p, batch)
     out -= hyvarinen_scores(field_q, batch)
+    return out
+
+
+def stream_score_differences(field_p: ScoreField, field_q: ScoreField, blocks, n_states: int) -> np.ndarray:
+    """``score_differences`` over the consecutive pairs of ``n_states`` states that arrive in blocks.
+
+    ``blocks`` yields consecutive (rows, d) pieces of the trajectory, such as
+    ``markov.path_blocks``; each is scored as it arrives into one
+    (n_states - 1,) output and is not kept. A block contributes its inner
+    pairs and the pair that crosses into it from the block before. The pairs
+    go to the fields in the row blocks of ``hyvarinen_scores`` over the
+    whole trajectory, one row block per call, so the result is bitwise that
+    of one whole-trajectory call; the states of a row block that crosses
+    into the next block (at most one row block) wait for it.
+    """
+    if n_states < 2:
+        raise ValueError("need a (n >= 2, d) array of states")
+    rows = _block_rows(field_p.dim)
+    out = np.empty(n_states - 1)
+
+    def score(states, first: int) -> None:
+        pairs = PairBatch.from_states(states)
+        out[first : first + len(pairs)] = score_differences(field_p, field_q, pairs)
+
+    held = None  # the states from pair `done` on, waiting for a full row block
+    done = end = 0  # pairs scored, states received
+    for block in blocks:
+        if not len(block):
+            continue
+        start, end = end, end + len(block)
+        if end > n_states:
+            raise ValueError(f"blocks hold more than {n_states} states")
+        last = end == n_states
+        if held is not None:
+            # the row block that crosses into this block: rows + 1 states at most
+            head = np.concatenate([held, block[: done + rows + 1 - start]])
+            if len(head) < rows + 1 and not last:
+                held = head
+                continue
+            score(head, done)
+            done += len(head) - 1
+            del head
+        # the row blocks that lie inside this block; on the last block the rest too
+        while done + rows < end or (last and done + 1 < end):
+            stop = min(done + rows, end - 1)
+            score(block[done - start : stop + 1 - start], done)
+            done = stop
+        held = block[done - start :].copy()
+        del block
+    if end != n_states:
+        raise ValueError(f"blocks hold {end} states, expected {n_states}")
     return out
 
 

@@ -19,26 +19,29 @@ stepped from the exact last state of the block before. Given the same config,
 paths are bitwise reproducible, and bitwise equal to stepping the recursion
 one state at a time (``_kernels.chain_steps`` steps a block's rows in
 lockstep lanes, each checked against the lane before it, and writes each
-state over the noise row it consumed).
+state over the noise row it consumed; ``_kernels.step_again`` steps the
+rows of lanes that did not merge).
 
 Memory: ``path_blocks`` yields the path in blocks of ``_BLOCK_BYTES`` per
 (rows, d) array, and a block's states are written over its noise, so a
 caller that uses each block and drops it (``sweep``, and ``detect`` on a
 simulated stream) holds one (rows, d) array whatever the length. In the rare
 block whose lanes do not all merge, the rest of its noise is drawn again
-into the same rows and stepped again, with longer warm-ups.
+into the same rows (``_redraw``), so a block is always one array.
 ``simulate_path`` writes the blocks into one (burn_in + length, d) array.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import _kernels, _textio
-from .exceptions import NumericsError
+from .exceptions import NumericsError, TrajectoryCsvError
 from .fields import GaussianScoreField, PairBatch
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "closed_form_score",
     "log_likelihood_ratios",
     "write_trajectory_csv",
+    "read_trajectory_csv",
 ]
 
 INFINITE = math.inf
@@ -147,28 +151,19 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * d))
 
 
-def _step_again(rng, drawn, z, k: int, spec: GaussianKernelSpec) -> None:
-    """Step the rows of block ``z`` after its first ``k`` certified ones again.
+def _redraw(rng, drawn, z, k: int) -> None:
+    """Draw the noise of block ``z``'s rows from ``k`` on again, into those rows.
 
-    A lockstep lane did not merge within its warm-up, and the noise past the
-    certified rows is spent: it is drawn again from the generator state
-    ``drawn`` saved before the block's draw, skipping the first ``k`` rows
-    through ``z``'s own spent rows, and stepped in lockstep with a warm-up
-    twice as long, up to ``_kernels.MAX_WARMUP``; past that, one state at a
-    time. The generator ends where the block's first draw left it.
+    The generator is rewound to ``drawn``, its state before the block's
+    draw, and the normals of the first ``k`` rows are skipped by drawing
+    them into the spent rows themselves, so no (k, d) temporary is made.
+    The generator ends where the block's first draw left it.
     """
-    warmup = _kernels.WARMUP
-    while k < len(z):
-        rng.bit_generator.state = drawn
-        spent = z[k:].reshape(-1)
-        for skip in range(k * z.shape[1], 0, -spent.size):
-            rng.standard_normal(out=spent[: min(skip, spent.size)])
-        rng.standard_normal(out=z[k:])
-        warmup *= 2
-        if warmup > _kernels.MAX_WARMUP:
-            _kernels._step_rows(z[k - 1], z[k:], spec.alpha, spec.shift, spec.sigma)
-            return
-        k += len(_kernels._lockstep(z[k - 1], z[k:], spec.alpha, spec.shift, spec.sigma, warmup))
+    rng.bit_generator.state = drawn
+    spent = z[k:].reshape(-1)
+    for skip in range(k * z.shape[1], 0, -spent.size):
+        rng.standard_normal(out=spent[: min(skip, spent.size)])
+    rng.standard_normal(out=z[k:])
 
 
 def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
@@ -204,7 +199,8 @@ def path_blocks(config: TrajectoryConfig, noise: np.ndarray | None = None):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is reported below
                 states = _kernels.chain_steps(x, z, spec.alpha, spec.shift, spec.sigma)
                 if len(states) < b - a:
-                    _step_again(rng, drawn, z, len(states), spec)
+                    _kernels.step_again(z, len(states), partial(_redraw, rng, drawn, z),
+                                        spec.alpha, spec.shift, spec.sigma)
                     states = z
             del z
             if not np.isfinite(states[-1]).all():
@@ -308,3 +304,34 @@ def write_trajectory_csv(path, states: np.ndarray, post_from: float | None = Non
         _textio.write_rows(fh, header)
         for rows in lines:
             _textio.write_rows(fh, rows)
+
+
+def read_trajectory_csv(path) -> np.ndarray:
+    """States of a trajectory CSV, every cell but the regime column read with ``float()``.
+
+    A row whose field count differs from the header's, or with a malformed or
+    non-finite value, is rejected with its ``path:line``; a file with fewer
+    than two rows (one transition pair) with its path. Each rejection is a
+    ``TrajectoryCsvError``.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TrajectoryCsvError(f"{path}: empty trajectory CSV") from None
+        cols = [i for i, name in enumerate(header) if name != "regime"]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise TrajectoryCsvError(f"{path}:{lineno}: row has {len(row)} fields, the header {len(header)}")
+            try:
+                values = [float(row[i]) for i in cols]
+            except ValueError:
+                raise TrajectoryCsvError(f"{path}:{lineno}: malformed trajectory row") from None
+            if not all(map(math.isfinite, values)):
+                raise TrajectoryCsvError(f"{path}:{lineno}: non-finite value in trajectory row")
+            rows.append(values)
+    if len(rows) < 2:
+        raise TrajectoryCsvError(f"{path}: trajectory has {len(rows)} rows, need at least 2")
+    return np.asarray(rows)

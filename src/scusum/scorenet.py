@@ -234,10 +234,6 @@ def _sigmoid(z, out=None):
     return g
 
 
-def silu(z):
-    return z * _sigmoid(z)
-
-
 def _silu_parts(z, want_d2: bool):
     """silu, silu' and (optionally) silu'' of z, all from one sigmoid g.
 

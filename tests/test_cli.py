@@ -611,6 +611,27 @@ def test_overflowing_stream_exits_4_naming_its_first_state(tmp_path, capsys, com
     assert not (out / "metrics.json").exists()
 
 
+# states near 1e100 score finitely under a field of sigma 1e-50, about 1e200,
+# but half its square overflows
+WIDE = {"dim": 2, "alpha": 0.3, "sigma": 1e100}
+NARROW = {"dim": 2, "alpha": 0.3, "sigma": 1e-50}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("sweep", {"kernels": {"pre": WIDE, "post": NARROW},
+               "stream": {"law": "pre", "length": 50, "burn_in": 0}, "thresholds": [10.0]}),
+    ("detect", {"kernels": {"pre": WIDE, "post": NARROW},
+                "data": {"simulate": {"length": 50, "burn_in": 0}}, "detector": {"threshold": 10.0}}),
+])
+def test_overflowing_hyvarinen_score_exits_4_naming_the_overflow(tmp_path, capsys, command, payload):
+    # the score terms were finite, so this exited 4 only at the detector's
+    # finite check, as a "non-finite detector increment"
+    code, out = run(tmp_path, command, payload)
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: Hyvarinen score overflows from finite terms\n"
+    assert not (out / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("command, data, message", [
     ("train", {"kernel": SMALL_KERNEL, "csv": "no_such.csv"},
      "give exactly one of data.kernel and data.csv, got both"),

@@ -3,14 +3,11 @@
 import gc
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from scusum import _kernels, detector, fields, markov
+from scusum import _kernels
 
 from scusum.detector import (
     DetectorConfig,
@@ -19,7 +16,6 @@ from scusum.detector import (
     detector_update,
     score_increments,
     statistic_trace,
-    stream_increments,
     threshold_sweep,
     truncate,
     write_sweep_csv,
@@ -27,9 +23,7 @@ from scusum.detector import (
 )
 from scusum.exceptions import NumericsError
 from scusum.fields import MonteCarloEstimate
-from scusum.markov import (GaussianKernelSpec, TrajectoryConfig, closed_form_score, path_blocks,
-                           simulate_path)
-from scusum.scorenet import MlpArchitecture, as_score_field, init_params
+from scusum.markov import GaussianKernelSpec, TrajectoryConfig, closed_form_score, simulate_path
 
 PRE = GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
 POST = GaussianKernelSpec(dim=10, alpha=0.6, sigma=0.5, shift=0.9)
@@ -333,26 +327,6 @@ def post_increments(closed_form_fields):
     return score_increments(fp, fq, states)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.one_of(st.integers(0, 300),
-                st.sampled_from([16_383, 16_384, 16_385, 32_780, 40_000, 70_001, 99_999])),
-    loc=st.floats(-1e3, 1e3),
-    scale=st.floats(1e-6, 1e6),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_sweep_drift_bitwise_numpys_mean_and_std(n, loc, scale, seed):
-    # the sweep squares the deviations in its clipped copy, with np.std's
-    # own operations, so the estimate keeps the bits of np.mean and np.std
-    values = loc + scale * np.random.default_rng(seed).standard_normal(n)
-    estimate = detector._spent_drift(values.copy())
-    assert estimate.count == n
-    if n:
-        assert estimate.mean.hex() == float(np.mean(values)).hex()
-    if n > 1:
-        assert estimate.std_error.hex() == float(np.std(values, ddof=1) / np.sqrt(n)).hex()
-
-
 class TestSyntheticStreams:
     def test_truncation_preserves_negative_drift(self, pre_increments):
         # empirical restatement: clipping at M=600 keeps the pre-change mean negative
@@ -385,82 +359,6 @@ def test_score_increments_memory_does_not_grow_with_the_stream(closed_form_field
         tracemalloc.stop()
     assert increments.shape == (200_000,) and increments.nbytes == 1_600_000
     assert peak < 8_000_000
-
-
-def _cut(states, cuts):
-    """``states`` as consecutive blocks ending at the sorted positions ``cuts``."""
-    edges = [0, *sorted(set(cuts)), len(states)]
-    return [states[a:b] for a, b in zip(edges, edges[1:])]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 400),
-    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
-    rows=st.sampled_from([1, 2, 3, 7, 64, 1000]),
-    network=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_streamed_increments_bitwise_equal_to_one_whole_trajectory_call(n, cuts, rows, network, seed):
-    # the pairs reach the fields in the row blocks of the whole-trajectory
-    # call, so network fields, whose GEMMs treat row counts differently, agree
-    # bit for bit as well
-    d = 3
-    if network:
-        arch = MlpArchitecture(2 * d, (8,), d)
-        fp, fq = as_score_field(init_params(arch, 1)), as_score_field(init_params(arch, 2))
-    else:
-        fp = closed_form_score(GaussianKernelSpec(dim=d, alpha=0.3, sigma=0.3, shift=0.2))
-        fq = closed_form_score(GaussianKernelSpec(dim=d, alpha=0.6, sigma=0.5, shift=0.9))
-    states = np.random.default_rng(seed).standard_normal((n, d))
-    blocks = _cut(states, [int(c * n) for c in cuts])
-    with mock.patch.object(fields, "_BLOCK_BYTES", 8 * d * rows):
-        whole = score_increments(fp, fq, states)
-        streamed = stream_increments(fp, fq, iter(blocks), n)
-    assert np.array_equal(streamed.view(np.int64), whole.view(np.int64))
-
-
-def test_stream_increments_rejects_a_wrong_state_count(closed_form_fields):
-    fp, fq = closed_form_fields
-    states = np.zeros((10, 10))
-    with pytest.raises(ValueError, match="hold 10 states, expected 11"):
-        stream_increments(fp, fq, [states[:4], states[4:]], 11)
-    with pytest.raises(ValueError, match="more than 9 states"):
-        stream_increments(fp, fq, [states[:4], states[4:]], 9)
-    with pytest.raises(ValueError, match="n >= 2"):
-        stream_increments(fp, fq, [states[:1]], 1)
-
-
-def _streamed_peak(fields_pq, length):
-    """tracemalloc peak of simulating and scoring a ``length``-state stream one block at a time."""
-    config = TrajectoryConfig(pre=PRE, length=length, seed=74)
-    tracemalloc.start()
-    try:
-        increments = stream_increments(*fields_pq, path_blocks(config), length)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert increments.shape == (length - 1,)
-    return peak
-
-
-def test_streamed_simulate_and_score_peak_grows_only_by_the_increments(closed_form_fields):
-    # one simulated block, its states stepped over its noise, sets the peak
-    # at any length, and only the (n - 1,) increments grow, 8 bytes per step.
-    # Besides them the peak holds the score of one row block: the states of
-    # a row block that waits for the next simulated block, the crossing row
-    # block built from them, and the kernel mean, its tanh term and the score
-    # of a row block, 1 MiB each whatever the length. Holding the whole
-    # stream's noise and states grew the peak by 157 bytes per step; a
-    # block's noise and states held as two arrays took 17.5 MB above the
-    # increments at either length
-    extra_steps = 200_000
-    block = markov._block_rows(10) * 10 * 8
-    row_block = (fields._block_rows(10) + 1) * 10 * 8
-    short = _streamed_peak(closed_form_fields, 200_000)
-    long = _streamed_peak(closed_form_fields, 400_000)
-    assert long - short < 8 * extra_steps + row_block + 100_000
-    assert long < block + 8 * 400_000 + 5 * row_block
 
 
 class TestCsvOutputs:

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from scusum import fields, markov, scorenet
 from scusum.exceptions import NumericsError
 from scusum.fields import (
     GaussianScoreField,
+    MonteCarloEstimate,
     PairBatch,
     ScoreField,
     TransitionPair,
@@ -24,6 +27,7 @@ from scusum.fields import (
     hyvarinen_scores,
     score_difference,
     score_differences,
+    stream_score_differences,
 )
 
 
@@ -100,10 +104,18 @@ class TestHyvarinenScore:
         with pytest.raises(NumericsError, match="divergence"):
             hyvarinen_score(BrokenDiv(), TransitionPair(np.zeros(1), np.zeros(1)))
 
-    def test_finite_score_whose_square_overflows_names_no_term(self):
-        # only a non-finite term is an error; its square reaching inf is the increment's
-        out = hyvarinen_scores(standard_normal_field(), PairBatch(np.zeros((2, 1)), [[1e200], [1.0]]))
-        assert out.tolist() == [np.inf, -0.5]
+    def test_finite_score_whose_square_overflows_raises(self):
+        # 0.5 * ||s||^2 = 1e320 at y = 1e160 in two dimensions: the scores were
+        # [inf inf inf], and a drift estimate over them read nan with no error
+        field = standard_normal_field(dim=2)
+        pairs = PairBatch(np.zeros((3, 2)), np.full((3, 2), 1e160))
+        with pytest.raises(NumericsError, match="^Hyvarinen score overflows from finite terms$"):
+            hyvarinen_scores(field, pairs)
+        with pytest.raises(NumericsError, match="overflows"):
+            hyvarinen_score(field, TransitionPair(np.zeros(2), np.full(2, 1e160)))
+        with pytest.raises(NumericsError, match="overflows"):
+            estimate_drift(field, field, pairs)
+        assert hyvarinen_score(field, TransitionPair(np.zeros(2), np.full(2, 1e150))) == pytest.approx(1e300)
 
     @pytest.mark.parametrize("mean_fn", [np.tanh, lambda x: x, lambda x: x[:, ::-1][:, ::-1],
                                          lambda x: np.asfortranarray(np.tanh(x))])
@@ -203,6 +215,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("term, message", [
         ("score", "non-finite score term in Hyvarinen score"),
         ("divergence", "non-finite divergence term in Hyvarinen score"),
+        ("square", "Hyvarinen score overflows from finite terms"),
     ])
     @pytest.mark.parametrize("rows", [1, 2, 6, 7, 8])
     def test_non_finite_term_in_last_block_raises(self, term, message, rows):
@@ -222,6 +235,8 @@ class TestRowBlocks:
                 s = base.score_batch(Y, X)
                 if term == "score" and np.any(Y[:, 0] == 99.0):
                     s[Y[:, 0] == 99.0] = np.nan
+                if term == "square":
+                    s[Y[:, 0] == 99.0] = 1e160  # finite, but 0.5 * ||s||^2 is not
                 return s
 
             def score_and_divergence_batch(self, Y, X):
@@ -345,6 +360,111 @@ class TestDrift:
             fisher = estimate_fisher_divergence(p, q, batch)
             tol = 3 * np.hypot(drift.std_error, fisher.std_error)
             assert abs(drift.mean + fisher.mean) <= max(tol, 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 300),
+                st.sampled_from([16_383, 16_384, 16_385, 32_780, 40_000, 70_001, 99_999])),
+    loc=st.floats(-1e3, 1e3),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monte_carlo_estimate_bitwise_numpys_mean_and_std(n, loc, scale, seed):
+    # from_spent squares the deviations in the array it is given, with
+    # np.std's own operations, so the estimate keeps the bits of np.mean and
+    # np.std; from_values does the same on its own copy
+    values = loc + scale * np.random.default_rng(seed).standard_normal(n)
+    spent = values.copy()
+    estimate = MonteCarloEstimate.from_spent(spent)
+    assert repr(MonteCarloEstimate.from_values(values)) == repr(estimate)
+    assert estimate.count == n
+    if n:
+        assert estimate.mean.hex() == float(np.mean(values)).hex()
+    else:
+        assert math.isnan(estimate.mean)
+    if n > 1:
+        assert estimate.std_error.hex() == float(np.std(values, ddof=1) / np.sqrt(n)).hex()
+        assert_bitwise(spent, (values - np.mean(values)) ** 2)
+    else:
+        assert estimate.std_error == 0.0
+
+
+# ---------------------------------------------------------------------------
+# a trajectory scored as it arrives in blocks
+# ---------------------------------------------------------------------------
+
+def _cut(states, cuts):
+    """``states`` as consecutive blocks ending at the sorted positions ``cuts``."""
+    edges = [0, *sorted(set(cuts)), len(states)]
+    return [states[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    rows=st.sampled_from([1, 2, 3, 7, 64, 1000]),
+    network=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_score_differences_bitwise_equal_to_one_whole_trajectory_call(n, cuts, rows, network,
+                                                                               seed):
+    # the pairs reach the fields in the row blocks of the whole-trajectory
+    # call, so network fields, whose GEMMs treat row counts differently, agree
+    # bit for bit as well
+    d = 3
+    fp, fq = network_fields(d, 1) if network else closed_form_fields(d)
+    states = np.random.default_rng(seed).standard_normal((n, d))
+    blocks = _cut(states, [int(c * n) for c in cuts])
+    with mock.patch.object(fields, "_BLOCK_BYTES", 8 * d * rows):
+        whole = score_differences(fp, fq, PairBatch.from_states(states))
+        streamed = stream_score_differences(fp, fq, iter(blocks), n)
+    assert_bitwise(streamed, whole)
+
+
+def test_stream_score_differences_rejects_a_wrong_state_count():
+    fp, fq = closed_form_fields(10)
+    states = np.zeros((10, 10))
+    with pytest.raises(ValueError, match="hold 10 states, expected 11"):
+        stream_score_differences(fp, fq, [states[:4], states[4:]], 11)
+    with pytest.raises(ValueError, match="more than 9 states"):
+        stream_score_differences(fp, fq, [states[:4], states[4:]], 9)
+    with pytest.raises(ValueError, match="n >= 2"):
+        stream_score_differences(fp, fq, [states[:1]], 1)
+
+
+def _streamed_peak(fields_pq, length):
+    """tracemalloc peak of simulating and scoring a ``length``-state stream one block at a time."""
+    pre = markov.GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
+    config = markov.TrajectoryConfig(pre=pre, length=length, seed=74)
+    tracemalloc.start()
+    try:
+        increments = stream_score_differences(*fields_pq, markov.path_blocks(config), length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert increments.shape == (length - 1,)
+    return peak
+
+
+def test_streamed_simulate_and_score_peak_grows_only_by_the_increments():
+    # one simulated block, its states stepped over its noise, sets the peak
+    # at any length, and only the (n - 1,) increments grow, 8 bytes per step.
+    # Besides them the peak holds the score of one row block: the states of
+    # a row block that waits for the next simulated block, the crossing row
+    # block built from them, and the kernel mean, its tanh term and the score
+    # of a row block, 1 MiB each whatever the length. Holding the whole
+    # stream's noise and states grew the peak by 157 bytes per step; a
+    # block's noise and states held as two arrays took 17.5 MB above the
+    # increments at either length
+    extra_steps = 200_000
+    block = markov._block_rows(10) * 10 * 8
+    row_block = (fields._block_rows(10) + 1) * 10 * 8
+    short = _streamed_peak(closed_form_fields(10), 200_000)
+    long = _streamed_peak(closed_form_fields(10), 400_000)
+    assert long - short < 8 * extra_steps + row_block + 100_000
+    assert long < block + 8 * 400_000 + 5 * row_block
 
 
 def scalar_divergence_consistency(field, probes, h=1e-4):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scusum import _kernels, detector, markov
+from scusum import _kernels, detector, fields, markov
 from scusum.detector import DetectorConfig, DetectorState, TruncationSpec, detector_update
 
 L = _kernels.BLOCK
@@ -95,7 +95,7 @@ def test_trace_stays_within_the_margin_on_a_long_stream():
     pre = markov.GaussianKernelSpec(dim=10, alpha=0.3, sigma=0.3, shift=0.2)
     post = markov.GaussianKernelSpec(dim=10, alpha=0.6, sigma=0.5, shift=0.9)
     n = 10**6 + 1
-    s = detector.stream_increments(
+    s = fields.stream_score_differences(
         markov.closed_form_score(pre), markov.closed_form_score(post),
         markov.path_blocks(markov.TrajectoryConfig(pre=pre, length=n, seed=11)), n)
     trace = detector.statistic_trace(s, TruncationSpec(50.0))
@@ -224,6 +224,34 @@ def test_chain_steps_writes_its_states_over_the_noise(alpha, shift, sigma, merge
     assert (len(out) == len(noise)) == merges and len(out) >= W + L
     assert_bitwise(out, expected[: len(out)])
     assert_bitwise(noise[: len(out)], expected[: len(out)])
+
+
+@pytest.mark.parametrize("alpha, rungs", [(0.3, []), (0.05, [2 * W]), (0.01, [2 * W, 4 * W, 8 * W])])
+def test_step_again_climbs_the_warmup_ladder(monkeypatch, alpha, rungs):
+    # each rung has the noise past the certified rows drawn again and steps it
+    # in lockstep with twice the warm-up, up to MAX_WARMUP; the rung past
+    # that redraws too, then steps the rest one state at a time
+    rng = np.random.default_rng(14)
+    x0, noise = rng.standard_normal(2), rng.standard_normal((20_000, 2))
+    expected = one_step_chain(x0, noise, alpha, 0.0, 1.0)
+    out = noise.copy()
+    k = len(_kernels.chain_steps(x0, out, alpha, 0.0, 1.0))
+    warmups, redrawn = [], []
+    lockstep = _kernels._lockstep
+
+    def counting(*args):
+        warmups.append(args[-1])
+        return lockstep(*args)
+
+    def redraw(k):
+        redrawn.append(k)
+        out[k:] = noise[k:]
+
+    monkeypatch.setattr(_kernels, "_lockstep", counting)
+    _kernels.step_again(out, k, redraw, alpha, 0.0, 1.0)
+    assert warmups == [w for w in rungs if w <= _kernels.MAX_WARMUP]
+    assert len(redrawn) == len(rungs) and redrawn[:1] == ([k] if rungs else [])
+    assert_bitwise(out, expected)
 
 
 # ---------------------------------------------------------------------------

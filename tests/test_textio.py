@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scusum import _textio, detector, markov, mocap
-from scusum.cli import EXIT_DATA, _read_states_csv, main
-from scusum.exceptions import AmcError, AmcParseError, AmcStructureError
+from scusum.cli import EXIT_DATA, main
+from scusum.exceptions import AmcError, AmcParseError, AmcStructureError, DataError, TrajectoryCsvError
+from scusum.markov import read_trajectory_csv
 from scusum.mocap import AmcClip, parse_amc, serialize_amc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -204,7 +205,7 @@ def _bits(a):
 def test_trajectory_csv_round_trip_is_bitwise(tmp_path_factory, states, with_regime):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     markov.write_trajectory_csv(path, states, post_from=math.inf if with_regime else None)
-    back = _read_states_csv(path)
+    back = read_trajectory_csv(path)
     assert back.shape == states.shape
     assert np.array_equal(_bits(back), _bits(states))
 
@@ -313,14 +314,15 @@ GOOD_ROWS = "x0,x1,regime\r\n0.1,0.2,pre\r\n0.3,0.4,pre\r\n0.5,0.6,post\r\n"
 def test_bad_trajectory_rows_name_their_line(tmp_path, body, message):
     path = tmp_path / "t.csv"
     path.write_text("x0,x1,regime\r\n" + body, newline="")
-    with pytest.raises(AmcError, match=message):
-        _read_states_csv(path)
+    with pytest.raises(TrajectoryCsvError, match=message) as caught:
+        read_trajectory_csv(path)
+    assert isinstance(caught.value, DataError) and not isinstance(caught.value, AmcError)
 
 
 def test_trajectory_cells_parse_as_float_does(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x0,x1\n 1_0 ,+.5\n١٢,-0\n")
-    back = _read_states_csv(path)
+    back = read_trajectory_csv(path)
     assert np.array_equal(_bits(back), _bits(np.array([[10.0, 0.5], [12.0, -0.0]])))
     assert back.flags.c_contiguous
 
