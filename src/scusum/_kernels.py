@@ -384,6 +384,15 @@ def _margin(phi) -> float:
     return 4 * n * 2.0**-53 * a
 
 
+def _lowest(x: float, c: float) -> float:
+    """A float at or below every w with fl(w + c) >= x, for finite c >= 0.
+
+    In reals such a w is at least x - c - u|x| (u = 2**-53); the slack of
+    4u(|x| + c) covers that and the two roundings of the bound itself.
+    """
+    return x - c - 4 * 2.0**-53 * (abs(x) + c) if math.isfinite(x) else x
+
+
 def _regions(phi, tol: float, floor: float):
     """The regions a threshold >= ``floor`` or the peak may need: (starts, stops, tops, peak).
 
@@ -391,8 +400,13 @@ def _regions(phi, tol: float, floor: float):
     with top + tol >= floor, and those within 2 tol of the running largest
     W-hat, a superset of the regions within 2 tol of the final largest
     ``peak``. Works piece by piece of ``_trace_pieces``, so nothing it
-    allocates grows with the stream beyond the kept regions. An infinite
-    ``tol`` decides nothing: the stream is one region with an infinite top.
+    allocates grows with the stream beyond the kept regions. A top is
+    reduced only for a region that continues one from the piece before or
+    holds a step at or above ``_lowest`` of both tests: no other region can
+    pass them, and the steps below that bound are below those above it, so
+    the top of such a region is the largest of its steps above it. An
+    infinite ``tol`` decides nothing: the stream is one region with an
+    infinite top.
     """
     n = phi.shape[0]
     if not math.isfinite(tol):
@@ -407,18 +421,27 @@ def _regions(phi, tol: float, floor: float):
             top = max(top, high)
             continue
         stops += 1
-        firsts = np.empty_like(stops)  # region starts within the piece
-        firsts[0] = 0
-        firsts[1:] = stops[:-1]
-        tops = np.maximum.reduceat(w[: stops[-1]], firsts)
-        tops[0] = max(tops[0], top)
-        firsts += a
+        first, end = int(stops[0]), int(stops[-1])
+        # the steps after the first region that may lie in a kept region, and
+        # the regions they lie in (region r ends at stops[r])
+        hits = np.flatnonzero(w[first:end] >= min(_lowest(floor, tol), _lowest(peak, 2 * tol)))
+        hits += first
+        ids = np.searchsorted(stops, hits, side="right")
+        heads = np.flatnonzero(np.diff(ids, prepend=0))  # the first hit of each region
+        regions = ids[heads]
+        tops = np.empty(regions.size + 1)
+        tops[0] = max(float(w[:first].max()), top)
+        np.maximum.reduceat(w[hits], heads, out=tops[1:])
+        firsts = np.empty_like(tops, dtype=stops.dtype)
         firsts[0] = start
-        stops += a
+        firsts[1:] = stops[regions - 1] + a
+        ends = np.empty_like(firsts)
+        ends[0] = first + a
+        ends[1:] = stops[regions] + a
         keep = (tops + tol >= floor) | (tops + 2 * tol >= peak)
-        kept.append((firsts[keep], stops[keep], tops[keep]))
-        start = int(stops[-1])
-        top = float(w[start - a :].max()) if start < a + w.shape[0] else -math.inf
+        kept.append((firsts[keep], ends[keep], tops[keep]))
+        start = end + a
+        top = float(w[end:].max()) if end < w.shape[0] else -math.inf
     if start < n:
         kept.append(([start], [n], [top]))
     starts, stops, tops = (np.concatenate(parts) for parts in zip(*kept))

@@ -225,7 +225,7 @@ def write_trace_csv(path, increments, trace, first_time: int = 1) -> None:
         raise ValueError("increments and trace must have equal length")
     with open(path, "w", newline="") as fh:
         _textio.write_rows(fh, ["n,score_diff,cusum_stat"])
-        for start, rows in _textio.row_chunks(np.column_stack((increments, trace))):
+        for start, rows in _textio.row_chunks(increments, trace):
             times = range(first_time + start, first_time + start + len(rows))
             _textio.write_rows(fh, [f"{n},{row}" for n, row in zip(times, rows)])
 

@@ -25,8 +25,8 @@ for burn-in handling).
 
 Memory: the batch estimators (``hyvarinen_scores`` and therefore
 ``score_differences`` and ``estimate_drift``, and
-``estimate_fisher_divergence``) read a stream in row blocks of about 1 MiB
-per (rows, d) float64 array (``_BLOCK_BYTES``) and write each block into one
+``estimate_fisher_divergence``) read a stream in cache-sized row blocks of 256 KiB per
+(rows, d) float64 array (``_BLOCK_BYTES``) and write each block into one
 preallocated (n,) output. Beyond its input a call holds that output, one
 more (n,) array for a score difference, and the few block-sized temporaries
 a field builds; a field's own batch methods see one block at a time.
@@ -246,11 +246,15 @@ def hyvarinen_score(field: ScoreField, pair: TransitionPair) -> float:
 
 
 # Bytes in one (rows, d) float64 array of the score stage: blocks of
-# max(1, _BLOCK_BYTES // (8 d)) rows, 13,107 at d=10 and 2,114 at d=62.
-# Per-row arithmetic does not depend on the block, so closed-form fields give
-# the same bits for any block size; network fields move their tangent chunk
-# boundaries with it and agree to 1e-12 relative (see scorenet._STACK_BYTES).
-_BLOCK_BYTES = 1 << 20
+# max(1, _BLOCK_BYTES // (8 d)) rows, 3,276 at d=10 and 528 at d=62, so a
+# row block's temporaries stay in cache. Per-row arithmetic does not depend
+# on the block, so closed-form fields give the same bits for any block size;
+# network fields move their tangent chunk boundaries with it and agree to
+# 1e-12 relative (see scorenet._STACK_BYTES). A block that is a whole number
+# of tangent chunks keeps the chunking of one whole-stream block: 528 rows
+# are 33 chunks of 16 for a 128-wide network at d=62 (README, "Score stage
+# memory", has the budgets measured from 64 KiB to 1 MiB).
+_BLOCK_BYTES = 1 << 18
 
 
 def _block_rows(d: int) -> int:
@@ -313,19 +317,23 @@ def stream_score_differences(field_p: ScoreField, field_q: ScoreField, blocks, n
     pairs and the pair that crosses into it from the block before. The pairs
     go to the fields in the row blocks of ``hyvarinen_scores`` over the
     whole trajectory, one row block per call, so the result is bitwise that
-    of one whole-trajectory call; the states of a row block that crosses
-    into the next block (at most one row block) wait for it.
+    of one whole-trajectory call. The states of a row block that crosses
+    into the next block wait for it in one preallocated (rows + 1, d)
+    buffer, where the crossing row block is then built, so the call holds
+    one row block of states beyond the block it is given.
     """
     if n_states < 2:
         raise ValueError("need a (n >= 2, d) array of states")
     rows = _block_rows(field_p.dim)
     out = np.empty(n_states - 1)
+    # the row block that crosses into the next simulated block, built in place
+    cross = np.empty((min(rows + 1, n_states), field_p.dim))
 
     def score(states, first: int) -> None:
         pairs = PairBatch.from_states(states)
         out[first : first + len(pairs)] = score_differences(field_p, field_q, pairs)
 
-    held = None  # the states from pair `done` on, waiting for a full row block
+    held = 0  # states in `cross` from pair `done` on, waiting for a full row block
     done = end = 0  # pairs scored, states received
     for block in blocks:
         if not len(block):
@@ -334,21 +342,22 @@ def stream_score_differences(field_p: ScoreField, field_q: ScoreField, blocks, n
         if end > n_states:
             raise ValueError(f"blocks hold more than {n_states} states")
         last = end == n_states
-        if held is not None:
-            # the row block that crosses into this block: rows + 1 states at most
-            head = np.concatenate([held, block[: done + rows + 1 - start]])
-            if len(head) < rows + 1 and not last:
-                held = head
+        if held:
+            # fill the crossing row block up to rows + 1 states
+            k = min(len(block), done + rows + 1 - start)
+            cross[held : held + k] = block[:k]
+            held += k
+            if held < rows + 1 and not last:
                 continue
-            score(head, done)
-            done += len(head) - 1
-            del head
+            score(cross[:held], done)
+            done += held - 1
         # the row blocks that lie inside this block; on the last block the rest too
         while done + rows < end or (last and done + 1 < end):
             stop = min(done + rows, end - 1)
             score(block[done - start : stop + 1 - start], done)
             done = stop
-        held = block[done - start :].copy()
+        held = end - done
+        cross[:held] = block[done - start :]
         del block
     if end != n_states:
         raise ValueError(f"blocks hold {end} states, expected {n_states}")

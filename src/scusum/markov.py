@@ -307,12 +307,16 @@ def write_trajectory_csv(path, states: np.ndarray, post_from: float | None = Non
 
 
 def read_trajectory_csv(path) -> np.ndarray:
-    """States of a trajectory CSV, every cell but the regime column read with ``float()``.
+    """States of a trajectory CSV, every cell but the regime column read as ``float()`` reads it.
 
     A row whose field count differs from the header's, or with a malformed or
     non-finite value, is rejected with its ``path:line``; a file with fewer
     than two rows (one transition pair) with its path. Each rejection is a
-    ``TrajectoryCsvError``.
+    ``TrajectoryCsvError``. The cells are converted with one numpy call per
+    ``_textio.CONVERT_CELLS``, which uses ``float()``'s own parser; only if a
+    call fails, or a value is not finite, are its rows read again one by one
+    to name the first bad one. A field-count error converts the cells before
+    it first, so the first bad row is the one named.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -321,17 +325,36 @@ def read_trajectory_csv(path) -> np.ndarray:
         except StopIteration:
             raise TrajectoryCsvError(f"{path}: empty trajectory CSV") from None
         cols = [i for i, name in enumerate(header) if name != "regime"]
-        rows = []
+        cells: list[str] = []  # cells of the rows not yet converted
+        blocks: list[np.ndarray] = []  # converted cells, in row order
+        n_rows = 0
+
+        def convert() -> None:
+            values = _textio.finite_floats(cells)
+            if values is not None:
+                blocks.append(values)
+                cells.clear()
+                return
+            # the pending rows end at row n_rows, on line n_rows + 1
+            pending = range(0, len(cells), len(cols))
+            for lineno, off in enumerate(pending, start=n_rows + 2 - len(pending)):
+                try:
+                    values = [float(cell) for cell in cells[off : off + len(cols)]]
+                except ValueError:
+                    raise TrajectoryCsvError(f"{path}:{lineno}: malformed trajectory row") from None
+                if not all(map(math.isfinite, values)):
+                    raise TrajectoryCsvError(f"{path}:{lineno}: non-finite value in trajectory row")
+            raise AssertionError("rescan found no bad value")
+
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
+                convert()
                 raise TrajectoryCsvError(f"{path}:{lineno}: row has {len(row)} fields, the header {len(header)}")
-            try:
-                values = [float(row[i]) for i in cols]
-            except ValueError:
-                raise TrajectoryCsvError(f"{path}:{lineno}: malformed trajectory row") from None
-            if not all(map(math.isfinite, values)):
-                raise TrajectoryCsvError(f"{path}:{lineno}: non-finite value in trajectory row")
-            rows.append(values)
-    if len(rows) < 2:
-        raise TrajectoryCsvError(f"{path}: trajectory has {len(rows)} rows, need at least 2")
-    return np.asarray(rows)
+            cells += [row[i] for i in cols]
+            n_rows += 1
+            if len(cells) >= _textio.CONVERT_CELLS:
+                convert()
+        convert()
+    if n_rows < 2:
+        raise TrajectoryCsvError(f"{path}: trajectory has {n_rows} rows, need at least 2")
+    return np.concatenate(blocks).reshape(n_rows, len(cols))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _textio
 from .exceptions import AmcParseError, AmcStructureError
 
 __all__ = [
@@ -69,16 +70,11 @@ def _is_frame_index(tokens: list[str]) -> bool:
     return tok.isdecimal() or (tok.startswith("-") and tok[1:].isdecimal())
 
 
-# Value tokens converted per numpy call: as str objects they take about 60 B
-# each, so this bounds them to about half a megabyte.
-_CONVERT_CELLS = 8192
-
-
 def parse_amc(source) -> AmcClip:
     """Parse AMC text (a string, an open file, or an iterable of lines).
 
     One pass splits each line once and collects the channel value tokens of
-    the bone lines; one numpy call per ``_CONVERT_CELLS`` tokens converts
+    the bone lines; one numpy call per ``_textio.CONVERT_CELLS`` tokens converts
     them with ``float()``'s parser. Only if that fails, or a value is not
     finite, are those lines rescanned to name the first bad one.
     """
@@ -99,15 +95,12 @@ def parse_amc(source) -> AmcClip:
     def convert() -> None:
         # an earlier bad value wins over any later error, as in a line-by-line parse
         nonlocal first
-        try:
-            values = np.array(cells, dtype=np.float64)
-            if np.isfinite(values).all():
-                blocks.append(values)
-                cells.clear()
-                first = len(names)
-                return
-        except ValueError:
-            pass
+        values = _textio.finite_floats(cells)
+        if values is not None:
+            blocks.append(values)
+            cells.clear()
+            first = len(names)
+            return
         off = 0
         for name, count, lineno in zip(names[first:], counts[first:], linenos[first:]):
             floats = []
@@ -140,7 +133,7 @@ def parse_amc(source) -> AmcClip:
         counts.append(len(tokens) - 1)
         linenos.append(lineno)
         cells += tokens[1:]
-        if len(cells) >= _CONVERT_CELLS:
+        if len(cells) >= _textio.CONVERT_CELLS:
             convert()
     convert()
     values = np.concatenate(blocks)

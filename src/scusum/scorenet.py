@@ -357,11 +357,13 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
 
     ``p0`` is the layer-0 tangent of ``_shared_tangents``. Returns the last
     hidden activation, that layer's pre-activation tangent p_last and
-    silu'(z_last), and with ``keep`` the ``(a_in, silu', silu'', p)`` of
-    each hidden layer for the backward pass. Only p_1.. live in ``stacks``:
-    p_0 is the shared (d, h) array, and each t_l is made in a fresh stack and
-    given back once p_{l+1} is formed. Without ``keep`` p_l is given back as
-    soon as t_l is made, so the pass holds at most two stacks.
+    silu'(z_last), and with ``keep`` a pair for the backward pass: the
+    ``(a_in, silu', silu'', p)`` of each hidden layer, and the tangent t that
+    formed p_last (None for fewer than two hidden layers). Only p_1.. and t
+    live in ``stacks``: p_0 is the shared (d, h) array, and each t_l is made
+    in a fresh stack and given back once p_{l+1} is formed, except the last
+    with ``keep``. Without ``keep`` p_l is given back as soon as t_l is made,
+    so the pass holds at most two stacks, and the fourth result is None.
     Without hidden layers it returns a0, the shared (d, 2d) input tangent
     [I, 0] and None.
     """
@@ -370,7 +372,7 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
     d = params.arch.output_dim
     n_hidden = len(params.arch.hidden_widths)
     layers = []
-    a, p, d1 = a0, None, None
+    a, p, d1, t = a0, None, None, None
     for l in range(n_hidden):
         w = params.weights[l]
         h = w.shape[1]
@@ -382,7 +384,8 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
                 stacks.give(p)
             p = np.matmul(t.reshape(B * d, -1), w, out=stacks.take(B, h).reshape(B * d, h))
             p = p.reshape(B, d, h)
-            stacks.give(t)
+            if not keep or l < n_hidden - 1:  # the backward pass reads the last t first
+                stacks.give(t)
         z = a @ w
         z += params.biases[l]
         a_next, d1, d2 = _silu_parts(z, want_d2=keep)
@@ -391,7 +394,7 @@ def _tangent_pass(params: MlpParameters, a0, p0, stacks: _TangentStacks, keep: b
         a = a_next
     if p is None:
         p = np.eye(d, params.arch.input_dim)
-    return a, p, d1, layers
+    return a, p, d1, (layers, t) if keep else None
 
 
 def _outputs(params: MlpParameters, a, p, d1, V):
@@ -554,14 +557,16 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
     Every gradient is written into its view of one new ``MlpGradients``.
     ``stacks`` is the pool of tangent buffers, which the caller reuses for
     all its minibatches or chunks. The pass keeps the pre-activation tangents
-    p_l only; the backward pass rebuilds t_{l-1} = p_{l-1} * silu'(z_{l-1})
-    where it reads it, one multiply, and writes each cotangent d_p over d_t,
-    so it holds L stacks for L >= 2 hidden layers.
+    p_l and the last t, which formed p_last; the backward pass reads that t
+    and rebuilds each earlier t_{l-1} = p_{l-1} * silu'(z_{l-1}) where it
+    reads it, one multiply, and writes each cotangent d_p over d_t, so it
+    holds L stacks for L >= 2 hidden layers.
     """
     B = Y.shape[0]
     d = params.arch.output_dim
     p0, V = _shared_tangents(params)
-    a, p, d1, layers = _tangent_pass(params, np.concatenate([Y, X], axis=1), p0, stacks, keep=True)
+    a, p, d1, (layers, t_last) = _tangent_pass(params, np.concatenate([Y, X], axis=1), p0, stacks,
+                                               keep=True)
     psi, div, q = _outputs(params, a, p, d1, V)
     loss_terms = 0.5 * np.einsum("bj,bj->b", psi, psi) + div
     loss = float(np.mean(loss_terms))
@@ -609,8 +614,11 @@ def _loss_and_grads(params: MlpParameters, Y, X, stacks: _TangentStacks):
             d_p = np.multiply(d_t, d1[:, None, :], out=d_t)
         else:
             d_p = _times_d1(d_t, d1, stacks.take(B, h))
-        _, d1_prev, _, p_prev = layers[l - 1]
-        t_prev = _times_d1(p_prev, d1_prev, stacks.take(B, p_prev.shape[-1]))
+        if l == n_hidden - 1:
+            t_prev = t_last
+        else:
+            _, d1_prev, _, p_prev = layers[l - 1]
+            t_prev = _times_d1(p_prev, d1_prev, stacks.take(B, p_prev.shape[-1]))
         g_w[l] += t_prev.reshape(B * d, -1).T @ d_p.reshape(B * d, h)
         d_a = d_z @ w.T
         # t_prev is read no more; its stack takes its cotangent
@@ -679,8 +687,9 @@ def train(
     shuffle_rng = np.random.default_rng(ss_shuffle)
 
     use_adam = config.optimizer == "adam"
-    if use_adam:  # the first and second moments, in the parameters' layout
+    if use_adam:  # the first and second moments and two scratch vectors, in the parameters' layout
         m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        step, denom = np.empty_like(params.flat), np.empty_like(params.flat)
         step_count = 0
 
     stacks = _TangentStacks.for_pairs(arch, config.batch_size)
@@ -704,11 +713,22 @@ def train(
                 step_count += 1
                 c1 = 1.0 - config.beta1**step_count
                 c2 = 1.0 - config.beta2**step_count
+                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+                # lr (m / c1) / (sqrt(v / c2) + eps), with their IEEE operations
+                # in their order (products commuted) in the two scratch vectors
+                g = grads.flat
                 m *= config.beta1
-                m += (1 - config.beta1) * grads.flat
+                m += np.multiply(g, 1 - config.beta1, out=step)
                 v *= config.beta2
-                v += (1 - config.beta2) * grads.flat * grads.flat
-                params.flat -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
+                np.multiply(g, 1 - config.beta2, out=step)
+                v += np.multiply(step, g, out=step)
+                np.divide(m, c1, out=step)
+                step *= config.learning_rate
+                np.divide(v, c2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += config.eps
+                step /= denom
+                params.flat -= step
             else:
                 params.flat -= config.learning_rate * grads.flat
         epoch_loss = total / n

@@ -198,8 +198,21 @@ class TestRowBlocks:
                 agree(got, want)
 
     def test_default_block_rows(self):
-        assert fields._BLOCK_BYTES // (8 * 10) == 13_107
-        assert fields._BLOCK_BYTES // (8 * 62) == 2_114
+        assert fields._BLOCK_BYTES // (8 * 10) == 3_276
+        assert fields._BLOCK_BYTES // (8 * 62) == 528
+
+    def test_mocap_dimension_network_increments_are_bitwise_those_of_one_whole_stream_block(self):
+        # 528 rows are 33 whole 16-row tangent chunks of a 128-wide network at
+        # d=62, so the default blocks cut the stream where one block's chunks do
+        d, n = 62, 3 * fields._block_rows(62) + 40
+        arch = scorenet.MlpArchitecture(input_dim=2 * d, hidden_widths=(128, 128), output_dim=d)
+        fp, fq = (scorenet.as_score_field(scorenet.init_params(arch, seed)) for seed in (3, 4))
+        states = np.random.default_rng(62).standard_normal((n, d))
+        pairs = PairBatch.from_states(states)
+        whole = blocked(8 * d * n, score_differences, fp, fq, pairs)
+        assert fields._block_rows(d) % scorenet._stack_rows(arch) == 0
+        assert_bitwise(score_differences(fp, fq, pairs), whole)
+        assert_bitwise(stream_score_differences(fp, fq, [states[:700], states[700:]], n), whole)
 
     def test_network_field_scores_each_block_through_the_public_batch_api(self):
         # one fused call per block: no second primal pass through forward_batch

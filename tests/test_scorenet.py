@@ -405,12 +405,12 @@ class TestChunking:
         assert np.array_equal(div, np.concatenate(chunks))
 
     @pytest.mark.parametrize("widths, counts", [
-        # score_and_divergence_batch holds two stacks, and so does each of its three
-        # calls from surrogate_loss, one per 2114-row block of
+        # score_and_divergence_batch holds two stacks, and so does each of its ten
+        # calls from surrogate_loss, one per 528-row block of
         # fields.hyvarinen_scores; loss_gradient one per hidden layer, L of
         # them for L >= 2 hidden layers
-        ((128, 8), (2, 2, 2, 2, 2)),
-        ((128, 128, 128), (2, 2, 2, 2, 3)),
+        ((128, 8), (2,) * 11 + (2,)),
+        ((128, 128, 128), (2,) * 11 + (3,)),
     ])
     def test_stacks_stay_within_the_byte_budget_at_the_mocap_dimension(
             self, monkeypatch, widths, counts):
@@ -428,7 +428,7 @@ class TestChunking:
         scorenet.score_and_divergence_batch(params, batch.x_next, batch.x_prev)
         surrogate_loss(params, batch)
         loss_gradient(params, batch)
-        assert len(stacks) == 5
+        assert len(stacks) == 12
         for made, count in zip(stacks, counts):
             assert made.rows == 16  # 1 MiB // (62 * 128 * 8 B)
             assert len(made.buffers) == count

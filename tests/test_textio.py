@@ -158,7 +158,7 @@ def test_output_bytes_match_golden(tmp_path, monkeypatch, name, chunk_rows):
     # trajectory CSV that detect reads back and inside the parsed AMC values
     if chunk_rows is not None:
         monkeypatch.setattr(_textio, "CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(mocap, "_CONVERT_CELLS", chunk_rows)
+        monkeypatch.setattr(_textio, "CONVERT_CELLS", chunk_rows)
     assert PRODUCERS[name](tmp_path) == (GOLDEN / name).read_bytes()
 
 
@@ -270,7 +270,7 @@ def test_amc_errors_keep_class_message_and_line(tmp_path, monkeypatch, text, cls
                                                 as_file, convert_cells):
     # small conversion blocks put block boundaries between the bad lines
     if convert_cells is not None:
-        monkeypatch.setattr(mocap, "_CONVERT_CELLS", convert_cells)
+        monkeypatch.setattr(_textio, "CONVERT_CELLS", convert_cells)
     if as_file:
         (tmp_path / "clip.amc").write_text(text)
         source = open(tmp_path / "clip.amc")
@@ -317,6 +317,27 @@ def test_bad_trajectory_rows_name_their_line(tmp_path, body, message):
     with pytest.raises(TrajectoryCsvError, match=message) as caught:
         read_trajectory_csv(path)
     assert isinstance(caught.value, DataError) and not isinstance(caught.value, AmcError)
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.3,oops,pre", "malformed trajectory row"),
+    ("0.3,nan,pre", "non-finite value in trajectory row"),
+    ("0.3,1e400,pre", "non-finite value in trajectory row"),
+    ("0.3,pre", "row has 2 fields, the header 3"),
+])
+@pytest.mark.parametrize("convert_cells", [None, 1, 3])
+def test_bad_row_past_the_first_conversion_block_names_its_line(tmp_path, monkeypatch, bad_row, message,
+                                                                convert_cells):
+    # 5,000 good rows fill more than one default block of cells; the row
+    # with a field-count error after the bad one must not win over it
+    if convert_cells is not None:
+        monkeypatch.setattr(_textio, "CONVERT_CELLS", convert_cells)
+    path = tmp_path / "t.csv"
+    rows = ["0.1,0.2,pre"] * 5000 + [bad_row, "0.3,0.4,9.9,pre"] + ["0.5,0.6,post"] * 10
+    assert 2 * 5000 > _textio.CONVERT_CELLS
+    path.write_text("x0,x1,regime\r\n" + "\r\n".join(rows) + "\r\n", newline="")
+    with pytest.raises(TrajectoryCsvError, match=f"t.csv:5002: {message}"):
+        read_trajectory_csv(path)
 
 
 def test_trajectory_cells_parse_as_float_does(tmp_path):
