@@ -1,7 +1,9 @@
 """The config schema of the ``scusum`` commands, its one loader, and every config rule.
 
 The frozen dataclasses below (with ``markov.GaussianKernelSpec`` for kernels
-and ``scorenet.TrainConfig`` for ``training``) are the schema: their fields
+and ``scorenet.TrainConfig`` for ``training``, whose four keys set the Adam
+learning rate, the minibatch size, the epochs and the seed of a fit; Adam's
+other constants are fixed) are the schema: their fields
 are the keys, their annotations the JSON kinds and their defaults the only
 defaults. ``load_config`` checks every value against them and builds them,
 and a section builds what its command will build from it (a
@@ -13,9 +15,11 @@ kind (``2.0`` is no integer, ``true`` no number, and ``NaN`` and
 ``Infinity``, which Python's ``json`` reads, are rejected); a string is one
 of its set (``"infinity"``: a change that never comes; ``"closed_form"``: a
 kernel's exact score; ``"empirical"``: a drift estimated from the stream);
-``seed`` and ``burn_in`` are >= 0, ``pairs`` and ``change_point`` >= 1, and
-a scored stream has 2 states; ``data`` names one source, and ``train``'s
-``csv`` takes no ``pairs``, ``seed`` or ``burn_in``;
+``seed`` and ``burn_in`` are >= 0, ``pairs``, ``change_point``,
+``splice_index``, ``stride`` and each of ``hidden_widths`` >= 1, and a
+scored stream has 2 states; ``data`` names one source, ``train``'s ``csv``
+takes no ``pairs``, ``seed`` or ``burn_in``, and its simulated ``pairs`` are
+at least ``training.batch_size``;
 ``markov.TrajectoryConfig`` takes the simulated stream (a finite
 ``change_point`` needs a post-change kernel and is at most ``length``), and
 ``detect``'s ``change_point`` is ``data.simulate``'s; the kernels share a
@@ -27,9 +31,10 @@ thresholds, truncation levels and bound inputs are positive, ``thresholds``
 increase, a heuristic mu has a truncation level, and a number drift is at
 most the truncation. Only what depends on the data waits for the command:
 ``model.bin`` and data dimensions, a CSV's rows against ``change_point``,
-and the sign of an ``"empirical"`` drift. ``scusum.cli`` imports this module
-when a command runs, not at its own import: building the dataclasses takes
-about three times as long as loading the rest of ``scusum.cli``.
+a CSV's pairs against ``training.batch_size``, and the sign of an
+``"empirical"`` drift. ``scusum.cli`` imports this module when a command
+runs, not at its own import: building the dataclasses takes about three
+times as long as loading the rest of ``scusum.cli``.
 """
 
 from __future__ import annotations
@@ -100,9 +105,10 @@ def _load(tp, value, path: str, seed):
 
 
 # integer keys with a lower bound, wherever they appear: numpy's generators
-# take no negative seed, a burn-in is a step count, training needs a pair and
-# states are numbered from 1
-_MINIMUM = {"seed": 0, "burn_in": 0, "pairs": 1, "change_point": 1}
+# take no negative seed, a burn-in is a step count, training needs a pair,
+# states are numbered from 1 and a clip keeps at least one frame, taking
+# every stride-th
+_MINIMUM = {"seed": 0, "burn_in": 0, "pairs": 1, "change_point": 1, "splice_index": 1, "stride": 1}
 
 
 def _load_section(cls, raw: dict, path: str, seed):
@@ -257,6 +263,11 @@ class TrainDataConfig:
 class ArchitectureConfig:
     hidden_widths: tuple[int, ...] = (128, 128, 128)
 
+    def __post_init__(self):
+        for i, width in enumerate(self.hidden_widths):
+            if width < 1:
+                raise _FieldError(f"hidden_widths[{i}] must be >= 1, got {width}")
+
 
 @_section
 class TrainCommandConfig:
@@ -264,6 +275,12 @@ class TrainCommandConfig:
     architecture: ArchitectureConfig
     training: scorenet.TrainConfig
     standardize: bool = False
+
+    def __post_init__(self):
+        # a csv's pairs are counted only once it is read
+        pairs, batch_size = self.data.pairs, self.training.batch_size
+        if self.data.kernel is not None and pairs < batch_size:
+            raise _FieldError(f"data.pairs must be >= training.batch_size = {batch_size}, got {pairs}")
 
 
 @_section

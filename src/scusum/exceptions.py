@@ -42,7 +42,8 @@ class AmcStructureError(AmcError):
 
 
 class TrajectoryCsvError(DataError):
-    """A trajectory CSV is empty, too short, or has a bad row; the message names its path."""
+    """A trajectory CSV is empty, has no state column, is too short, or has a bad row;
+    the message names its path."""
 
 
 class ModelFileError(DataError):

@@ -310,8 +310,9 @@ def read_trajectory_csv(path) -> np.ndarray:
     """States of a trajectory CSV, every cell but the regime column read as ``float()`` reads it.
 
     A row whose field count differs from the header's, or with a malformed or
-    non-finite value, is rejected with its ``path:line``; a file with fewer
-    than two rows (one transition pair) with its path. Each rejection is a
+    non-finite value, is rejected with its ``path:line``; a file with no
+    state column, or with fewer than two rows (one transition pair), with its
+    path. Each rejection is a
     ``TrajectoryCsvError``. The cells are converted with one numpy call per
     ``_textio.CONVERT_CELLS``, which uses ``float()``'s own parser; only if a
     call fails, or a value is not finite, are its rows read again one by one
@@ -325,6 +326,8 @@ def read_trajectory_csv(path) -> np.ndarray:
         except StopIteration:
             raise TrajectoryCsvError(f"{path}: empty trajectory CSV") from None
         cols = [i for i, name in enumerate(header) if name != "regime"]
+        if not cols:
+            raise TrajectoryCsvError(f"{path}: trajectory CSV has no state column")
         cells: list[str] = []  # cells of the rows not yet converted
         blocks: list[np.ndarray] = []  # converted cells, in row order
         n_rows = 0

@@ -36,8 +36,10 @@ Everything here is plain numpy in double precision:
   ``score_and_divergence_batch``, ``loss_gradient`` and each ``train``
   minibatch in chunks whose (rows, d, width) stacks fit it, so memory grows
   neither with the number of pairs nor with ``batch_size``;
-* optimization is deterministic given the config seed (init and shuffling
-  use separate PCG64 streams spawned from it).
+* training takes Adam steps with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8
+  over a fresh permutation of the pairs each epoch, and is deterministic
+  given the config seed (init and shuffling use separate PCG64 streams
+  spawned from it).
 
 A network speaks raw coordinates only. ``train(..., standardize=True)``
 fits it to pairs z-scored per dimension, where score magnitudes are
@@ -165,32 +167,29 @@ def _layer_views(arch: MlpArchitecture, flat: np.ndarray):
     return weights, biases
 
 
+# Adam's decay rates and denominator offset, at the values of Kingma and Ba
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam at ``learning_rate`` over ``epochs`` fresh permutations of the pairs in
+    ``batch_size`` minibatches; ``seed`` draws the initial weights and the orders."""
+
     learning_rate: float = 1e-3
     batch_size: int = 128
     epochs: int = 20
     seed: int = 0
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    shuffle: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and nonnegative")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError("eps must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
 
 
 @dataclass(frozen=True)
@@ -686,17 +685,16 @@ def train(
     params = init_params(arch, ss_init)
     shuffle_rng = np.random.default_rng(ss_shuffle)
 
-    use_adam = config.optimizer == "adam"
-    if use_adam:  # the first and second moments and two scratch vectors, in the parameters' layout
-        m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-        step, denom = np.empty_like(params.flat), np.empty_like(params.flat)
-        step_count = 0
+    # the first and second moments and two scratch vectors, in the parameters' layout
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    step, denom = np.empty_like(params.flat), np.empty_like(params.flat)
+    step_count = 0
 
     stacks = _TangentStacks.for_pairs(arch, config.batch_size)
     history = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             sel = order[start : start + config.batch_size]
@@ -707,30 +705,26 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)
             total += loss * sel.size
-            if config.learning_rate == 0.0:
-                continue
-            if use_adam:
-                step_count += 1
-                c1 = 1.0 - config.beta1**step_count
-                c2 = 1.0 - config.beta2**step_count
-                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-                # lr (m / c1) / (sqrt(v / c2) + eps), with their IEEE operations
-                # in their order (products commuted) in the two scratch vectors
-                g = grads.flat
-                m *= config.beta1
-                m += np.multiply(g, 1 - config.beta1, out=step)
-                v *= config.beta2
-                np.multiply(g, 1 - config.beta2, out=step)
-                v += np.multiply(step, g, out=step)
-                np.divide(m, c1, out=step)
-                step *= config.learning_rate
-                np.divide(v, c2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += config.eps
-                step /= denom
-                params.flat -= step
-            else:
-                params.flat -= config.learning_rate * grads.flat
+            step_count += 1
+            c1 = 1.0 - _BETA1**step_count
+            c2 = 1.0 - _BETA2**step_count
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # lr (m / c1) / (sqrt(v / c2) + eps), with their IEEE operations
+            # in their order (products commuted) in the two scratch vectors;
+            # at learning rate 0 the step is +-0 and leaves the parameters as they are
+            g = grads.flat
+            m *= _BETA1
+            m += np.multiply(g, 1 - _BETA1, out=step)
+            v *= _BETA2
+            np.multiply(g, 1 - _BETA2, out=step)
+            v += np.multiply(step, g, out=step)
+            np.divide(m, c1, out=step)
+            step *= config.learning_rate
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _EPS
+            step /= denom
+            params.flat -= step
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}", epoch=epoch)

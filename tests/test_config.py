@@ -4,6 +4,9 @@ every valid config echoes in ``manifest.json`` byte for byte as before."""
 import json
 import math
 import tempfile
+import types
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -29,9 +32,7 @@ VALID = {
     "train": {
         "data": {"kernel": KERNEL, "pairs": 64, "seed": 2, "burn_in": 10},
         "architecture": {"hidden_widths": [4]},
-        "training": {"learning_rate": 0.001, "batch_size": 32, "epochs": 1, "seed": 3,
-                     "optimizer": "adam", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-                     "shuffle": True},
+        "training": {"learning_rate": 0.001, "batch_size": 32, "epochs": 1, "seed": 3},
         "standardize": False,
     },
     "detect": {
@@ -108,7 +109,7 @@ def dotted(path):
 
 
 # strings some field takes as a value: never drawn as a wrong one
-SENTINELS = {"pre", "post", "empirical", "infinity", "closed_form", "adam", "sgd"}
+SENTINELS = {"pre", "post", "empirical", "infinity", "closed_form"}
 
 
 def wrong_values(command, path, original):
@@ -148,8 +149,7 @@ DEFECTS = [
     ("simulate", {"kernel": KERNEL, "length": 10, "seed": 1.5}, "seed"),
     ("train", {"data": {"kernel": KERNEL, "pairs": 64}, "architecture": {"hidden_widths": [4.5]},
                "training": {"epochs": 1}}, "architecture.hidden_widths[0]"),
-    ("train", {"data": {"kernel": KERNEL, "pairs": 64}, "training": {"shuffle": "no"}},
-     "training.shuffle"),
+    ("train", {"data": {"kernel": KERNEL, "pairs": 64}, "standardize": "no"}, "standardize"),
     ("train", {"data": {"kernel": KERNEL, "pairs": 64}, "training": {"batch_size": True}},
      "training.batch_size"),
     ("train", {"data": {"kernel": KERNEL, "pairs": 64}, "training": {"epochs": 1.5}},
@@ -185,6 +185,12 @@ DEFECTS = [
                         ("models", "pre"), "no_such_model.bin"), "stream.burn_in"),
     ("train", with_leaf(VALID["train"], ("data", "pairs"), 0), "data.pairs must be >= 1, got 0"),
     ("train", with_leaf(VALID["train"], ("data", "pairs"), -5), "data.pairs must be >= 1, got -5"),
+    # rejected, naming no key, only once the clips were parsed or the pairs simulated
+    ("mocap", with_leaf(VALID["mocap"], ("splice_index",), 0), "splice_index must be >= 1, got 0"),
+    ("mocap", with_leaf(with_leaf(VALID["mocap"], ("stride",), 0), ("pre",), "no_such_clip.amc"),
+     "stride must be >= 1, got 0"),
+    ("train", with_leaf(VALID["train"], ("architecture", "hidden_widths"), [4, 0]),
+     "architecture.hidden_widths[1] must be >= 1, got 0"),
     # a scored stream needs one transition pair; the stream would be simulated first
     ("sweep", with_leaf(VALID["sweep"], ("stream", "length"), 1), "stream: length"),
     ("detect", with_leaf(VALID["detect"], ("data", "simulate"), {"length": 1}),
@@ -310,6 +316,9 @@ CROSS_FIELD = [
      "stream.law = post requires kernels.post"),
     ("sweep", with_leaf(_without(VALID["sweep"], ("kernels", "pre")), ("stream", "law"), "post"),
      "models.pre = closed_form requires kernels.pre"),
+    # a csv's pairs are counted when it is read; simulated ones are known at load
+    ("train", with_leaf(VALID["train"], ("data", "pairs"), 16),
+     "data.pairs must be >= training.batch_size = 32, got 16"),
 ]
 
 
@@ -323,7 +332,7 @@ def test_cross_field_rule_is_rejected_by_the_loader(command, payload, message):
 
 @pytest.mark.parametrize("command, key, value, message", [
     ("sweep", ("stream", "law"), "x", 'stream.law must be "pre" or "post", got "x"'),
-    ("train", ("training", "optimizer"), "x", "training: optimizer must be 'adam' or 'sgd'"),
+    ("train", ("training", "beta1"), 0.9, "unknown config key 'training.beta1'"),
     ("detect", ("models", "pre"), 5, 'models.pre must be a string, got 5'),
     ("sweep", ("bounds", "delta"), "x", 'bounds.delta must be a number or "empirical", got "x"'),
     ("simulate", ("change_point",), "inf",
@@ -526,6 +535,27 @@ def test_committed_configs_write_strict_json(tmp_path, monkeypatch, path):
     assert "manifest.json" in [p.name for p in written]
     for output in written:
         json.loads(output.read_text(), parse_constant=_refuse)
+
+
+def settable_values(tp) -> int:
+    """The values a config of type ``tp`` can set: a section counts its fields, each through its
+    subsections; a key that takes a value or a section (``mu``) counts one for the value."""
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return sum(settable_values(hints[f.name]) for f in fields(tp))
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    members = typing.get_args(tp) if union else (tp,)
+    sections = [t for t in members if is_dataclass(t)]
+    return sum(map(settable_values, sections)) + any(
+        t is not type(None) and not is_dataclass(t) for t in members)
+
+
+# a change that adds or removes a knob changes its command's count here
+SETTABLE_VALUES = {"simulate": 12, "train": 14, "detect": 18, "sweep": 25, "bounds": 10, "mocap": 5}
+
+
+def test_settable_value_counts_are_pinned():
+    assert {command: settable_values(cls) for command, cls in SCHEMAS.items()} == SETTABLE_VALUES
 
 
 def test_library_dataclasses_are_the_sections():

@@ -340,6 +340,20 @@ def test_bad_row_past_the_first_conversion_block_names_its_line(tmp_path, monkey
         read_trajectory_csv(path)
 
 
+# a regime column alone, and blank lines, which csv reads as rows of no field
+NO_STATE_COLUMN = ["regime\r\npre\r\npre\r\npost\r\n", "\r\n\r\n\r\n"]
+
+
+@pytest.mark.parametrize("text", NO_STATE_COLUMN)
+def test_trajectory_without_a_state_column_is_rejected(tmp_path, text):
+    # read as an (n, 0) array before
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(TrajectoryCsvError) as caught:
+        read_trajectory_csv(path)
+    assert str(caught.value) == f"{path}: trajectory CSV has no state column"
+
+
 def test_trajectory_cells_parse_as_float_does(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x0,x1\n 1_0 ,+.5\n١٢,-0\n")
@@ -380,4 +394,16 @@ def test_trajectory_csv_without_a_pair_exits_3(tmp_path, capsys, command, rows):
     data.write_text("\r\n".join(GOOD_ROWS.split("\r\n")[: 1 + rows]) + "\r\n", newline="")
     assert _run_on_csv(tmp_path, command, data) == EXIT_DATA
     assert f"error: {data}: trajectory has {rows} rows, need at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "detect"])
+@pytest.mark.parametrize("text", NO_STATE_COLUMN)
+def test_trajectory_csv_without_a_state_column_exits_3(tmp_path, capsys, command, text):
+    # before, train exited 2 with "output_dim must be >= 1" and detect with
+    # "data dimension 0 does not match model dimension 2"
+    data = tmp_path / "t.csv"
+    data.write_text(text, newline="")
+    assert _run_on_csv(tmp_path, command, data) == EXIT_DATA
+    assert capsys.readouterr().err.strip() == f"error: {data}: trajectory CSV has no state column"
     assert not (tmp_path / "out" / "manifest.json").exists()
