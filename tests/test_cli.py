@@ -236,7 +236,12 @@ class TestTrain:
         assert len(metrics["epochs"]) == 2 and "accuracy" not in metrics
         assert list(metrics["stages"]) == ["data", "fit", "write"]
 
+    # train always takes Adam steps at fixed constants over shuffled epochs, so
+    # a config that still sets a dropped optimiser field is refused as well
     @pytest.mark.parametrize("key, value", [
+        ("eps", -1.0), ("eps", 0.0), ("eps", math.inf), ("eps", math.nan),
+        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.5), ("beta2", math.nan),
+        ("optimizer", "sgd"), ("shuffle", False),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
     ])
     def test_meaningless_optimiser_setting_rejected(self, tmp_path, key, value):

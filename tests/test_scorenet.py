@@ -578,6 +578,13 @@ class TestTrain:
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("optimizer", "sgd"), ("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8), ("shuffle", False),
+    ])
+    def test_config_has_no_dropped_optimiser_fields(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            TrainConfig(**{key: value})
+
     def test_dataset_smaller_than_batch_rejected(self):
         pairs = random_batch(np.random.default_rng(1), 2, 8)
         with pytest.raises(ValueError, match="batch_size"):
