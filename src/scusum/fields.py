@@ -27,15 +27,14 @@ Memory: the batch estimators (``hyvarinen_scores`` and therefore
 ``score_differences`` and ``estimate_drift``, and
 ``estimate_fisher_divergence``) read a stream in cache-sized row blocks of 256 KiB per
 (rows, d) float64 array (``_BLOCK_BYTES``) and write each block into one
-preallocated (n,) output. Beyond its input a call holds that output, one
-more (n,) array for a score difference, and the few block-sized temporaries
-a field builds; a field's own batch methods see one block at a time.
-``stream_score_differences`` hands the fields the same row blocks as one
-whole-trajectory call, so its increments are bitwise that call's. A
-network field (``scorenet``) bounds its own arrays as well: its passes take
-a block in chunks of ``scorenet._STACK_BYTES`` per activation or tangent
-stack, so its (rows, width) activations never reach width/d times the
-block.
+preallocated (n,) output. Beyond its input a call holds that output and the
+few block-sized temporaries it and a field build; a field's own batch
+methods see one block at a time. ``stream_score_differences`` scores each
+block of a trajectory as it arrives and keeps one state of it. A field's
+per-pair results are a function of the field and the pair, whatever else
+shares the call (``scorenet._STACK_BYTES`` says why for network fields,
+whose passes also take a block in chunks of that many bytes per stack), so
+every blocking gives the same bits.
 
 Fields are immutable after construction and safe for concurrent reads.
 """
@@ -247,13 +246,10 @@ def hyvarinen_score(field: ScoreField, pair: TransitionPair) -> float:
 
 # Bytes in one (rows, d) float64 array of the score stage: blocks of
 # max(1, _BLOCK_BYTES // (8 d)) rows, 3,276 at d=10 and 528 at d=62, so a
-# row block's temporaries stay in cache. Per-row arithmetic does not depend
-# on the block, so closed-form fields give the same bits for any block size;
-# network fields move their tangent chunk boundaries with it and agree to
-# 1e-12 relative (see scorenet._STACK_BYTES). A block that is a whole number
-# of tangent chunks keeps the chunking of one whole-stream block: 528 rows
-# are 33 chunks of 16 for a 128-wide network at d=62 (README, "Score stage
-# memory", has the budgets measured from 64 KiB to 1 MiB).
+# row block's temporaries stay in cache. A field's per-pair results do not
+# depend on the block (see scorenet._STACK_BYTES for network fields), so the
+# block size sets memory and speed only (README, "Score stage memory", has
+# the budgets measured from 64 KiB to 1 MiB).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -268,6 +264,24 @@ def _row_blocks(batch: PairBatch):
     return (slice(start, start + rows) for start in range(0, len(batch), rows))
 
 
+def _hyvarinen_into(field: ScoreField, Y, X, h) -> None:
+    """The Hyvarinen scores of the rows (Y, X) into ``h``, from one ``score_and_divergence_batch`` call."""
+    if Y.shape[1] != field.dim:
+        raise ValueError(f"pair dimension {Y.shape[1]} does not match field dimension {field.dim}")
+    s, div = field.score_and_divergence_batch(Y, X)
+    np.einsum("ij,ij->i", s, s, out=h)
+    h *= 0.5
+    h += div
+    # a non-finite term makes its row of h non-finite, so the terms are
+    # checked only when h is
+    if not np.isfinite(h).all():
+        if not np.isfinite(s).all():
+            raise NumericsError("non-finite score term in Hyvarinen score")
+        if not np.isfinite(div).all():
+            raise NumericsError("non-finite divergence term in Hyvarinen score")
+        raise NumericsError("Hyvarinen score overflows from finite terms")
+
+
 def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
     """Vectorized Hyvarinen scores over a pair stream; shape (n,).
 
@@ -275,23 +289,9 @@ def hyvarinen_scores(field: ScoreField, pairs) -> np.ndarray:
     of ``_BLOCK_BYTES``, so memory does not grow with the stream.
     """
     batch = PairBatch.coerce(pairs)
-    if batch.dim != field.dim:
-        raise ValueError(f"pair dimension {batch.dim} does not match field dimension {field.dim}")
     out = np.empty(len(batch))
     for block in _row_blocks(batch):
-        h = out[block]
-        s, div = field.score_and_divergence_batch(batch.x_next[block], batch.x_prev[block])
-        np.einsum("ij,ij->i", s, s, out=h)
-        h *= 0.5
-        h += div
-        # a non-finite term makes its row of h non-finite, so the terms are
-        # checked only when h is
-        if not np.isfinite(h).all():
-            if not np.isfinite(s).all():
-                raise NumericsError("non-finite score term in Hyvarinen score")
-            if not np.isfinite(div).all():
-                raise NumericsError("non-finite divergence term in Hyvarinen score")
-            raise NumericsError("Hyvarinen score overflows from finite terms")
+        _hyvarinen_into(field, batch.x_next[block], batch.x_prev[block], out[block])
     return out
 
 
@@ -300,11 +300,24 @@ def score_difference(field_p: ScoreField, field_q: ScoreField, pair) -> float:
     return hyvarinen_score(field_p, pair) - hyvarinen_score(field_q, pair)
 
 
+def _differences_into(field_p: ScoreField, field_q: ScoreField, batch: PairBatch, out) -> None:
+    """S_H(.; p) - S_H(.; q) of ``batch`` into ``out``, one row block at a time.
+
+    S_H(.; q) of a row block is the one temporary beyond the fields' own.
+    """
+    for block in _row_blocks(batch):
+        Y, X, h = batch.x_next[block], batch.x_prev[block], out[block]
+        _hyvarinen_into(field_p, Y, X, h)
+        h_q = np.empty(len(h))
+        _hyvarinen_into(field_q, Y, X, h_q)
+        h -= h_q
+
+
 def score_differences(field_p: ScoreField, field_q: ScoreField, pairs) -> np.ndarray:
     """S_H(.; p) - S_H(.; q) over a pair stream; shape (n,)."""
     batch = PairBatch.coerce(pairs)
-    out = hyvarinen_scores(field_p, batch)
-    out -= hyvarinen_scores(field_q, batch)
+    out = np.empty(len(batch))
+    _differences_into(field_p, field_q, batch, out)
     return out
 
 
@@ -312,52 +325,26 @@ def stream_score_differences(field_p: ScoreField, field_q: ScoreField, blocks, n
     """``score_differences`` over the consecutive pairs of ``n_states`` states that arrive in blocks.
 
     ``blocks`` yields consecutive (rows, d) pieces of the trajectory, such as
-    ``markov.path_blocks``; each is scored as it arrives into one
-    (n_states - 1,) output and is not kept. A block contributes its inner
-    pairs and the pair that crosses into it from the block before. The pairs
-    go to the fields in the row blocks of ``hyvarinen_scores`` over the
-    whole trajectory, one row block per call, so the result is bitwise that
-    of one whole-trajectory call. The states of a row block that crosses
-    into the next block wait for it in one preallocated (rows + 1, d)
-    buffer, where the crossing row block is then built, so the call holds
-    one row block of states beyond the block it is given.
+    ``markov.path_blocks``; each is scored as it arrives, in row blocks, into
+    one (n_states - 1,) output and is not kept. The call keeps one state, the
+    last of the block before, for the pair that crosses into the next block.
+    Per-pair results do not depend on the call, so the increments are bitwise
+    those of one whole-trajectory call.
     """
     if n_states < 2:
         raise ValueError("need a (n >= 2, d) array of states")
-    rows = _block_rows(field_p.dim)
     out = np.empty(n_states - 1)
-    # the row block that crosses into the next simulated block, built in place
-    cross = np.empty((min(rows + 1, n_states), field_p.dim))
-
-    def score(states, first: int) -> None:
-        pairs = PairBatch.from_states(states)
-        out[first : first + len(pairs)] = score_differences(field_p, field_q, pairs)
-
-    held = 0  # states in `cross` from pair `done` on, waiting for a full row block
-    done = end = 0  # pairs scored, states received
+    end = 0  # states received
     for block in blocks:
         if not len(block):
             continue
         start, end = end, end + len(block)
         if end > n_states:
             raise ValueError(f"blocks hold more than {n_states} states")
-        last = end == n_states
-        if held:
-            # fill the crossing row block up to rows + 1 states
-            k = min(len(block), done + rows + 1 - start)
-            cross[held : held + k] = block[:k]
-            held += k
-            if held < rows + 1 and not last:
-                continue
-            score(cross[:held], done)
-            done += held - 1
-        # the row blocks that lie inside this block; on the last block the rest too
-        while done + rows < end or (last and done + 1 < end):
-            stop = min(done + rows, end - 1)
-            score(block[done - start : stop + 1 - start], done)
-            done = stop
-        held = end - done
-        cross[:held] = block[done - start :]
+        if start:
+            _differences_into(field_p, field_q, PairBatch(last, block[:1]), out[start - 1 : start])
+        _differences_into(field_p, field_q, PairBatch(block[:-1], block[1:]), out[start : end - 1])
+        last = block[-1:].copy()  # a copy, so that the block can go
         del block
     if end != n_states:
         raise ValueError(f"blocks hold {end} states, expected {n_states}")

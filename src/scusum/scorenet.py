@@ -31,11 +31,10 @@ Everything here is plain numpy in double precision:
   stack of the one before, and never forms the last hidden tangent, so it
   holds L stacks for L >= 2 hidden layers, 3 for a 128x3 network;
 * one byte budget, ``_STACK_BYTES`` (1 MiB), sizes every array of a pass
-  over many pairs: ``forward_batch`` runs its rows in chunks whose
-  (rows, width) activations fit it, and the tangent passes of
-  ``score_and_divergence_batch``, ``loss_gradient`` and each ``train``
-  minibatch in chunks whose (rows, d, width) stacks fit it, so memory grows
-  neither with the number of pairs nor with ``batch_size``;
+  over many pairs, so memory grows neither with the number of pairs nor
+  with ``batch_size``. The scoring passes run every GEMM at one row count
+  per architecture (``_pass_rows``), so a pair's outputs and divergence do
+  not depend on the other pairs of a call;
 * training takes Adam steps with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8
   over a fresh permutation of the pairs each epoch, and is deterministic
   given the config seed (init and shuffling use separate PCG64 streams
@@ -223,10 +222,9 @@ def init_params(arch: MlpArchitecture, seed) -> MlpParameters:
 # activation
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z, out=None):
-    # 0.5 * (1 + tanh(z / 2)) in place on one array (new unless given);
-    # finite for every z
-    g = np.multiply(z, 0.5, out=out)
+def _sigmoid(z):
+    # 0.5 * (1 + tanh(z / 2)) in one new array; finite for every z
+    g = z * 0.5
     np.tanh(g, out=g)
     g += 1.0
     g *= 0.5
@@ -323,6 +321,11 @@ def _stack_rows(arch: MlpArchitecture) -> int:
     return max(1, _STACK_BYTES // (8 * arch.output_dim * max(arch.hidden_widths, default=1)))
 
 
+def _pass_rows(arch: MlpArchitecture) -> int:
+    """Rows of every chunk of a scoring pass: ``_stack_rows`` down to a multiple of 8, in 8..1024."""
+    return min(1024, max(8, _stack_rows(arch) // 8 * 8))
+
+
 def _equal_chunk(n: int, limit: int) -> int:
     """Rows per chunk when n >= 1 rows split into the fewest chunks of at most ``limit``.
 
@@ -404,12 +407,12 @@ def _outputs(params: MlpParameters, a, p, d1, V):
     the last pre-activation tangent, a (B, d, h) stack or the shared (d, h)
     p_0 of a one-hidden-layer network, and ``d1`` silu'(z_last). Without
     hidden layers (``d1`` None) ``p`` is the input tangent and the divergence
-    the scalar trace of W_out[:d], the same for every pair; q is then None.
+    of every pair the trace of W_out[:d]; q is then None.
     """
     psi = a @ params.weights[-1]
     psi += params.biases[-1]
     if d1 is None:
-        return psi, p.ravel() @ V.ravel(), None
+        return psi, np.full(len(psi), p.ravel() @ V.ravel()), None
     q = np.einsum("bih,ih->bh", np.broadcast_to(p, (len(d1), *p.shape[-2:])), V)
     return psi, np.einsum("bh,bh->b", q, d1), q
 
@@ -417,16 +420,20 @@ def _outputs(params: MlpParameters, a, p, d1, V):
 # Bytes in one float64 array of a network pass, the one budget every pass over
 # many pairs sizes its chunks from:
 #
-# * forward_batch takes max(1, _STACK_BYTES // (8 * max(2d, widths))) rows
-#   at a time, so an input or (rows, width) activation stays within it, 1024
-#   rows at width 128;
-# * score_and_divergence_batch takes max(1, _STACK_BYTES // (8 * d * max
-#   width)) rows at a time for its (rows, d, width) tangent stacks, 102 at
-#   d=10 and 16 at d=62 for width 128, and holds two stacks;
+# * forward_batch and score_and_divergence_batch run every chunk at R =
+#   _pass_rows rows, 96 at d=10 and 16 at d=62 for width 128, padding the
+#   last: OpenBLAS's GEMMs give a row other bits at another row count and,
+#   at a count that is not a multiple of 8, at another place in the chunk,
+#   so at one R per architecture, a multiple of 8, a network's outputs and
+#   divergence for a pair are a function of the parameters and the pair
+#   alone (pinned by tier-1 on OpenBLAS 0.3.31's x86-64 kernels). R stops at
+#   1024 so that a call of a few pairs to a small network stays cheap. The
+#   fused pass holds two stacks;
 # * surrogate_loss reads its pairs through score_and_divergence_batch;
 # * loss_gradient and each train minibatch split their pairs into the fewest
-#   equal chunks of at most that many rows: a 128-pair minibatch runs as
-#   2 x 64 rows at d=10 and 8 x 16 at d=62. A gradient chunk holds L stacks
+#   equal chunks of at most _stack_rows rows: a 128-pair minibatch runs as
+#   2 x 64 rows at d=10 and 8 x 16 at d=62. The chunks move a gradient's
+#   last bits, as any regrouped sum does. A gradient chunk holds L stacks
 #   for L >= 2 hidden layers. The loss and gradient of one 128-pair
 #   minibatch of a 128x3 network peak
 #   (tracemalloc, stacks made fresh) at 3.6 MB at d=10 and 5.1 MB at d=62,
@@ -435,10 +442,6 @@ def _outputs(params: MlpParameters, a, p, d1, V):
 # A stack stays in cache while the d tangent passes stream it, and memory
 # does not grow with the pairs. README ("Score-network hot path") has the
 # time and resident memory of a divergence pass at budgets of 4, 2 and 1 MiB.
-#
-# The rows move results in the last bits only (the GEMM kernels treat tail
-# rows differently): chunkings, so also forward_batch's outputs and those of
-# score_and_divergence_batch, agree to 1e-12 relative, not bit for bit.
 _STACK_BYTES = 1 << 20
 
 
@@ -454,46 +457,54 @@ def _pair_arrays(params: MlpParameters, Y, X):
     return Y, X
 
 
+def _padded_inputs(arch: MlpArchitecture, Y, X):
+    """Yield (start, stop, a0) for each R = ``_pass_rows(arch)`` rows of the pairs (Y, X).
+
+    Every chunk reuses the one (R, 2d) input a0: pairs start:stop lead it and
+    its other rows are zero, so every GEMM of a pass runs at R rows.
+    """
+    d, R = arch.output_dim, _pass_rows(arch)
+    a0 = np.zeros((R, 2 * d))
+    for start in range(0, Y.shape[0], R):
+        stop = min(start + R, Y.shape[0])
+        a0[: stop - start, :d] = Y[start:stop]
+        a0[: stop - start, d:] = X[start:stop]
+        a0[stop - start :] = 0.0
+        yield start, stop, a0
+
+
 def forward_batch(params: MlpParameters, Y, X) -> np.ndarray:
     """Network outputs for (n, d) batches of y and x.
 
-    Rows go through the network in chunks of ``_STACK_BYTES`` per (rows,
-    width) activation and land in one (n, d) output. Each hidden layer adds
-    its bias and applies SiLU in place, with the sigmoid in one scratch
-    buffer, and drops its input as soon as its GEMM has read it, so a chunk
-    holds at most three (rows, width) arrays.
+    Rows go through the network in the padded chunks of ``_padded_inputs``,
+    as in ``score_and_divergence_batch``, whose outputs these are bit for
+    bit, and land in one (n, d) output. Each hidden layer adds its bias and
+    applies SiLU in place, so a chunk holds at most three (R, width) arrays.
     """
     Y, X = _pair_arrays(params, Y, X)
-    arch = params.arch
-    n = Y.shape[0]
-    rows = max(1, _STACK_BYTES // (8 * max((arch.input_dim, *arch.hidden_widths))))
-    g = np.empty(min(rows, n) * max(arch.hidden_widths, default=0))
     out = np.empty(Y.shape)
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        a = np.concatenate([Y[block], X[block]], axis=1)
+    for start, stop, a in _padded_inputs(params.arch, Y, X):
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             a = a @ w
             a += b
-            # silu in place: the same products as a * _sigmoid(a)
-            a *= _sigmoid(a, out=g[: a.size].reshape(a.shape))
-        psi = np.matmul(a, params.weights[-1], out=out[block])
+            a *= _sigmoid(a)  # silu: the products of _silu_parts
+        psi = a @ params.weights[-1]
         psi += params.biases[-1]
+        out[start:stop] = psi[: stop - start]
     return out
 
 
 def score_and_divergence_batch(params: MlpParameters, Y, X):
     """(psi, div): (n, d) outputs and exact sum_i d(psi_i)/dy_i per row, from one tangent pass."""
     Y, X = _pair_arrays(params, Y, X)
-    n = Y.shape[0]
-    stacks = _TangentStacks(params.arch, max(1, min(n, _stack_rows(params.arch))))
+    stacks = _TangentStacks(params.arch, _pass_rows(params.arch))
     p0, V = _shared_tangents(params)
-    psi, div = np.empty(Y.shape), np.empty(n)
-    for start in range(0, n, stacks.rows):
-        block = slice(start, start + stacks.rows)
-        a0 = np.concatenate([Y[block], X[block]], axis=1)
+    psi, div = np.empty(Y.shape), np.empty(Y.shape[0])
+    for start, stop, a0 in _padded_inputs(params.arch, Y, X):
         a, p, d1, _ = _tangent_pass(params, a0, p0, stacks, keep=False)
-        psi[block], div[block], _ = _outputs(params, a, p, d1, V)
+        chunk_psi, chunk_div, _ = _outputs(params, a, p, d1, V)
+        psi[start:stop] = chunk_psi[: stop - start]
+        div[start:stop] = chunk_div[: stop - start]
     return psi, div
 
 

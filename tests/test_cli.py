@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from scusum import bounds, cli, markov
+from scusum import bounds, cli, fields, markov
 from scusum.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from scusum.detector import (DetectorConfig, DetectorState, TruncationSpec, detector_update,
                              score_increments, statistic_trace)
@@ -367,6 +367,32 @@ class TestDetect:
         code, out = run(tmp_path, "detect", payload)
         assert code == EXIT_OK
         assert (out / "trace.csv").exists()
+
+    def test_network_increments_do_not_depend_on_the_blocks(self, tmp_path, trained_model_dir):
+        # 700-row path blocks and 333-row score blocks against one block of
+        # each: a network scores a pair alike in any call
+        tmp, train_payload, pre_out = trained_model_dir
+        code, post_out = run(tmp_path, "train",
+                             {**train_payload, "data": {**train_payload["data"], "kernel": SMALL_POST}},
+                             out="post_model")
+        assert code == EXIT_OK
+        payload = {
+            "models": {"pre": str(pre_out / "model.bin"), "post": str(post_out / "model.bin")},
+            "kernels": {"pre": SMALL_KERNEL, "post": SMALL_POST},
+            "data": {"simulate": {"length": 5000, "change_point": 2500, "seed": 6, "burn_in": 100}},
+            "detector": {"threshold": 50.0, "truncation": 10.0},
+        }
+        code, whole = run(tmp_path, "detect", payload, out="whole")
+        assert code == EXIT_OK
+        with mock.patch.object(markov, "_BLOCK_BYTES", 8 * 3 * 700), \
+                mock.patch.object(fields, "_BLOCK_BYTES", 8 * 3 * 333):
+            code, blocked = run(tmp_path, "detect", payload, out="blocked")
+        assert code == EXIT_OK
+        metrics = json.loads((blocked / "metrics.json").read_text())
+        assert metrics["stages"]["read"]["blocks"] == 8
+        assert json.loads((whole / "alarms.json").read_text())["alarm_times"]
+        for name in ("trace.csv", "alarms.json"):
+            assert (blocked / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         payload = {

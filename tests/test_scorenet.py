@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scusum import scorenet
@@ -168,13 +168,14 @@ class TestForward:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_chunks_agree_with_one_chunk(self, d, widths, n, rows, standardize, seed):
-        # forward_batch takes _STACK_BYTES // (8 * max(2d, widths)) rows at a time
+        # forward_batch takes _pass_rows rows at a time, set through the budget
+        # at d * max width * 8 B a row; another row count may move last bits
         rng = np.random.default_rng(seed)
         params = init_params(tiny_arch(d, widths), seed)
         if standardize:
             params = folded(params, rng)
         batch = random_batch(rng, d, n)
-        row_bytes = 8 * max((2 * d, *widths))
+        row_bytes = 8 * d * max(widths, default=1)
         with mock.patch.object(scorenet, "_STACK_BYTES", n * row_bytes):
             ref = forward_batch(params, batch.x_next, batch.x_prev)
         rows = {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1}[rows]
@@ -341,7 +342,8 @@ class TestLossGradient:
 
 class TestChunking:
     """score_and_divergence_batch, surrogate_loss and loss_gradient take their
-    pairs in chunks sized from ``_STACK_BYTES``; the chunk rows move only last bits."""
+    pairs in chunks sized from ``_STACK_BYTES``: the scores, divergences and
+    loss keep their bits, and the chunk rows move only the gradient's last bits."""
 
     @staticmethod
     def _chunked(params, batch, rows):
@@ -363,6 +365,9 @@ class TestChunking:
         standardize=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # per-pair gradient terms that cancel to a 3.0e-7 output-bias gradient,
+    # which 1-row chunks sum 4.2e-19 away from one chunk
+    @example(d=1, widths=(8, 8), n=8, rows="1", standardize=True, seed=6779309)
     def test_results_agree_with_one_chunk(self, d, widths, n, rows, standardize, seed):
         rng = np.random.default_rng(seed)
         params = init_params(tiny_arch(d, widths), seed)
@@ -372,37 +377,70 @@ class TestChunking:
         ref_psi, ref_div, ref_loss, ref = self._chunked(params, batch, n)
         rows = {"1": 1, "7": 7, "budget": None, "n": n, "n+1": n + 1}[rows]
         psi, div, loss, grads = self._chunked(params, batch, rows)
-        assert np.max(np.abs(psi - ref_psi)) <= 1e-12 * np.max(np.abs(ref_psi))
-        assert np.max(np.abs(div - ref_div)) <= 1e-12 * np.max(np.abs(ref_div))
-        # the loss is a mean of terms of either sign: relative to their size
-        terms = hyvarinen_scores(as_score_field(params), batch)
-        assert abs(loss - ref_loss) <= 1e-12 * np.mean(np.abs(terms))
-        for g, r in zip(grads.weights + grads.biases, ref.weights + ref.biases):
-            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+        assert np.array_equal(psi, ref_psi) and np.array_equal(div, ref_div)
+        assert loss == ref_loss
+        # the gradient is a mean of per-pair terms of either sign: relative to their size
+        terms = [loss_gradient(params, PairBatch(batch.x_prev[i:i + 1], batch.x_next[i:i + 1]))
+                 for i in range(n)]
+        for k, (g, r) in enumerate(zip(grads.weights + grads.biases, ref.weights + ref.biases)):
+            size = np.mean([np.abs((t.weights + t.biases)[k]) for t in terms], axis=0)
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(size)
 
     @pytest.mark.parametrize("d, n", [(10, 250), (62, 40)])
     def test_fused_pass_gives_forward_scores_and_the_chunked_divergence(self, d, n):
-        # three chunks of at most 102 rows at d=10 and 16 at d=62, the last
-        # one short; forward_batch takes the rows in one chunk
+        # three chunks of 96 rows at d=10 and 16 at d=62, the last one padded
         rng = np.random.default_rng(47)
         params = folded(init_params(tiny_arch(d, (128, 128, 128)), 8), rng)
         batch = random_batch(rng, d, n)
         psi, div = scorenet.score_and_divergence_batch(params, batch.x_next, batch.x_prev)
-        ref = forward_batch(params, batch.x_next, batch.x_prev)
-        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(psi, forward_batch(params, batch.x_next, batch.x_prev))
         # the divergence keeps the bits of the pass that formed no outputs:
         # per chunk, the d tangent passes and the contraction of p_last
-        rows = scorenet._stack_rows(params.arch)
+        rows = scorenet._pass_rows(params.arch)
         stacks = scorenet._TangentStacks(params.arch, rows)
         p0, V = scorenet._shared_tangents(params)
         chunks = []
         for start in range(0, n, rows):
-            a0 = np.concatenate([batch.x_next[start:start + rows], batch.x_prev[start:start + rows]],
-                                axis=1)
+            a0 = np.zeros((rows, 2 * d))
+            real = len(batch.x_next[start:start + rows])
+            a0[:real] = np.concatenate([batch.x_next[start:start + rows],
+                                        batch.x_prev[start:start + rows]], axis=1)
             _, p, d1, _ = scorenet._tangent_pass(params, a0, p0, stacks, keep=False)
-            chunks.append(np.einsum("bh,bh->b", np.einsum("bih,ih->bh", p, V), d1))
+            chunks.append(np.einsum("bh,bh->b", np.einsum("bih,ih->bh", p, V), d1)[:real])
         assert len(chunks) == 3
         assert np.array_equal(div, np.concatenate(chunks))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 10, 62]),
+        widths=st.one_of(st.sampled_from([(8, 8), (128, 128, 128)]),
+                         st.lists(st.integers(1, 9), max_size=3).map(tuple)),
+        n=st.integers(1, 250),
+        alone=st.integers(0, 249),
+        cuts=st.lists(st.integers(0, 249), max_size=5),
+        standardize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_pair_gets_the_same_bits_in_any_call(self, d, widths, n, alone, cuts, standardize,
+                                                   seed):
+        # pieces at arbitrary offsets, pair `alone` in a piece of its own
+        rng = np.random.default_rng(seed)
+        params = init_params(tiny_arch(d, widths), seed)
+        if standardize:
+            params = folded(params, rng)
+        batch = random_batch(rng, d, n)
+        Y, X = batch.x_next, batch.x_prev
+        psi, div = scorenet.score_and_divergence_batch(params, Y, X)
+        assert np.array_equal(forward_batch(params, Y, X), psi)
+        i = alone % n
+        edges = sorted({0, i, i + 1, n, *(c % n for c in cuts)})
+        pieces = [scorenet.score_and_divergence_batch(params, Y[a:b], X[a:b])
+                  for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate([piece[0] for piece in pieces]), psi)
+        assert np.array_equal(np.concatenate([piece[1] for piece in pieces]), div)
+        field = as_score_field(params)
+        assert np.array_equal(field.score(Y[i], X[i]), psi[i])
+        assert field.divergence(Y[i], X[i]) == div[i]
 
     @pytest.mark.parametrize("widths, counts", [
         # score_and_divergence_batch holds two stacks, and so does each of its ten
